@@ -125,10 +125,6 @@ def whole_line() -> Ball:
     return Ball(bf.ZERO, mag.INF)
 
 
-def _ulp(mid: BigFloat, prec: int) -> Magnitude:
-    return mag.pow2(mid.exp - prec)
-
-
 def _with_ulp(rad: Magnitude, mid: BigFloat, prec: int, inexact: bool) -> Magnitude:
     if inexact:
         return mag.add(rad, mag.pow2(mid.exp - prec))

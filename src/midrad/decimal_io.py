@@ -250,7 +250,7 @@ def _scan_number(s: str, i: int) -> tuple[int, int, int]:
     d0 = i
     while i < n and s[i].isdigit():
         i += 1
-    if i == d0:
+    if i == d0 and not s.startswith(".", i):  # ".5" has no integer digits
         raise ParseError("expected digits", i)
     intpart = s[d0:i]
     frac = ""
@@ -284,11 +284,15 @@ _POW_CAP = 3_000_000  # cap on |decimal exponent| for exact 5^k materialization
 
 def _crude_pow2_upper_exp(bits: int, e10: int) -> int:
     """Exponent b with value < 2^b for value < 2^bits * 10^e10."""
-    return bits + (e10 * 332193) // 100000 + abs(e10) // 10 ** 8 + 2
+    # e10 log2(10) <= e10 c / 10^5 for c = 3.32193 above log2(10) when e10 >= 0,
+    # and for c = 3.32192 below it when e10 < 0
+    c = 332193 if e10 >= 0 else 332192
+    return bits + (e10 * c) // 100000 + 2
 
 
-def _number_to_ball(d: int, e10: int) -> Ball:
-    """Ball containing exactly the real d * 10^e10; exact when dyadic."""
+def _number_to_ball(d: int, e10: int, wp: int = 0) -> Ball:
+    """Ball containing exactly the real d * 10^e10; exact when dyadic, else a
+    wp-bit midpoint (by default, 32 bits beyond d's)."""
     if d == 0:
         return Ball(bf.ZERO)
     if abs(e10) > _POW_CAP:
@@ -299,7 +303,7 @@ def _number_to_ball(d: int, e10: int) -> Ball:
     p5 = 5 ** (-e10)
     if d % p5 == 0:
         return Ball(BigFloat.from_man_exp(d // p5, e10))
-    wp = max(64, abs(d).bit_length() + 32)
+    wp = wp or max(64, abs(d).bit_length() + 32)
     mid, inexact = bf.div(BigFloat.from_int(d), BigFloat.from_int(10 ** (-e10)), wp, Rounding.NEAREST_EVEN)
     rad = mag.pow2(mid.exp - wp) if inexact else mag.ZERO
     return Ball(mid, rad)

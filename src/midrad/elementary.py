@@ -1,11 +1,23 @@
 """Elementary functions on real balls.
 
-Each function evaluates the midpoint by argument reduction plus a Taylor
-series with a certified truncation bound, then adds a first-order bound for
-the input radius.  Internal evaluation parameters are capped so that the
-work stays polynomial in the precision regardless of the input: beyond the
-cutoffs, sin/cos return [0 +/- 1] and exp collapses to a tiny one-sided
-enclosure (negative side) or the whole line (positive side).
+Each function reduces its argument, then sums a Taylor series on plain ints
+and bounds the error once.  One kernel, ``_series``, serves exp, sin, cos,
+atanh (for log) and atan: the reduced argument is a fixed-point int with w
+fractional bits (the working precision, 16 guard bits, and for sin, atan
+and log near 1 as many bits as the argument lies below 1), the terms come
+from integer multiplies, shifts and floor divisions, and the floors are
+counted in ulps of 2^-w, at most 2 per term.  The first unsummed term is
+within 2 ulps of 0, so the tail bound (that term for alternating series,
+q/(1-q) times it otherwise) adds a few more.  The reduced argument's own
+radius -- the cached pi or log(2) radius times the reduction multiple, plus
+the floor to w bits -- is folded in once through the function's Lipschitz
+bound on the reduced range.  exp sums at x 2^-r, r about sqrt(w)/2, with r
+more guard bits, and squares r times.  The input radius is added last.
+
+Internal evaluation parameters are capped so that the work stays polynomial
+in the precision regardless of the input: beyond the cutoffs, sin/cos return
+[0 +/- 1] and exp collapses to a tiny one-sided enclosure (negative side) or
+the whole line (positive side).
 
 The constants pi and log(2) are evaluated by binary splitting of fast
 series (Machin's formula, atanh(1/3)) and cached per power-of-two working
@@ -16,6 +28,7 @@ from __future__ import annotations
 
 import math
 import threading
+from typing import NamedTuple, Optional
 
 from . import ball
 from . import bigfloat as bf
@@ -157,25 +170,111 @@ def _clamp(b: Ball, prec: int) -> Ball:
     return Ball(bf.ZERO, mag.add(b.rad, mag.pow2(m.exp + 1)))
 
 
-# -- exp ------------------------------------------------------------------------
+# -- the series kernel -----------------------------------------------------------
 
-def _exp_series(t: Ball, wp: int) -> Ball:
-    """Enclosure of e^t for |t| <= 1.1, with a certified tail bound."""
-    s = Ball(bf.ONE)
-    term = Ball(bf.ONE)
-    tol = -(wp + 4)
-    k = 0
-    tm = mag.ONE
+class _Series(NamedTuple):
+    """How the fixed-point kernel sums one Taylor series."""
+
+    odd: bool          # first term x and f(-x) = -f(x); else first term 1
+    square: bool       # powers of x step by 2; else by 1
+    factorial: bool    # term_j = term_(j-d) x^d / ((j-d+1)...j); else x^j / j
+    alternating: bool  # signs alternate and the unsummed terms add up to at
+                       # most the first of them; else to twice it
+    lip: Optional[mag.Magnitude]  # bound on |f'| over the reduced range, or
+                                  # None for exp: summed at x 2^-r, squared r times
+
+
+_EXP = _Series(False, False, True, False, None)
+_SIN = _Series(True, True, True, True, mag.ONE)
+_COS = _Series(False, True, True, True, mag.ONE)
+_ATANH = _Series(True, True, False, False, mag.div_int_upper(mag.from_int_upper(25), 24))
+_ATAN = _Series(True, True, False, True, mag.ONE)
+
+# Fraction bits the kernel carries beyond the caller's working precision.
+_GUARD = 16
+
+
+def _series(f: _Series, w: int, x: int, rad: mag.Magnitude) -> Ball:
+    """Ball containing f(x 2^-w + d) for every |d| <= rad.
+
+    |x| <= 2^w is required, and |x| <= 2^w / 5 for the power shape.  Each
+    computed term is within 2 ulps (2^-w) of its exact value: the floors of
+    one step cost at most 1 + (error carried in + 1 ulp of x^2) / divisor.
+    """
+    neg = x < 0
+    a = -x if neg else x
+    r = 0
+    if f.lip is None:
+        r = max(0, math.isqrt(w) // 2 + a.bit_length() - w)
+        w += r  # x 2^-r, with r guard bits for the squarings
+    square, factorial = f.square, f.factorial
+    alt = f.alternating or (neg and not square)
+    xm = a * a >> w if square else a
+    p = a if f.odd else 1 << w
+    j = 1 if f.odd else 0
+    dj = 2 if square else 1
+    s = p
+    n = 0
     while True:
-        k += 1
-        term = ball.div_int(ball.mul(term, t, wp), k, wp)
-        s = ball.add(s, term, wp)
-        tm = ball.upper_mag(term)
-        if tm.is_zero() or tm.exp <= tol:
+        p = p * xm >> w
+        if factorial:
+            p //= (j + 1) * (j + 2) if square else j + 1
+            t = p
+        else:
+            t = p // (j + 2)
+        if not t:
             break
-    # remaining tail <= |term| * q/(1-q) with q = |t|/(k+1) <= 0.55
-    return Ball(s.mid, mag.add(s.rad, mag.mul_2exp(tm, 1)))
+        j += dj
+        n += 1
+        s += -t if alt and n & 1 else t
+    # the first unsummed term is within 2 ulps of 0; for x = 0 all are 0
+    err = 2 * (n + (1 if f.alternating else 2)) if a else 0
+    for _ in range(r):
+        # |s^2 - y^2| <= err (2 s + err) for |s - y| <= err, one ulp per floor
+        err = ((2 * s + err) * err >> w) + 2
+        s = s * s >> w
+    if neg and f.odd:
+        s = -s
+    erad = mag.from_man_exp_upper(err, -w)
+    if not rad.is_zero():
+        if f.lip is None:  # |e^(x+d) - e^x| <= e^x (e^|d| - 1)
+            prop = mag.mul(mag.from_man_exp_upper(s + err, -w), _expm1_upper(rad))
+        else:
+            prop = mag.mul(rad, f.lip)
+        erad = mag.add(erad, prop)
+    return Ball(BigFloat.from_man_exp(s, -w), erad)
 
+
+def _round(x: Ball, prec: int) -> Ball:
+    """x with its midpoint rounded to prec bits and the rounding error added."""
+    mid, inexact = bf.round_to(x.mid, prec, _NE)
+    if not inexact:
+        return Ball(mid, x.rad)
+    d, _ = bf.sub(x.mid, mid, 32, Rounding.AWAY_FROM_ZERO)
+    return Ball(mid, mag.add(x.rad, mag.from_bigfloat_upper(d)))
+
+
+def _sub_multiple(x: BigFloat, c: Ball, k: int) -> tuple[BigFloat, mag.Magnitude]:
+    """x - k * c.mid exactly, and the bound |k| * c.rad on what that leaves out."""
+    if not k:
+        return x, mag.ZERO
+    kc = bf.mul_exact(c.mid, BigFloat.from_int(k))
+    e = min(x.lsb, kc.lsb)
+    d = (x.sign * x.man << (x.lsb - e)) - (kc.sign * kc.man << (kc.lsb - e))
+    return BigFloat.from_man_exp(d, e), mag.mul_int_upper(c.rad, abs(k))
+
+
+def _fixed(x: BigFloat, rad: mag.Magnitude, w: int) -> tuple[int, mag.Magnitude]:
+    """floor(x 2^w) for a finite x, and rad widened by the floor's error."""
+    if not x.is_regular():
+        return 0, rad
+    v, s = x.sign * x.man, x.lsb + w
+    if s >= 0:
+        return v << s, rad
+    return v >> -s, mag.add(rad, mag.pow2(-w))
+
+
+# -- exp ------------------------------------------------------------------------
 
 def _expm1_upper(r: mag.Magnitude) -> mag.Magnitude:
     """Upper bound of e^r - 1."""
@@ -194,19 +293,14 @@ def _exp_point(m: BigFloat, prec: int) -> Ball:
     """Tight enclosure of e^m for a regular midpoint m."""
     n = m.exp
     wp = prec + (n if n > 0 else 0) + 16
+    ln2 = _log2_ball(wp)
     k = 0
     if n >= 0:
-        ln2 = _log2_ball(wp)
         q, _ = bf.div(m, ln2.mid, max(32, n + 4), _NE)
         k = bf.to_int_nearest(q)
-    if k:
-        t = ball.sub(Ball(m), ball.mul_int(_log2_ball(wp), k, wp), wp)
-    else:
-        t = Ball(m)
-    s = _exp_series(t, wp)
-    if k:
-        s = ball.scale_2exp(s, k)
-    return ball.round_to(s, prec)
+    w = wp + _GUARD
+    s = _series(_EXP, w, *_fixed(*_sub_multiple(m, ln2, k), w))
+    return _round(ball.scale_2exp(s, k), prec)
 
 
 def exp(x: Ball, prec: int) -> Ball:
@@ -234,63 +328,21 @@ def exp(x: Ball, prec: int) -> Ball:
 
 # -- sin / cos ------------------------------------------------------------------
 
-def _sin_series(t: Ball, wp: int) -> Ball:
-    t2 = ball.mul(t, t, wp)
-    term = t
-    s = t
-    tol = -(wp + 4)
-    j = 0
-    while True:
-        j += 1
-        term = ball.div_int(ball.neg(ball.mul(term, t2, wp)), (2 * j) * (2 * j + 1), wp)
-        s = ball.add(s, term, wp)
-        tm = ball.upper_mag(term)
-        if tm.is_zero() or tm.exp <= tol:
-            break
-    return Ball(s.mid, mag.add(s.rad, tm))  # alternating: tail <= last term
-
-
-def _cos_series(t: Ball, wp: int) -> Ball:
-    t2 = ball.mul(t, t, wp)
-    term = Ball(bf.ONE)
-    s = Ball(bf.ONE)
-    tol = -(wp + 4)
-    j = 0
-    while True:
-        j += 1
-        term = ball.div_int(ball.neg(ball.mul(term, t2, wp)), (2 * j - 1) * (2 * j), wp)
-        s = ball.add(s, term, wp)
-        tm = ball.upper_mag(term)
-        if tm.is_zero() or tm.exp <= tol:
-            break
-    return Ball(s.mid, mag.add(s.rad, tm))
-
-
 def _sin_cos_point(m: BigFloat, prec: int) -> tuple[Ball, Ball]:
     n = m.exp
     wp = prec + (n if n > 0 else 0) + 16
+    pih = ball.scale_2exp(_pi_ball(wp), -1)
     k = 0
     if n >= 1:
-        pih = ball.scale_2exp(_pi_ball(wp), -1)
         q, _ = bf.div(m, pih.mid, max(32, n + 4), _NE)
         k = bf.to_int_nearest(q)
-    if k:
-        pih = ball.scale_2exp(_pi_ball(wp), -1)
-        t = ball.sub(Ball(m), ball.mul_int(pih, k, wp), wp)
-    else:
-        t = Ball(m)
-    sj = _sin_series(t, wp)
-    cj = _cos_series(t, wp)
-    r = k & 3
-    if r == 0:
-        s, c = sj, cj
-    elif r == 1:
-        s, c = cj, ball.neg(sj)
-    elif r == 2:
-        s, c = ball.neg(sj), ball.neg(cj)
-    else:
-        s, c = ball.neg(cj), sj
-    return ball.round_to(s, prec), ball.round_to(c, prec)
+    t, rad = _sub_multiple(m, pih, k)
+    w = wp + _GUARD
+    ws = w - min(t.exp, 0)  # sin t is about t: keep wp bits relative to t
+    sj = _series(_SIN, ws, *_fixed(t, rad, ws))
+    cj = _series(_COS, w, *_fixed(t, rad, w))
+    s, c = ((sj, cj), (cj, -sj), (-sj, -cj), (-cj, sj))[k & 3]
+    return _round(s, prec), _round(c, prec)
 
 
 _UNIT = Ball(bf.ZERO, mag.ONE)
@@ -331,41 +383,23 @@ def cos(x: Ball, prec: int) -> Ball:
 
 # -- log --------------------------------------------------------------------------
 
-def _atanh_series(u: Ball, wp: int) -> Ball:
-    """sum u^(2k+1)/(2k+1) for |u| <= 1/5; one-sided tail bound."""
-    u2 = ball.mul(u, u, wp)
-    term = u
-    s = u
-    tol = -(wp + 4)
-    k = 0
-    while True:
-        k += 1
-        term = ball.mul(term, u2, wp)
-        t = ball.div_int(term, 2 * k + 1, wp)
-        s = ball.add(s, t, wp)
-        tm = ball.upper_mag(t)
-        if tm.is_zero() or tm.exp <= tol:
-            break
-    return Ball(s.mid, mag.add(s.rad, tm))  # ratio <= 1/24: tail < last term
-
-
 def _log_point(m: BigFloat, prec: int) -> Ball:
-    if m == bf.ONE:
-        return Ball(bf.ZERO)
     e = m.exp
     wp = prec + abs(e).bit_length() + 16
     bl = m.man.bit_length()
     # a = m * 2^-e in [1/2, 1); renormalize to [3/4, 3/2) for |u| <= 1/5
     if m.man << 2 < 3 << bl:  # a < 3/4: halve the exponent part instead
         e -= 1
-    a = Ball(BigFloat.from_man_exp(m.man, m.exp - bl - e))
-    one = Ball(bf.ONE)
-    u = ball.div(ball.sub(a, one, wp), ball.add(a, one, wp), wp)
-    s = _atanh_series(u, wp)
-    res = ball.scale_2exp(s, 1)
+    # a = man / 2^z, so u = (a - 1)/(a + 1) = (man - 2^z)/(man + 2^z)
+    z = bl + e - m.exp
+    num, den = m.man - (1 << z), m.man + (1 << z)
+    w = wp + _GUARD + max(0, den.bit_length() - num.bit_length())
+    u, rem = divmod(num << w, den)
+    res = ball.scale_2exp(_series(_ATANH, w, u, mag.pow2(-w) if rem else mag.ZERO), 1)
     if e:
-        res = ball.add(res, ball.mul_int(_log2_ball(wp), e, wp), wp)
-    return ball.round_to(res, prec)
+        t, rad = _sub_multiple(res.mid, _log2_ball(wp), -e)
+        res = Ball(t, mag.add(res.rad, rad))
+    return _round(res, prec)
 
 
 def log(x: Ball, prec: int) -> Ball:
@@ -391,25 +425,17 @@ def log(x: Ball, prec: int) -> Ball:
 
 # -- atan -------------------------------------------------------------------------
 
-def _atan_series(z: Ball, wp: int) -> Ball:
-    """atan series for |z| <= 1/8 (alternating)."""
-    z2 = ball.mul(z, z, wp)
-    term = z
-    s = z
-    tol = -(wp + 4)
-    k = 0
-    while True:
-        k += 1
-        term = ball.neg(ball.mul(term, z2, wp))
-        t = ball.div_int(term, 2 * k + 1, wp)
-        s = ball.add(s, t, wp)
-        tm = ball.upper_mag(t)
-        if tm.is_zero() or tm.exp <= tol:
-            break
-    return Ball(s.mid, mag.add(s.rad, tm))
-
-
-_EIGHTH = mag.pow2(-3)
+def _atan_halve(z: int, w: int, rad: mag.Magnitude) -> tuple[int, int, mag.Magnitude]:
+    """(y, h, r): atan(z 2^-w + d) = 2^h atan(y 2^-w + e) with |e| <= r for
+    |d| <= rad, and y <= 2^w / 8; 0 <= z <= 2^w and rad <= 4 ulps."""
+    one = 1 << w
+    h = 0
+    while z > one >> 3:
+        # z / (1 + sqrt(1 + z^2)) halves atan z and at least halves an error
+        # in z; each step's floors add under 2 ulps
+        z = (z << w) // (one + math.isqrt((one << w) + z * z))
+        h += 1
+    return z, h, (mag.pow2(2 - w) if h else rad)
 
 
 def _atan_point(m: BigFloat, prec: int) -> Ball:
@@ -420,19 +446,21 @@ def _atan_point(m: BigFloat, prec: int) -> Ball:
         res = ball.scale_2exp(_pi_ball(wp), -2)
     else:
         flip = bf.compare(a, bf.ONE) > 0
-        z = ball.div(Ball(bf.ONE), Ball(a), wp) if flip else Ball(a)
-        one = Ball(bf.ONE)
-        h = 0
-        while h < 8 and mag.compare(ball.upper_mag(z), _EIGHTH) > 0:
-            w = ball.sqrt(ball.add(one, ball.mul(z, z, wp), wp), wp)
-            z = ball.div(z, ball.add(one, w, wp), wp)
-            h += 1
-        res = ball.scale_2exp(_atan_series(z, wp), h)
+        w = wp + _GUARD
+        if flip:  # atan a = pi/2 - atan(1/a)
+            z, rem = divmod(1 << (w - a.lsb), a.man)
+            rad = mag.pow2(-w) if rem else mag.ZERO
+        else:
+            w -= a.exp  # atan a is about a: keep wp bits relative to a
+            z, rad = _fixed(a, mag.ZERO, w)
+        z, h, rad = _atan_halve(z, w, rad)
+        res = ball.scale_2exp(_series(_ATAN, w, z, rad), h)
         if flip:
-            res = ball.sub(ball.scale_2exp(_pi_ball(wp), -1), res, wp)
+            t, rad = _sub_multiple(res.mid, ball.scale_2exp(_pi_ball(wp), -1), 1)
+            res = Ball(-t, mag.add(res.rad, rad))
     if sign < 0:
         res = ball.neg(res)
-    return ball.round_to(res, prec)
+    return _round(res, prec)
 
 
 def atan(x: Ball, prec: int) -> Ball:

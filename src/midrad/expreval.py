@@ -2,10 +2,12 @@
 
 The parser is a small recursive-descent grammar with standard precedence:
 ``^`` is right-associative and binds tighter than unary minus, so ``-2^2``
-is ``-(2^2)`` and ``2^3^2`` is ``2^(3^2)``.  Decimal literals are stored
+is ``-(2^2)`` and ``2^3^2`` is ``2^(3^2)``.  Nesting and tree height are
+capped, so no input can exhaust the stack.  Decimal literals are stored
 exactly as scaled integers and re-enclosed at the working precision on
 every evaluation, so their representation error shrinks as the adaptive
-loop raises the precision.
+loop raises the precision (beyond decimal_io's exponent cap, they get its
+crude enclosure instead).
 
 ``eval_adaptive`` doubles the precision until the result's relative
 accuracy reaches the target, returning the last (widest-known) enclosure
@@ -26,8 +28,7 @@ from . import bigfloat as bf
 from . import elementary as el
 from .ball import Ball
 from .bigfloat import BigFloat, Rounding
-from . import magnitude as mag
-from .decimal_io import ParseError
+from .decimal_io import ParseError, _number_to_ball, _scan_number
 
 __all__ = [
     "Expr",
@@ -47,8 +48,6 @@ __all__ = [
     "eval_correctly_rounded",
     "digits_to_bits",
 ]
-
-_NE = Rounding.NEAREST_EVEN
 
 _FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "atan": 1, "sqrt": 1, "pow": 2}
 _CONSTANTS = {"pi"}
@@ -116,10 +115,18 @@ def free_variables(e) -> set:
 
 # -- parser ----------------------------------------------------------------------
 
+# Caps on nesting (five parser frames a level) and on tree height (up to two
+# evaluation frames a level), far below Python's stack limit.
+_MAX_DEPTH = 100
+_MAX_HEIGHT = 300
+
+
 class _Parser:
     def __init__(self, src: str):
         self.src = src
         self.i = 0
+        self.depth = 0   # open unary() calls
+        self.height = 1  # height of the tree the last parse method returned
 
     def error(self, msg: str):
         raise ParseError(msg, self.i)
@@ -142,6 +149,13 @@ class _Parser:
         if not self.take(ch):
             self.error(f"expected {ch!r}")
 
+    def node(self, e, height: int, at: int):
+        """Return e, recording its tree height; at is its operator's offset."""
+        if height > _MAX_HEIGHT:
+            raise ParseError(f"expression tree deeper than {_MAX_HEIGHT} levels", at)
+        self.height = height
+        return e
+
     def parse(self):
         e = self.expr()
         self.skip_ws()
@@ -150,45 +164,49 @@ class _Parser:
         return e
 
     def expr(self):
-        e = self.term()
-        while True:
-            c = self.peek()
-            if c == "+":
-                self.i += 1
-                e = Bin("+", e, self.term())
-            elif c == "-":
-                self.i += 1
-                e = Bin("-", e, self.term())
-            else:
-                return e
+        return self.chain("+-", self.term)
 
     def term(self):
-        e = self.unary()
+        return self.chain("*/", self.unary)
+
+    def chain(self, ops: str, operand):
+        """Left-associative chain of operand separated by the operators in ops."""
+        e = operand()
         while True:
             c = self.peek()
-            if c == "*":
-                self.i += 1
-                e = Bin("*", e, self.unary())
-            elif c == "/":
-                self.i += 1
-                e = Bin("/", e, self.unary())
-            else:
+            if not c or c not in ops:
                 return e
+            at = self.i
+            self.i += 1
+            h = self.height
+            e = self.node(Bin(c, e, operand()), max(h, self.height) + 1, at)
 
     def unary(self):
-        if self.peek() == "-":
+        if self.depth >= _MAX_DEPTH:
+            self.error(f"expression nested deeper than {_MAX_DEPTH} levels")
+        self.depth += 1
+        c = self.peek()
+        at = self.i
+        if c == "-":
             self.i += 1
-            return Neg(self.unary())
-        if self.peek() == "+":
+            e = self.unary()
+            e = self.node(Neg(e), self.height + 1, at)
+        elif c == "+":
             self.i += 1
-            return self.unary()
-        return self.power()
+            e = self.unary()
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self):
         e = self.atom()
         if self.peek() == "^":
+            at = self.i
             self.i += 1
-            return Bin("^", e, self.unary())  # right-assoc; unary allows 2^-3
+            h = self.height
+            r = self.unary()  # right-assoc; unary allows 2^-3
+            return self.node(Bin("^", e, r), max(h, self.height) + 1, at)
         return e
 
     def atom(self):
@@ -199,50 +217,15 @@ class _Parser:
             self.expect(")")
             return e
         if c.isdigit() or c == ".":
+            self.height = 1
             return self.number()
         if c.isalpha() or c == "_":
             return self.name()
         self.error("expected a value")
 
     def number(self):
-        start = self.i
-        s = self.src
-        n = len(s)
-        i = self.i
-        d0 = i
-        while i < n and s[i].isdigit():
-            i += 1
-        frac = ""
-        if i < n and s[i] == ".":
-            i += 1
-            f0 = i
-            while i < n and s[i].isdigit():
-                i += 1
-            if i == f0:
-                self.i = i
-                self.error("expected digits after decimal point")
-            frac = s[f0:i]
-        if i == d0 and not frac:
-            self.error("expected a number")
-        intpart = s[d0:i - len(frac) - (1 if frac else 0)]
-        e10 = 0
-        if i < n and s[i] in "eE":
-            j = i + 1
-            es = 1
-            if j < n and s[j] in "+-":
-                es = -1 if s[j] == "-" else 1
-                j += 1
-            e0 = j
-            while j < n and s[j].isdigit():
-                j += 1
-            if j > e0:  # otherwise it's a name boundary like 2e -> error later
-                e10 = es * int(s[e0:j])
-                i = j
-            else:
-                self.i = e0
-                self.error("expected exponent digits")
-        self.i = i
-        return Num(int((intpart or "0") + frac), e10 - len(frac))
+        digits, e10, self.i = _scan_number(self.src, self.i)
+        return Num(digits, e10)
 
     def name(self):
         s = self.src
@@ -259,13 +242,16 @@ class _Parser:
                 self.error(f"unknown function {word!r}")
             self.i += 1  # consume "("
             args = [self.expr()]
+            h = self.height
             while self.take(","):
                 args.append(self.expr())
+                h = max(h, self.height)
             self.expect(")")
             if len(args) != _FUNCTIONS[word]:
                 self.i = start
                 self.error(f"{word} takes {_FUNCTIONS[word]} argument(s)")
-            return Call(word, tuple(args))
+            return self.node(Call(word, tuple(args)), h + 1, start)
+        self.height = 1
         if word in _CONSTANTS:
             return Const(word)
         return Var(word)
@@ -278,25 +264,10 @@ def parse_expr(src: str):
 
 # -- evaluation -------------------------------------------------------------------
 
-def _literal_ball(digits: int, e10: int, prec: int) -> Ball:
-    """Exact ball when the literal is dyadic, else a tight enclosure at prec."""
-    if digits == 0:
-        return Ball(bf.ZERO)
-    if e10 >= 0:
-        return Ball(BigFloat.from_man_exp(digits * 5 ** e10, e10))
-    p5 = 5 ** (-e10)
-    if digits % p5 == 0:
-        return Ball(BigFloat.from_man_exp(digits // p5, e10))
-    mid, inexact = bf.div(BigFloat.from_int(digits), BigFloat.from_int(10 ** (-e10)),
-                          prec + 8, _NE)
-    rad = mag.pow2(mid.exp - prec - 8) if inexact else mag.ZERO
-    return Ball(mid, rad)
-
-
 def eval_ball(e, bindings: dict, prec: int) -> Ball:
     """Evaluate the tree to an enclosure at the given working precision."""
     if isinstance(e, Num):
-        return _literal_ball(e.digits, e.exp10, prec)
+        return _number_to_ball(e.digits, e.exp10, prec + 8)
     if isinstance(e, Const):
         return el.const_pi(prec)
     if isinstance(e, Var):

@@ -35,6 +35,14 @@ class TestEval:
         code, _, err = run(capsys, "eval", "sin(")
         assert code == 1 and "position" in err
 
+    def test_deep_nesting_exit_1(self, capsys):
+        code, _, err = run(capsys, "eval", "(" * 3000 + "1" + ")" * 3000)
+        assert code == 1 and err.startswith("error:")
+
+    def test_long_chain_exit_1(self, capsys):
+        code, _, err = run(capsys, "round", "+".join(["1"] * 3000))
+        assert code == 1 and err.startswith("error:")
+
     def test_bad_binding_exit_1(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--var", "x")
         assert code == 1

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,6 +157,7 @@ class TestParse:
         assert b.rad.to_fraction() >= Fraction(1, 4)
         b = dio.from_decimal("[+/- 1.23e-8]")
         assert b.mid.is_zero() and b.rad.to_fraction() >= Fraction(123, 10 ** 10)
+        assert dio.from_decimal(".5").mid.to_fraction() == Fraction(1, 2)
 
     def test_inexact_decimal_is_enclosed(self):
         b = dio.from_decimal("0.1")
@@ -173,6 +175,18 @@ class TestParse:
             b = dio.from_decimal(f"[{mn}e-{mk} +/- {rn}e-{rk}]")
             lo, hi = ball_bounds(b)
             assert lo <= m - r and m + r <= hi
+
+    @pytest.mark.parametrize("e10", [3_000_001, 4_000_000, 10 ** 9, 10 ** 18])
+    def test_capped_exponents_stay_enclosed(self, e10):
+        # past the cap the value d * 10^e10 is bounded through 2^b alone; the
+        # bound once fell below 10^e10 for large negative exponents
+        with mpmath.workprec(200):
+            for e in (e10, -e10):
+                b = dio.from_decimal(f"7e{e}")
+                assert b.mid.is_zero()
+                assert b.rad.exp - 1 > mpmath.log(7, 2) + e * mpmath.log(10, 2)
+                r = dio.from_decimal(f"[+/- 7e{e}]").rad
+                assert r.exp - 1 >= mpmath.log(7, 2) + e * mpmath.log(10, 2)
 
     @pytest.mark.parametrize("bad,pos", [
         ("1.2.3", 3),

@@ -267,3 +267,218 @@ class TestLog2Cache:
         again = el.const_log2(90)
         assert cold == warm == again
         assert_encloses(cold, mpf_fraction(mpmath.log(2)))
+
+
+# -- the fixed-point series kernel ----------------------------------------------------
+
+KERNEL_WPS = (53, 333, 1000, 10 ** 4)
+
+# term ratio t_k / t_(k-1) = x^d * num(k) / den(k), the sign pattern, and
+# whether the first term is x (odd) or 1
+_RATIOS = {
+    "exp": (1, lambda k: 1, lambda k: k, False),
+    "sin": (2, lambda k: 1, lambda k: (2 * k) * (2 * k + 1), True),
+    "cos": (2, lambda k: 1, lambda k: (2 * k - 1) * (2 * k), True),
+    "atanh": (2, lambda k: 2 * k - 1, lambda k: 2 * k + 1, False),
+    "atan": (2, lambda k: 2 * k - 1, lambda k: 2 * k + 1, True),
+}
+_KINDS = {"exp": el._EXP, "sin": el._SIN, "cos": el._COS,
+          "atanh": el._ATANH, "atan": el._ATAN}
+
+
+def series_bracket(fn, x, w, extra=64):
+    """Exact rationals lo <= f(x 2^-w) <= hi from the Taylor series.
+
+    Every term is bracketed by integers at W = w + extra fractional bits
+    (floor below, ceiling above) through the term ratio, and the series
+    stops at a term below 2^-W; the terms from there on add up to at most
+    twice it (alternating, ratio <= 1/2 for exp, <= 1/25 for atanh).
+    """
+    d, num, den, alternating = _RATIOS[fn]
+    odd = fn in ("sin", "atanh", "atan")
+    W = w + extra
+    a = abs(x)
+    ad, shift = a ** d, w * d
+    lo = hi = tl = th = (a << extra) if odd else (1 << W)
+    negate = alternating or (fn == "exp" and x < 0)
+    k = 0
+    while True:
+        k += 1
+        tl = (tl * ad * num(k) // den(k)) >> shift
+        th = -((-th * ad * num(k) // den(k)) >> shift)  # ceiling
+        if th <= 1 and k > 1:
+            break
+        if negate and k & 1:
+            lo, hi = lo - th, hi - tl
+        else:
+            lo, hi = lo + tl, hi + th
+    lo, hi = lo - 2 * th, hi + 2 * th
+    if odd and x < 0:
+        lo, hi = -hi, -lo
+    return Fraction(lo, 1 << W), Fraction(hi, 1 << W)
+
+
+def _fixed_inputs(fn, w):
+    """Reduced arguments at the edges of each reduction, as w-bit integers."""
+    edges = {
+        "exp": [Fraction(3465735902799727, 10 ** 16), Fraction(1, 2) - Fraction(1, 2 ** 40)],
+        "sin": [Fraction(7853981633974483, 10 ** 16), Fraction(999, 1000)],
+        "cos": [Fraction(7853981633974483, 10 ** 16), Fraction(999, 1000)],
+        "atanh": [Fraction(1, 5), Fraction(1, 7)],
+        "atan": [Fraction(1, 8), Fraction(1, 8) - Fraction(1, 2 ** 50)],
+    }[fn]
+    xs = []
+    for v in edges:
+        x = math.floor(v * (1 << w))
+        xs += [x, -x]
+    return xs + [3, -1, 0]
+
+
+@pytest.mark.parametrize("wp", KERNEL_WPS)
+@pytest.mark.parametrize("fn", sorted(_RATIOS))
+def test_kernel_against_exact_series(fn, wp):
+    w = wp + el._GUARD
+    for x in _fixed_inputs(fn, w):
+        b = el._series(_KINDS[fn], w, x, mag.ZERO)
+        lo, hi = series_bracket(fn, x, w)
+        blo, bhi = ball_bounds(b)
+        assert blo <= lo and hi <= bhi, (fn, wp, x)
+        # the error count stays a few thousand ulps at most
+        assert b.rad.to_fraction() <= Fraction(1 << 13, 1 << w), (fn, wp, x)
+
+
+@pytest.mark.parametrize("wp", (53, 1000))
+@pytest.mark.parametrize("fn", sorted(_RATIOS))
+def test_kernel_folds_argument_radius(fn, wp):
+    w = wp + el._GUARD
+    c = 1 << 20  # a radius of 2^20 ulps
+    for x in _fixed_inputs(fn, w)[:4]:
+        b = el._series(_KINDS[fn], w, x, mag.from_man_exp_upper(c, -w))
+        blo, bhi = ball_bounds(b)
+        for y in (x - c, x + c):
+            lo, hi = series_bracket(fn, y, w)
+            assert blo <= lo and hi <= bhi, (fn, wp, x, y)
+
+
+def _dyadic(v, bits=60):
+    """Exact input: v rounded to a dyadic with bits fractional bits."""
+    return Ball(BigFloat.from_man_exp(int(mpmath.nint(v * mpmath.mpf(2) ** bits)), -bits))
+
+
+def _edge_inputs():
+    with mpmath.workprec(200):
+        ln2, pi = mpmath.log(2), mpmath.pi
+        return {
+            "exp": [_dyadic(1.5 * ln2), _dyadic(-1.5 * ln2), _dyadic(10.5 * ln2),
+                    _dyadic(mpmath.mpf(1) / 2 - mpmath.mpf(2) ** -40), _dyadic(ln2 / 2)],
+            "sin": [_dyadic(3 * pi / 4), _dyadic(-5 * pi / 4), _dyadic(pi),
+                    _dyadic(mpmath.mpf(999) / 1000), _dyadic(pi / 4)],
+            "log": [_dyadic(mpmath.mpf(3) / 2 - mpmath.mpf(2) ** -40), _dyadic(mpmath.mpf(3) / 4),
+                    _dyadic(3 - mpmath.mpf(2) ** -40), _dyadic(mpmath.mpf(3) / 4 - mpmath.mpf(2) ** -40),
+                    _dyadic(1 + mpmath.mpf(2) ** -50)],
+            "atan": [_dyadic(mpmath.mpf(1) / 8), _dyadic(mpmath.mpf(1) / 8 + mpmath.mpf(2) ** -50),
+                     _dyadic(8 - mpmath.mpf(2) ** -45), _dyadic(mpmath.mpf(99999) / 100000),
+                     _dyadic(1 + mpmath.mpf(2) ** -40), _dyadic(-mpmath.mpf(2) ** -30)],
+        }
+
+
+@pytest.mark.parametrize("prec", KERNEL_WPS)
+def test_public_functions_at_reduction_edges(prec):
+    refs = {"exp": [mpmath.exp], "sin": [mpmath.sin, mpmath.cos],
+            "log": [mpmath.log], "atan": [mpmath.atan]}
+    for fn, xs in _edge_inputs().items():
+        for x in xs:
+            if fn == "sin":
+                outs = el.sin_cos(x, prec)
+            else:
+                outs = (getattr(el, fn)(x, prec),)
+            with mpmath.workprec(prec + 128):
+                xm = mpmath.mpf(x.mid.to_fraction().numerator) / x.mid.to_fraction().denominator
+                for r, ref in zip(outs, refs[fn]):
+                    assert_encloses(r, mpf_fraction(ref(xm)), f"{ref.__name__} at prec {prec}")
+
+
+# Radii of the five public functions on exact inputs man * 2^e at precisions
+# 53, 333 and 1000, as computed by the ball-arithmetic Taylor loops that the
+# fixed-point kernel replaced.  The kernel may only tighten them.
+BALL_LOOP_RADII = {
+    ('exp', 1, 0): ('268469715*2^-79', '479034497*2^-317', '537435151*2^-1027'),
+    ('exp', -1, 0): ('134235603*2^-81', '958068993*2^-320', '537438237*2^-1030'),
+    ('exp', -3, -3): ('268492817*2^-81', '8395777*2^-356', '269004819*2^-1028'),
+    ('exp', 1419, -12): ('134244403*2^-79', '537321519*2^-361', '268996627*2^-1027'),
+    ('exp', -1419, -12): ('536977815*2^-82', '268660783*2^-361', '537993291*2^-1029'),
+    ('exp', 3, -40): ('4105*2^-80', '536911873*2^-361', '537042945*2^-1028'),
+    ('exp', 229, -2): ('536883849*2^1', '605523499*2^-229', '33556199*2^-942'),
+    ('exp', 2001, -1): ('536876643*2^1362', '331424115*2^1136', '536877475*2^415'),
+    ('sin', 1, 0): ('33557373*2^-78', '537012151*2^-362', '537192379*2^-1029'),
+    ('sin', 3, -2): ('536944899*2^-82', '537141413*2^-362', '268763153*2^-1028'),
+    ('sin', 201, -8): ('536952867*2^-82', '268574737*2^-361', '67190791*2^-1026'),
+    ('sin', 100, 0): ('134220233*2^-80', '268441171*2^-361', '134221289*2^-1027'),
+    ('sin', -15, -1): ('134220807*2^-80', '536904727*2^-362', '536946711*2^-1029'),
+    ('sin', 3, -30): ('1033*2^-91', '536911873*2^-390', '536993793*2^-1057'),
+    ('cos', 1, 0): ('536921949*2^-82', '537012099*2^-362', '134299095*2^-1027'),
+    ('cos', 3, -2): ('134236163*2^-80', '268570627*2^-361', '537518087*2^-1029'),
+    ('cos', 201, -8): ('268472333*2^-81', '537141287*2^-362', '537526277*2^-1029'),
+    ('cos', 100, 0): ('536876191*2^-82', '536877599*2^-362', '536880351*2^-1029'),
+    ('cos', -15, -1): ('268448809*2^-82', '268459553*2^-362', '268480545*2^-1029'),
+    ('log', 2, 0): ('536872961*2^-82', '704907689*2^-319', '536872961*2^-1029'),
+    ('log', 3, 0): ('134220549*2^-79', '704907691*2^-318', '268483083*2^-1027'),
+    ('log', 5, -4): ('268442643*2^-80', '704907691*2^-318', '536961559*2^-1028'),
+    ('log', 3145727, -21): ('134234245*2^-81', '537182677*2^-363', '537768519*2^-1030'),
+    ('log', 3, -2): ('268489141*2^-82', '537387375*2^-363', '538354459*2^-1030'),
+    ('log', 1000000, 0): ('536871433*2^-78', '881134613*2^-315', '16777235*2^-1020'),
+    ('log', 1073741825, -30): ('268614315*2^-111', '536899585*2^-392', '293859829*2^-1055'),
+    ('atan', 1, -3): ('536871329*2^-85', '536872803*2^-365', '268438177*2^-1031'),
+    ('atan', 1099511627777, -43): ('536871297*2^-85', '67109057*2^-362', '134218779*2^-1030'),
+    ('atan', 1, -1): ('536871519*2^-83', '536872895*2^-363', '134219111*2^-1028'),
+    ('atan', 2, 0): ('67108887*2^-78', '33554465*2^-357', '536872327*2^-1028'),
+    ('atan', -10, 0): ('536870971*2^-81', '536871053*2^-361', '536871253*2^-1028'),
+    ('atan', 1, 0): ('536870913*2^-82', '536870913*2^-362', '536870913*2^-1029'),
+    ('atan', 3, -40): ('41*2^-120', '536871009*2^-400', '285673763*2^-1066'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BALL_LOOP_RADII), ids=str)
+def test_radii_no_wider_than_ball_loops(key):
+    fn, man, e = key
+    x = Ball(BigFloat.from_man_exp(man, e))
+    for prec, old in zip((53, 333, 1000), BALL_LOOP_RADII[key]):
+        r = getattr(el, fn)(x, prec)
+        assert r.rad.to_fraction() <= mag.Magnitude.from_text(old).to_fraction(), (key, prec)
+
+
+@pytest.mark.parametrize("wp", (53, 1000))
+def test_atan_halving_error_bound(wp):
+    w = wp + el._GUARD
+    with mpmath.workprec(w + 64):
+        for v in (Fraction(1), Fraction(999, 1000), Fraction(1, 2), Fraction(1, 8) + Fraction(1, 2 ** 40)):
+            z0 = math.floor(v * (1 << w))
+            for d in (-1, 0, 1):  # the exact argument is (z0 + d) 2^-w, within 1 ulp
+                y, h, r = el._atan_halve(z0, w, mag.pow2(-w))
+                assert h >= 1 and y <= (1 << w) // 8
+                x = mpmath.mpf(z0 + d) / mpmath.mpf(2) ** w
+                exact = mpmath.tan(mpmath.atan(x) / 2 ** h) * mpmath.mpf(2) ** w
+                assert abs(mpf_fraction(exact) - y) <= r.to_fraction() * (1 << w), (v, d)
+
+
+def test_fixed_point_conversion():
+    rng = random.Random(11)
+    for _ in range(300):
+        x = BigFloat.from_man_exp(rng.getrandbits(rng.randrange(1, 200)) * rng.choice([1, -1]) or 1,
+                                  rng.randrange(-150, 5))
+        w = rng.randrange(1, 160)
+        xi, r = el._fixed(x, mag.ZERO, w)
+        scaled = x.to_fraction() * (1 << w)
+        assert xi <= scaled < xi + 1
+        assert (scaled - xi) / (1 << w) <= r.to_fraction()
+
+
+def test_sub_multiple_is_exact():
+    rng = random.Random(12)
+    c = el._pi_ball(200)
+    for _ in range(100):
+        x = BigFloat.from_man_exp(rng.getrandbits(80) | 1, rng.randrange(-100, 20))
+        k = rng.randrange(-10 ** 6, 10 ** 6)
+        t, rad = el._sub_multiple(x, c, k)
+        assert t.to_fraction() == x.to_fraction() - k * c.mid.to_fraction()
+        assert rad.to_fraction() >= abs(k) * c.rad.to_fraction()

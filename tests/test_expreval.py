@@ -38,6 +38,7 @@ class TestParser:
     def test_decimal_literals(self):
         assert ev.parse_expr("2.5e-3") == Num(25, -4)
         assert ev.parse_expr("0.125") == Num(125, -3)
+        assert ev.parse_expr(".5") == Num(5, -1)
 
     def test_pow_function(self):
         e = ev.parse_expr("pow(2, 10)")
@@ -56,6 +57,28 @@ class TestParser:
             ev.parse_expr(src)
         assert ex.value.position == pos
 
+    def test_deep_nesting_is_a_parse_error(self):
+        # 3000 levels used to overflow Python's stack in the parser
+        with pytest.raises(dio.ParseError) as ex:
+            ev.parse_expr("(" * 3000 + "1" + ")" * 3000)
+        assert ex.value.position == ev._MAX_DEPTH  # the first '(' past the cap
+        for src in ("-" * 3000 + "1", "2^" * 3000 + "2", "sin(" * 3000 + "1" + ")" * 3000):
+            with pytest.raises(dio.ParseError):
+                ev.parse_expr(src)
+
+    def test_long_chain_is_a_parse_error(self):
+        # the parser builds it in a loop, but evaluation recurses on its height
+        src = "+".join(["1"] * 3000)
+        with pytest.raises(dio.ParseError) as ex:
+            ev.parse_expr(src)
+        assert ex.value.position == 2 * ev._MAX_HEIGHT - 1  # the operator past the cap
+
+    def test_nesting_up_to_the_limits(self):
+        e = ev.parse_expr("(" * (ev._MAX_DEPTH - 1) + "1" + ")" * (ev._MAX_DEPTH - 1))
+        assert e == Num(1, 0)
+        e = ev.parse_expr("+".join(["1"] * ev._MAX_HEIGHT))
+        assert ev.eval_ball(e, {}, 64).mid.to_fraction() == ev._MAX_HEIGHT
+
 
 class TestEvalBall:
     def test_literals_reenclosed_per_precision(self):
@@ -73,6 +96,17 @@ class TestEvalBall:
     def test_unbound_variable(self):
         with pytest.raises(ev.UnboundVariableError):
             ev.eval_ball(ev.parse_expr("x + 1"), {}, 64)
+
+    def test_huge_literal_exponents_use_the_crude_enclosure(self):
+        # beyond the cap, neither 5^|e| nor 10^|e| is built; the result is
+        # [0 +/- 2^b] with 3 * 10^e < 2^b
+        with mpmath.workprec(200):
+            for e10 in (-10 ** 9, 10 ** 9, -dio._POW_CAP - 1):
+                b = ev.eval_ball(Num(3, e10), {}, 64)
+                assert b.mid.is_zero()
+                log2_value = mpmath.log(3, 2) + e10 * mpmath.log(10, 2)
+                assert b.rad.exp - 1 > log2_value  # rad = 2^(exp - 1)
+                assert b.rad.exp - 1 < log2_value + 10 ** 4
 
     def test_bound_variable(self):
         v = ev.eval_ball(ev.parse_expr("x^2 + 1"), {"x": Ball.from_int(3)}, 64)
