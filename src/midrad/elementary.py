@@ -2,17 +2,17 @@
 
 Each function reduces its argument, then sums a Taylor series on plain ints
 and bounds the error once.  One kernel, ``_series``, serves exp, sin, cos,
-atanh (for log) and atan: the reduced argument is a fixed-point int with w
-fractional bits (the working precision, 16 guard bits, and for sin, atan
-and log near 1 as many bits as the argument lies below 1), the terms come
-from integer multiplies, shifts and floor divisions, and the floors are
-counted in ulps of 2^-w, at most 2 per term.  The first unsummed term is
-within 2 ulps of 0, so the tail bound (that term for alternating series,
-q/(1-q) times it otherwise) adds a few more.  The reduced argument's own
-radius -- the cached pi or log(2) radius times the reduction multiple, plus
-the floor to w bits -- is folded in once through the function's Lipschitz
-bound on the reduced range.  exp sums at x 2^-r, r about sqrt(w)/2, with r
-more guard bits, and squares r times.  The input radius is added last.
+atanh (for log) and atan.  The reduced argument is an int with w fractional
+bits: the precision plus guard bits, plus for sin, atan and log near 1 as
+many bits as the argument lies below 1.  Terms come from integer multiplies,
+shifts and floor divisions; the floors cost at most 2 ulps (2^-w) a term,
+and the first unsummed term is within 2 ulps of 0, so the tail bound (that
+term for alternating series, q/(1-q) times it otherwise) adds a few more.
+The reduced argument's own radius -- the cached pi or log(2) radius times
+the reduction multiple, plus the floor to w bits -- is folded in once
+through the function's Lipschitz bound on the reduced range (for exp, as e^x
+(e^r - 1)).  exp sums at x 2^-r, r about sqrt(w)/2, with r more guard bits,
+and squares r times.  The input radius is added last.
 
 Internal evaluation parameters are capped so that the work stays polynomial
 in the precision regardless of the input: beyond the cutoffs, sin/cos return
@@ -298,7 +298,7 @@ def _exp_point(m: BigFloat, prec: int) -> Ball:
     if n >= 0:
         q, _ = bf.div(m, ln2.mid, max(32, n + 4), _NE)
         k = bf.to_int_nearest(q)
-    w = wp + _GUARD
+    w = prec + 16 + _GUARD  # wp less the n bits that only k needs
     s = _series(_EXP, w, *_fixed(*_sub_multiple(m, ln2, k), w))
     return _round(ball.scale_2exp(s, k), prec)
 
@@ -337,7 +337,7 @@ def _sin_cos_point(m: BigFloat, prec: int) -> tuple[Ball, Ball]:
         q, _ = bf.div(m, pih.mid, max(32, n + 4), _NE)
         k = bf.to_int_nearest(q)
     t, rad = _sub_multiple(m, pih, k)
-    w = wp + _GUARD
+    w = prec + 16 + _GUARD  # wp less the n bits that only k needs
     ws = w - min(t.exp, 0)  # sin t is about t: keep wp bits relative to t
     sj = _series(_SIN, ws, *_fixed(t, rad, ws))
     cj = _series(_COS, w, *_fixed(t, rad, w))
@@ -428,11 +428,11 @@ def log(x: Ball, prec: int) -> Ball:
 def _atan_halve(z: int, w: int, rad: mag.Magnitude) -> tuple[int, int, mag.Magnitude]:
     """(y, h, r): atan(z 2^-w + d) = 2^h atan(y 2^-w + e) with |e| <= r for
     |d| <= rad, and y <= 2^w / 8; 0 <= z <= 2^w and rad <= 4 ulps."""
-    one = 1 << w
     h = 0
-    while z > one >> 3:
+    while (z - 1) >> (w - 3) > 0:  # z > 2^w / 8, without building 2^w for tiny z
         # z / (1 + sqrt(1 + z^2)) halves atan z and at least halves an error
         # in z; each step's floors add under 2 ulps
+        one = 1 << w
         z = (z << w) // (one + math.isqrt((one << w) + z * z))
         h += 1
     return z, h, (mag.pow2(2 - w) if h else rad)

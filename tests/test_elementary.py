@@ -482,3 +482,28 @@ def test_sub_multiple_is_exact():
         t, rad = el._sub_multiple(x, c, k)
         assert t.to_fraction() == x.to_fraction() - k * c.mid.to_fraction()
         assert rad.to_fraction() >= abs(k) * c.rad.to_fraction()
+
+
+def test_tiny_arguments_stay_cheap():
+    # 2^w for these w would need 2^70 bits; the kernel never builds it
+    x = BigFloat.from_man_exp(3, -(1 << 70))
+    for f in (el.sin, el.atan):
+        for v in (x, -x):
+            r = f(Ball(v), 53)
+            assert r.mid == v and ball.rel_accuracy_bits(r) >= 53
+    for f in (el.cos, el.exp):
+        r = f(Ball(-x), 53)
+        assert r.mid == bf.ONE and r.rad.exp < -60
+
+
+def test_huge_argument_series_at_target_precision():
+    # k absorbs the 60000 integer bits; the series itself needs about 85 bits
+    x = Ball(BigFloat.from_man_exp(12345, 60000))
+    el.sin_cos(x, 53)  # pi at 2^16 bits into the cache
+    t0 = time.perf_counter()
+    s, c = el.sin_cos(x, 53)
+    assert time.perf_counter() - t0 < 0.5
+    with mpmath.workprec(60200):
+        xm = mpmath.mpf(12345) * mpmath.mpf(2) ** 60000
+        assert_encloses(s, mpf_fraction(mpmath.sin(xm)), "sin")
+        assert_encloses(c, mpf_fraction(mpmath.cos(xm)), "cos")
