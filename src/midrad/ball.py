@@ -5,7 +5,7 @@ The midpoint is a :class:`~midrad.bigfloat.BigFloat`, the radius a
 for any points chosen from the input balls, the exact result lies in the
 output ball.  Midpoints are rounded to the requested precision (nearest,
 ties to even) and a one-ulp bound on that rounding error is folded into the
-radius whenever rounding was inexact.
+radius whenever rounding was inexact; ``round_to`` adds the actual error.
 
 A NaN midpoint means "indeterminate / whole extended line"; an infinite
 radius with a finite midpoint means "the whole real line".  Predicates
@@ -289,8 +289,12 @@ def div_int(x: Ball, n: int, prec: int) -> Ball:
 
 
 def round_to(x: Ball, prec: int) -> Ball:
+    """x with its midpoint rounded to prec bits and the rounding error added."""
     mid, inexact = bf.round_to(x.mid, prec, _NE)
-    return Ball(mid, _with_ulp(x.rad, mid, prec, inexact))
+    if not inexact:
+        return Ball(mid, x.rad)
+    d, _ = bf.sub(x.mid, mid, 32, Rounding.AWAY_FROM_ZERO)
+    return Ball(mid, mag.add(x.rad, mag.from_bigfloat_upper(d)))
 
 
 def upper_mag(x: Ball) -> Magnitude:

@@ -1,7 +1,7 @@
 """Elementary functions on real balls.
 
 Each function reduces its argument, then sums a Taylor series on plain ints
-and bounds the error once.  One kernel, ``_series``, serves exp, sin, cos,
+and bounds the error once.  One kernel, ``_sum``, serves exp, sin, cos,
 atanh (for log) and atan.  The reduced argument is an int with w fractional
 bits: the precision plus guard bits, plus for sin, atan and log near 1 as
 many bits as the argument lies below 1.  Terms come from integer multiplies,
@@ -10,9 +10,10 @@ and the first unsummed term is within 2 ulps of 0, so the tail bound (that
 term for alternating series, q/(1-q) times it otherwise) adds a few more.
 The reduced argument's own radius -- the cached pi or log(2) radius times
 the reduction multiple, plus the floor to w bits -- is folded in once
-through the function's Lipschitz bound on the reduced range (for exp, as e^x
-(e^r - 1)).  exp sums at x 2^-r, r about sqrt(w)/2, with r more guard bits,
-and squares r times.  The input radius is added last.
+through the function's Lipschitz bound on the reduced range.  exp sums at
+x 2^-r, r about sqrt(w)/2, with r more guard bits, squares r times on ints
+and folds that radius r as e^x (e^r - 1).  Results are rounded to the
+target precision once, and the input radius is added last.
 
 Internal evaluation parameters are capped so that the work stays polynomial
 in the precision regardless of the input: beyond the cutoffs, sin/cos return
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from . import ball
 from . import bigfloat as bf
@@ -180,22 +181,23 @@ class _Series(NamedTuple):
     factorial: bool    # term_j = term_(j-d) x^d / ((j-d+1)...j); else x^j / j
     alternating: bool  # signs alternate and the unsummed terms add up to at
                        # most the first of them; else to twice it
-    lip: Optional[mag.Magnitude]  # bound on |f'| over the reduced range, or
-                                  # None for exp: summed at x 2^-r, squared r times
 
 
-_EXP = _Series(False, False, True, False, None)
-_SIN = _Series(True, True, True, True, mag.ONE)
-_COS = _Series(False, True, True, True, mag.ONE)
-_ATANH = _Series(True, True, False, False, mag.div_int_upper(mag.from_int_upper(25), 24))
-_ATAN = _Series(True, True, False, True, mag.ONE)
+_EXP = _Series(False, False, True, False)
+_SIN = _Series(True, True, True, True)
+_COS = _Series(False, True, True, True)
+_ATANH = _Series(True, True, False, False)
+_ATAN = _Series(True, True, False, True)
+
+# |atanh'(u)| = 1/(1 - u^2) <= 25/24 for |u| <= 1/5; sin, cos and atan have 1
+_ATANH_LIP = mag.div_int_upper(mag.from_int_upper(25), 24)
 
 # Fraction bits the kernel carries beyond the caller's working precision.
 _GUARD = 16
 
 
-def _series(f: _Series, w: int, x: int, rad: mag.Magnitude) -> Ball:
-    """Ball containing f(x 2^-w + d) for every |d| <= rad.
+def _sum(f: _Series, w: int, x: int) -> tuple[int, int]:
+    """(s, err) with |s - f(x 2^-w) 2^w| <= err.
 
     |x| <= 2^w is required, and |x| <= 2^w / 5 for the power shape.  Each
     computed term is within 2 ulps (2^-w) of its exact value: the floors of
@@ -203,11 +205,9 @@ def _series(f: _Series, w: int, x: int, rad: mag.Magnitude) -> Ball:
     """
     neg = x < 0
     a = -x if neg else x
-    r = 0
-    if f.lip is None:
-        r = max(0, math.isqrt(w) // 2 + a.bit_length() - w)
-        w += r  # x 2^-r, with r guard bits for the squarings
     square, factorial = f.square, f.factorial
+    # odd powers of x < 0: the square shapes negate the sum at the end, the
+    # step-1 shape alternates its signs
     alt = f.alternating or (neg and not square)
     xm = a * a >> w if square else a
     p = a if f.odd else 1 << w
@@ -229,39 +229,38 @@ def _series(f: _Series, w: int, x: int, rad: mag.Magnitude) -> Ball:
         s += -t if alt and n & 1 else t
     # the first unsummed term is within 2 ulps of 0; for x = 0 all are 0
     err = 2 * (n + (1 if f.alternating else 2)) if a else 0
-    for _ in range(r):
-        # |s^2 - y^2| <= err (2 s + err) for |s - y| <= err, one ulp per floor
-        err = ((2 * s + err) * err >> w) + 2
-        s = s * s >> w
-    if neg and f.odd:
-        s = -s
-    erad = mag.from_man_exp_upper(err, -w)
-    if not rad.is_zero():
-        if f.lip is None:  # |e^(x+d) - e^x| <= e^x (e^|d| - 1)
-            prop = mag.mul(mag.from_man_exp_upper(s + err, -w), _expm1_upper(rad))
-        else:
-            prop = mag.mul(rad, f.lip)
-        erad = mag.add(erad, prop)
-    return Ball(BigFloat.from_man_exp(s, -w), erad)
+    return (-s if neg and f.odd else s), err
 
 
-def _round(x: Ball, prec: int) -> Ball:
-    """x with its midpoint rounded to prec bits and the rounding error added."""
-    mid, inexact = bf.round_to(x.mid, prec, _NE)
-    if not inexact:
-        return Ball(mid, x.rad)
-    d, _ = bf.sub(x.mid, mid, 32, Rounding.AWAY_FROM_ZERO)
-    return Ball(mid, mag.add(x.rad, mag.from_bigfloat_upper(d)))
+def _fixed_ball(s: int, err: int, w: int, rad: mag.Magnitude) -> Ball:
+    """The ball s 2^-w +/- (err 2^-w + rad)."""
+    return Ball(BigFloat.from_man_exp(s, -w), mag.add(mag.from_man_exp_upper(err, -w), rad))
+
+
+def _series(f: _Series, w: int, x: int, rad: mag.Magnitude) -> Ball:
+    """Ball containing f(x 2^-w), widened by rad (the argument's radius
+    times the Lipschitz bound of f)."""
+    return _fixed_ball(*_sum(f, w, x), w, rad)
 
 
 def _sub_multiple(x: BigFloat, c: Ball, k: int) -> tuple[BigFloat, mag.Magnitude]:
     """x - k * c.mid exactly, and the bound |k| * c.rad on what that leaves out."""
-    if not k:
-        return x, mag.ZERO
     kc = bf.mul_exact(c.mid, BigFloat.from_int(k))
     e = min(x.lsb, kc.lsb)
     d = (x.sign * x.man << (x.lsb - e)) - (kc.sign * kc.man << (kc.lsb - e))
     return BigFloat.from_man_exp(d, e), mag.mul_int_upper(c.rad, abs(k))
+
+
+def _reduce(m: BigFloat, const: Callable[[], Ball], n0: int) -> tuple[int, BigFloat, mag.Magnitude]:
+    """(k, t, rad): k nearest m / c, t = m - k c.mid and rad >= |k| c.rad for
+    c = const(); for |m| < 2^(n0 - 1), k = 0 and const is not called."""
+    n = m.exp
+    if n < n0:
+        return 0, m, mag.ZERO
+    c = const()
+    q, _ = bf.div(m, c.mid, max(32, n + 4), _NE)
+    k = bf.to_int_nearest(q)
+    return (k, *_sub_multiple(m, c, k))
 
 
 def _fixed(x: BigFloat, rad: mag.Magnitude, w: int) -> tuple[int, mag.Magnitude]:
@@ -293,14 +292,20 @@ def _exp_point(m: BigFloat, prec: int) -> Ball:
     """Tight enclosure of e^m for a regular midpoint m."""
     n = m.exp
     wp = prec + (n if n > 0 else 0) + 16
-    ln2 = _log2_ball(wp)
-    k = 0
-    if n >= 0:
-        q, _ = bf.div(m, ln2.mid, max(32, n + 4), _NE)
-        k = bf.to_int_nearest(q)
+    k, t, rad = _reduce(m, lambda: _log2_ball(wp), 0)
     w = prec + 16 + _GUARD  # wp less the n bits that only k needs
-    s = _series(_EXP, w, *_fixed(*_sub_multiple(m, ln2, k), w))
-    return _round(ball.scale_2exp(s, k), prec)
+    x, rad = _fixed(t, rad, w)
+    # sum at x 2^-r with r more guard bits, then square r times
+    r = max(0, math.isqrt(w) // 2 + abs(x).bit_length() - w)
+    w += r
+    s, err = _sum(_EXP, w, x)
+    for _ in range(r):
+        # |s^2 - y^2| <= err (2 s + err) for |s - y| <= err, one ulp per floor
+        err = ((2 * s + err) * err >> w) + 2
+        s = s * s >> w
+    # |e^(t+d) - e^t| <= e^t (e^|d| - 1)
+    prop = mag.mul(mag.from_man_exp_upper(s + err, -w), _expm1_upper(rad))
+    return ball.round_to(ball.scale_2exp(_fixed_ball(s, err, w, prop), k), prec)
 
 
 def exp(x: Ball, prec: int) -> Ball:
@@ -331,18 +336,13 @@ def exp(x: Ball, prec: int) -> Ball:
 def _sin_cos_point(m: BigFloat, prec: int) -> tuple[Ball, Ball]:
     n = m.exp
     wp = prec + (n if n > 0 else 0) + 16
-    pih = ball.scale_2exp(_pi_ball(wp), -1)
-    k = 0
-    if n >= 1:
-        q, _ = bf.div(m, pih.mid, max(32, n + 4), _NE)
-        k = bf.to_int_nearest(q)
-    t, rad = _sub_multiple(m, pih, k)
+    k, t, rad = _reduce(m, lambda: ball.scale_2exp(_pi_ball(wp), -1), 1)
     w = prec + 16 + _GUARD  # wp less the n bits that only k needs
     ws = w - min(t.exp, 0)  # sin t is about t: keep wp bits relative to t
     sj = _series(_SIN, ws, *_fixed(t, rad, ws))
     cj = _series(_COS, w, *_fixed(t, rad, w))
     s, c = ((sj, cj), (cj, -sj), (-sj, -cj), (-cj, sj))[k & 3]
-    return _round(s, prec), _round(c, prec)
+    return ball.round_to(s, prec), ball.round_to(c, prec)
 
 
 _UNIT = Ball(bf.ZERO, mag.ONE)
@@ -395,11 +395,12 @@ def _log_point(m: BigFloat, prec: int) -> Ball:
     num, den = m.man - (1 << z), m.man + (1 << z)
     w = wp + _GUARD + max(0, den.bit_length() - num.bit_length())
     u, rem = divmod(num << w, den)
-    res = ball.scale_2exp(_series(_ATANH, w, u, mag.pow2(-w) if rem else mag.ZERO), 1)
+    urad = mag.mul_2exp(_ATANH_LIP, -w) if rem else mag.ZERO  # floored u
+    res = ball.scale_2exp(_series(_ATANH, w, u, urad), 1)
     if e:
         t, rad = _sub_multiple(res.mid, _log2_ball(wp), -e)
         res = Ball(t, mag.add(res.rad, rad))
-    return _round(res, prec)
+    return ball.round_to(res, prec)
 
 
 def log(x: Ball, prec: int) -> Ball:
@@ -460,7 +461,7 @@ def _atan_point(m: BigFloat, prec: int) -> Ball:
             res = Ball(-t, mag.add(res.rad, rad))
     if sign < 0:
         res = ball.neg(res)
-    return _round(res, prec)
+    return ball.round_to(res, prec)
 
 
 def atan(x: Ball, prec: int) -> Ball:

@@ -339,25 +339,70 @@ def _fixed_inputs(fn, w):
 def test_kernel_against_exact_series(fn, wp):
     w = wp + el._GUARD
     for x in _fixed_inputs(fn, w):
-        b = el._series(_KINDS[fn], w, x, mag.ZERO)
+        s, err = el._sum(_KINDS[fn], w, x)
         lo, hi = series_bracket(fn, x, w)
-        blo, bhi = ball_bounds(b)
-        assert blo <= lo and hi <= bhi, (fn, wp, x)
+        assert Fraction(s - err, 1 << w) <= lo and hi <= Fraction(s + err, 1 << w), (fn, wp, x)
         # the error count stays a few thousand ulps at most
-        assert b.rad.to_fraction() <= Fraction(1 << 13, 1 << w), (fn, wp, x)
+        assert 0 <= err <= 1 << 13, (fn, wp, x)
+
+
+# |f'| on the reduced ranges of the functions whose radius _series folds
+_LIPSCHITZ = {"sin": mag.ONE, "cos": mag.ONE, "atan": mag.ONE, "atanh": el._ATANH_LIP}
 
 
 @pytest.mark.parametrize("wp", (53, 1000))
-@pytest.mark.parametrize("fn", sorted(_RATIOS))
+@pytest.mark.parametrize("fn", sorted(_LIPSCHITZ))
 def test_kernel_folds_argument_radius(fn, wp):
     w = wp + el._GUARD
     c = 1 << 20  # a radius of 2^20 ulps
     for x in _fixed_inputs(fn, w)[:4]:
-        b = el._series(_KINDS[fn], w, x, mag.from_man_exp_upper(c, -w))
+        b = el._series(_KINDS[fn], w, x, mag.mul(mag.from_man_exp_upper(c, -w), _LIPSCHITZ[fn]))
         blo, bhi = ball_bounds(b)
         for y in (x - c, x + c):
             lo, hi = series_bracket(fn, y, w)
             assert blo <= lo and hi <= bhi, (fn, wp, x, y)
+
+
+@pytest.mark.parametrize("prec", (53, 333))
+def test_reduction_constant_radius_is_folded(prec, monkeypatch):
+    # log 2 and pi good to only 40 bits, near the top of their balls: exp,
+    # sin and cos must carry k times that radius, exp through its squarings
+    # and with its Lipschitz factor e^t > 1
+    with mpmath.workprec(200):
+        ln2, pi = mpf_fraction(mpmath.log(2)), mpf_fraction(mpmath.pi)
+    wide = {c: Ball(BigFloat.from_man_exp(math.floor((c - Fraction(9, 10 * 2 ** 40)) * 2 ** 60), -60),
+                    mag.pow2(-40))
+            for c in (ln2, pi)}
+    monkeypatch.setattr(el, "_log2_ball", lambda wp: wide[ln2])
+    monkeypatch.setattr(el, "_pi_ball", lambda wp: wide[pi])
+    with mpmath.workprec(prec + 128):
+        for v, k in ((Fraction(21, 2) * ln2, 10), (-Fraction(203, 10) * ln2, 20)):
+            x = _dyadic(mpmath.mpf(v.numerator) / v.denominator)
+            xm = x.mid.to_fraction()
+            ref = mpf_fraction(mpmath.exp(mpmath.mpf(xm.numerator) / xm.denominator))
+            r = el.exp(x, prec)
+            assert_encloses(r, ref, "exp")
+            assert r.rad.to_fraction() <= 2 * k * Fraction(1, 2 ** 40) * ref, "exp radius"
+        for v, k in ((Fraction(7, 2) * pi, 7), (-Fraction(41, 4) * pi, 20)):
+            x = _dyadic(mpmath.mpf(v.numerator) / v.denominator)
+            xm = mpmath.mpf(x.mid.to_fraction().numerator) / x.mid.to_fraction().denominator
+            s, c = el.sin_cos(x, prec)
+            assert_encloses(s, mpf_fraction(mpmath.sin(xm)), "sin")
+            assert_encloses(c, mpf_fraction(mpmath.cos(xm)), "cos")
+            for b in (s, c):
+                assert b.rad.to_fraction() <= 2 * k * Fraction(1, 2 ** 41), "sin/cos radius"
+
+
+def test_small_arguments_compute_no_constant(monkeypatch):
+    def unused(wp):
+        raise AssertionError("reduction constant computed")
+    monkeypatch.setattr(el, "_log2_ball", unused)
+    monkeypatch.setattr(el, "_pi_ball", unused)
+    for prec in (53, 5000):
+        for v in (Fraction(3, 10), Fraction(-49, 100), Fraction(1, 2 ** 100)):
+            el.exp(_dyadic(mpmath.mpf(v.numerator) / v.denominator), prec)
+        for v in (Fraction(7, 10), Fraction(-99, 100)):
+            el.sin_cos(_dyadic(mpmath.mpf(v.numerator) / v.denominator), prec)
 
 
 def _dyadic(v, bits=60):
@@ -496,13 +541,14 @@ def test_tiny_arguments_stay_cheap():
         assert r.mid == bf.ONE and r.rad.exp < -60
 
 
-def test_huge_argument_series_at_target_precision():
-    # k absorbs the 60000 integer bits; the series itself needs about 85 bits
+def test_huge_argument_series_at_target_precision(monkeypatch):
+    # k absorbs the 60000 integer bits; the series itself runs at about 85 bits
     x = Ball(BigFloat.from_man_exp(12345, 60000))
-    el.sin_cos(x, 53)  # pi at 2^16 bits into the cache
-    t0 = time.perf_counter()
+    widths = []
+    kernel = el._sum
+    monkeypatch.setattr(el, "_sum", lambda f, w, z: widths.append(w) or kernel(f, w, z))
     s, c = el.sin_cos(x, 53)
-    assert time.perf_counter() - t0 < 0.5
+    assert len(widths) == 2 and max(widths) <= 53 + 32 + 8, widths
     with mpmath.workprec(60200):
         xm = mpmath.mpf(12345) * mpmath.mpf(2) ** 60000
         assert_encloses(s, mpf_fraction(mpmath.sin(xm)), "sin")
