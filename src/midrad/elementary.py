@@ -1,7 +1,7 @@
 """Elementary functions on real balls.
 
 Each function reduces its argument, then sums a Taylor series on plain ints
-and bounds the error once.  One kernel, ``_sum``, serves exp, sin, cos,
+and bounds the error once.  One kernel, ``_series``, serves exp, sin, cos,
 atanh (for log) and atan.  The reduced argument is an int with w fractional
 bits: the precision plus guard bits, plus for sin, atan and log near 1 as
 many bits as the argument lies below 1.  Terms come from integer multiplies,
@@ -189,14 +189,11 @@ _COS = _Series(False, True, True, True)
 _ATANH = _Series(True, True, False, False)
 _ATAN = _Series(True, True, False, True)
 
-# |atanh'(u)| = 1/(1 - u^2) <= 25/24 for |u| <= 1/5; sin, cos and atan have 1
-_ATANH_LIP = mag.div_int_upper(mag.from_int_upper(25), 24)
-
 # Fraction bits the kernel carries beyond the caller's working precision.
 _GUARD = 16
 
 
-def _sum(f: _Series, w: int, x: int) -> tuple[int, int]:
+def _series(f: _Series, w: int, x: int) -> tuple[int, int]:
     """(s, err) with |s - f(x 2^-w) 2^w| <= err.
 
     |x| <= 2^w is required, and |x| <= 2^w / 5 for the power shape.  Each
@@ -233,44 +230,40 @@ def _sum(f: _Series, w: int, x: int) -> tuple[int, int]:
 
 
 def _fixed_ball(s: int, err: int, w: int, rad: mag.Magnitude) -> Ball:
-    """The ball s 2^-w +/- (err 2^-w + rad)."""
+    """The ball s 2^-w +/- (err 2^-w + rad); rad is where callers fold in the
+    reduced argument's radius times the function's Lipschitz bound."""
     return Ball(BigFloat.from_man_exp(s, -w), mag.add(mag.from_man_exp_upper(err, -w), rad))
 
 
-def _series(f: _Series, w: int, x: int, rad: mag.Magnitude) -> Ball:
-    """Ball containing f(x 2^-w), widened by rad (the argument's radius
-    times the Lipschitz bound of f)."""
-    return _fixed_ball(*_sum(f, w, x), w, rad)
+def _sub_multiple(x: Ball, c: Ball, k: int) -> Ball:
+    """x - k c, with the midpoint x.mid - k c.mid exact."""
+    m, kc = x.mid, bf.mul_exact(c.mid, BigFloat.from_int(k))
+    e = min(m.lsb, kc.lsb)
+    d = (m.sign * m.man << (m.lsb - e)) - (kc.sign * kc.man << (kc.lsb - e))
+    return Ball(BigFloat.from_man_exp(d, e), mag.add(x.rad, mag.mul_int_upper(c.rad, abs(k))))
 
 
-def _sub_multiple(x: BigFloat, c: Ball, k: int) -> tuple[BigFloat, mag.Magnitude]:
-    """x - k * c.mid exactly, and the bound |k| * c.rad on what that leaves out."""
-    kc = bf.mul_exact(c.mid, BigFloat.from_int(k))
-    e = min(x.lsb, kc.lsb)
-    d = (x.sign * x.man << (x.lsb - e)) - (kc.sign * kc.man << (kc.lsb - e))
-    return BigFloat.from_man_exp(d, e), mag.mul_int_upper(c.rad, abs(k))
-
-
-def _reduce(m: BigFloat, const: Callable[[], Ball], n0: int) -> tuple[int, BigFloat, mag.Magnitude]:
-    """(k, t, rad): k nearest m / c, t = m - k c.mid and rad >= |k| c.rad for
-    c = const(); for |m| < 2^(n0 - 1), k = 0 and const is not called."""
+def _reduce(m: BigFloat, const: Callable[[], Ball], n0: int) -> tuple[int, Ball]:
+    """(k, m - k c) for c = const() and k nearest m / c; for |m| < 2^(n0 - 1),
+    k = 0 and const is not called."""
     n = m.exp
     if n < n0:
-        return 0, m, mag.ZERO
+        return 0, Ball(m)
     c = const()
     q, _ = bf.div(m, c.mid, max(32, n + 4), _NE)
     k = bf.to_int_nearest(q)
-    return (k, *_sub_multiple(m, c, k))
+    return k, _sub_multiple(Ball(m), c, k)
 
 
-def _fixed(x: BigFloat, rad: mag.Magnitude, w: int) -> tuple[int, mag.Magnitude]:
-    """floor(x 2^w) for a finite x, and rad widened by the floor's error."""
-    if not x.is_regular():
-        return 0, rad
-    v, s = x.sign * x.man, x.lsb + w
+def _fixed(x: Ball, w: int) -> tuple[int, mag.Magnitude]:
+    """floor(x.mid 2^w) for a finite midpoint, and x.rad widened by the floor's error."""
+    m = x.mid
+    if not m.is_regular():
+        return 0, x.rad
+    v, s = m.sign * m.man, m.lsb + w
     if s >= 0:
-        return v << s, rad
-    return v >> -s, mag.add(rad, mag.pow2(-w))
+        return v << s, x.rad
+    return v >> -s, mag.add(x.rad, mag.pow2(-w))
 
 
 # -- exp ------------------------------------------------------------------------
@@ -292,13 +285,13 @@ def _exp_point(m: BigFloat, prec: int) -> Ball:
     """Tight enclosure of e^m for a regular midpoint m."""
     n = m.exp
     wp = prec + (n if n > 0 else 0) + 16
-    k, t, rad = _reduce(m, lambda: _log2_ball(wp), 0)
+    k, t = _reduce(m, lambda: _log2_ball(wp), 0)
     w = prec + 16 + _GUARD  # wp less the n bits that only k needs
-    x, rad = _fixed(t, rad, w)
+    x, rad = _fixed(t, w)
     # sum at x 2^-r with r more guard bits, then square r times
     r = max(0, math.isqrt(w) // 2 + abs(x).bit_length() - w)
     w += r
-    s, err = _sum(_EXP, w, x)
+    s, err = _series(_EXP, w, x)
     for _ in range(r):
         # |s^2 - y^2| <= err (2 s + err) for |s - y| <= err, one ulp per floor
         err = ((2 * s + err) * err >> w) + 2
@@ -336,11 +329,13 @@ def exp(x: Ball, prec: int) -> Ball:
 def _sin_cos_point(m: BigFloat, prec: int) -> tuple[Ball, Ball]:
     n = m.exp
     wp = prec + (n if n > 0 else 0) + 16
-    k, t, rad = _reduce(m, lambda: ball.scale_2exp(_pi_ball(wp), -1), 1)
+    k, t = _reduce(m, lambda: ball.scale_2exp(_pi_ball(wp), -1), 1)
     w = prec + 16 + _GUARD  # wp less the n bits that only k needs
-    ws = w - min(t.exp, 0)  # sin t is about t: keep wp bits relative to t
-    sj = _series(_SIN, ws, *_fixed(t, rad, ws))
-    cj = _series(_COS, w, *_fixed(t, rad, w))
+    ws = w - min(t.mid.exp, 0)  # sin t is about t: keep wp bits relative to t
+    xs, rs = _fixed(t, ws)
+    xc, rc = _fixed(t, w)
+    sj = _fixed_ball(*_series(_SIN, ws, xs), ws, rs)  # |sin'|, |cos'| <= 1
+    cj = _fixed_ball(*_series(_COS, w, xc), w, rc)
     s, c = ((sj, cj), (cj, -sj), (-sj, -cj), (-cj, sj))[k & 3]
     return ball.round_to(s, prec), ball.round_to(c, prec)
 
@@ -395,11 +390,11 @@ def _log_point(m: BigFloat, prec: int) -> Ball:
     num, den = m.man - (1 << z), m.man + (1 << z)
     w = wp + _GUARD + max(0, den.bit_length() - num.bit_length())
     u, rem = divmod(num << w, den)
-    urad = mag.mul_2exp(_ATANH_LIP, -w) if rem else mag.ZERO  # floored u
-    res = ball.scale_2exp(_series(_ATANH, w, u, urad), 1)
+    # u is floored: 1 ulp, times |atanh'(u)| = 1/(1 - u^2) <= 25/24 for |u| <= 1/5
+    urad = mag.div_int_upper(mag.from_man_exp_upper(25, -w), 24) if rem else mag.ZERO
+    res = ball.scale_2exp(_fixed_ball(*_series(_ATANH, w, u), w, urad), 1)
     if e:
-        t, rad = _sub_multiple(res.mid, _log2_ball(wp), -e)
-        res = Ball(t, mag.add(res.rad, rad))
+        res = _sub_multiple(res, _log2_ball(wp), -e)
     return ball.round_to(res, prec)
 
 
@@ -453,12 +448,11 @@ def _atan_point(m: BigFloat, prec: int) -> Ball:
             rad = mag.pow2(-w) if rem else mag.ZERO
         else:
             w -= a.exp  # atan a is about a: keep wp bits relative to a
-            z, rad = _fixed(a, mag.ZERO, w)
+            z, rad = _fixed(Ball(a), w)
         z, h, rad = _atan_halve(z, w, rad)
-        res = ball.scale_2exp(_series(_ATAN, w, z, rad), h)
+        res = ball.scale_2exp(_fixed_ball(*_series(_ATAN, w, z), w, rad), h)  # |atan'| <= 1
         if flip:
-            t, rad = _sub_multiple(res.mid, ball.scale_2exp(_pi_ball(wp), -1), 1)
-            res = Ball(-t, mag.add(res.rad, rad))
+            res = ball.neg(_sub_multiple(res, ball.scale_2exp(_pi_ball(wp), -1), 1))
     if sign < 0:
         res = ball.neg(res)
     return ball.round_to(res, prec)

@@ -339,15 +339,16 @@ def _fixed_inputs(fn, w):
 def test_kernel_against_exact_series(fn, wp):
     w = wp + el._GUARD
     for x in _fixed_inputs(fn, w):
-        s, err = el._sum(_KINDS[fn], w, x)
+        s, err = el._series(_KINDS[fn], w, x)
         lo, hi = series_bracket(fn, x, w)
         assert Fraction(s - err, 1 << w) <= lo and hi <= Fraction(s + err, 1 << w), (fn, wp, x)
         # the error count stays a few thousand ulps at most
         assert 0 <= err <= 1 << 13, (fn, wp, x)
 
 
-# |f'| on the reduced ranges of the functions whose radius _series folds
-_LIPSCHITZ = {"sin": mag.ONE, "cos": mag.ONE, "atan": mag.ONE, "atanh": el._ATANH_LIP}
+# |f'| on the reduced ranges of the functions whose radius the callers fold
+_LIPSCHITZ = {"sin": mag.ONE, "cos": mag.ONE, "atan": mag.ONE,
+              "atanh": mag.div_int_upper(mag.from_int_upper(25), 24)}
 
 
 @pytest.mark.parametrize("wp", (53, 1000))
@@ -356,7 +357,8 @@ def test_kernel_folds_argument_radius(fn, wp):
     w = wp + el._GUARD
     c = 1 << 20  # a radius of 2^20 ulps
     for x in _fixed_inputs(fn, w)[:4]:
-        b = el._series(_KINDS[fn], w, x, mag.mul(mag.from_man_exp_upper(c, -w), _LIPSCHITZ[fn]))
+        rad = mag.mul(mag.from_man_exp_upper(c, -w), _LIPSCHITZ[fn])
+        b = el._fixed_ball(*el._series(_KINDS[fn], w, x), w, rad)
         blo, bhi = ball_bounds(b)
         for y in (x - c, x + c):
             lo, hi = series_bracket(fn, y, w)
@@ -512,7 +514,7 @@ def test_fixed_point_conversion():
         x = BigFloat.from_man_exp(rng.getrandbits(rng.randrange(1, 200)) * rng.choice([1, -1]) or 1,
                                   rng.randrange(-150, 5))
         w = rng.randrange(1, 160)
-        xi, r = el._fixed(x, mag.ZERO, w)
+        xi, r = el._fixed(Ball(x), w)
         scaled = x.to_fraction() * (1 << w)
         assert xi <= scaled < xi + 1
         assert (scaled - xi) / (1 << w) <= r.to_fraction()
@@ -524,9 +526,10 @@ def test_sub_multiple_is_exact():
     for _ in range(100):
         x = BigFloat.from_man_exp(rng.getrandbits(80) | 1, rng.randrange(-100, 20))
         k = rng.randrange(-10 ** 6, 10 ** 6)
-        t, rad = el._sub_multiple(x, c, k)
-        assert t.to_fraction() == x.to_fraction() - k * c.mid.to_fraction()
-        assert rad.to_fraction() >= abs(k) * c.rad.to_fraction()
+        xr = mag.pow2(rng.randrange(-120, -60))
+        t = el._sub_multiple(Ball(x, xr), c, k)
+        assert t.mid.to_fraction() == x.to_fraction() - k * c.mid.to_fraction()
+        assert t.rad.to_fraction() >= xr.to_fraction() + abs(k) * c.rad.to_fraction()
 
 
 def test_tiny_arguments_stay_cheap():
@@ -545,8 +548,8 @@ def test_huge_argument_series_at_target_precision(monkeypatch):
     # k absorbs the 60000 integer bits; the series itself runs at about 85 bits
     x = Ball(BigFloat.from_man_exp(12345, 60000))
     widths = []
-    kernel = el._sum
-    monkeypatch.setattr(el, "_sum", lambda f, w, z: widths.append(w) or kernel(f, w, z))
+    kernel = el._series
+    monkeypatch.setattr(el, "_series", lambda f, w, z: widths.append(w) or kernel(f, w, z))
     s, c = el.sin_cos(x, 53)
     assert len(widths) == 2 and max(widths) <= 53 + 32 + 8, widths
     with mpmath.workprec(60200):
