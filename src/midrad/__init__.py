@@ -8,8 +8,10 @@ Submodules:
 - ``elementary`` exp, log, sin/cos, atan, pow, and cached constants
 - ``decimal_io`` guaranteed decimal printing/parsing of balls
 - ``complexbox`` rectangular complex intervals, principal branches
-- ``ballpoly``   interval polynomials with block multiplication
-- ``intpoly``    exact integer polynomial products (Kronecker substitution)
+- ``ballpoly``   interval polynomials; block multiplication of midpoints and
+                 radii over one exact integer convolution
+- ``intpoly``    exact integer polynomial products (schoolbook, or Kronecker
+                 substitution with a single big multiplication)
 - ``expreval``   expression parser and adaptive-precision evaluation
 - ``cli``        the ``midrad`` command-line tool
 """

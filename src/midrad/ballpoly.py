@@ -4,12 +4,12 @@
 per output coefficient, which is essentially the best bound a coefficient
 can get.  ``mul_block`` keeps that bound quality at high degree: it splits
 midpoints from radii, rescales x -> 2^c x so coefficient magnitudes vary
-slowly, cuts the scaled midpoints into blocks of bounded exponent spread,
-multiplies block pairs exactly over the integers, and adds each block-pair
-product to the output with a single rounding.  Radius products (all
-coefficients nonnegative) run through a scaled hardware-double schoolbook
-convolution with a certified upward inflation, falling back to pure
-magnitude arithmetic for very wide blocks.
+slowly, cuts the scaled coefficients into blocks of bounded exponent spread,
+multiplies block pairs exactly over the integers (``intpoly.mul``), and
+rounds each output's exact sum once.  The midpoints and the radius
+polynomial |A| b + a (|B| + b) share this one exact convolution: midpoints
+round to nearest at the working precision, radius sums round up to a
+30-bit magnitude.
 
 The scale c is a heuristic: slopes of the coefficient exponents are sampled
 over the whole index range and over the trailing half (series tails with
@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import ball
 from . import bigfloat as bf
@@ -52,8 +50,10 @@ __all__ = [
 
 _NE = Rounding.NEAREST_EVEN
 _SCHOOLBOOK_DEGREE = 16   # strictly below this degree, mul_block delegates
-_DOUBLE_WIDTH_LIMIT = 1000
-_RUN_SPAN = 400
+_UP = Rounding.UP
+_RADIUS_SPAN = 128        # exponent spread of one radius block
+_FOLD_GAP = 64            # widest gap an exact output sum bridges
+_MAG_BITS = 30            # mantissa bits of a Magnitude
 
 
 class BallPoly:
@@ -237,16 +237,27 @@ def _scale_heuristic(f: BallPoly, g: BallPoly) -> int:
     return -_round_ties_to_zero(s)
 
 
-def _partition(p: BallPoly, c: int, cap: int) -> list:
-    idx = [i for i, cf in enumerate(p.coeffs) if cf.mid.is_regular()]
-    if not idx:
-        return []
+def _mid_terms(mids: list) -> list:
+    return [(m.sign * m.man, m.lsb) if m.is_regular() else (0, 0) for m in mids]
+
+
+def _mag_terms(xs: list) -> list:
+    return [(x.man, x.exp - _MAG_BITS) if x.is_regular() else (0, 0) for x in xs]
+
+
+def _partition(terms: list, c: int, cap: int) -> list:
+    """Greedy index runs [s, e) over (man, lsb) terms: within a run the scaled
+    exponents lsb + bits(man) + c*i of the nonzero terms span at most cap."""
     blocks = []
-    start = last = idx[0]
-    e = p.coeffs[start].mid.exp + c * start
-    emin = emax = e
-    for i in idx[1:]:
-        e = p.coeffs[i].mid.exp + c * i
+    start = None
+    for i, (m, l) in enumerate(terms):
+        if not m:
+            continue
+        e = l + abs(m).bit_length() + c * i
+        if start is None:
+            start = last = i
+            emin = emax = e
+            continue
         lo = e if e < emin else emin
         hi = e if e > emax else emax
         if hi - lo <= cap:
@@ -255,7 +266,8 @@ def _partition(p: BallPoly, c: int, cap: int) -> list:
             blocks.append((start, last + 1))
             start = last = i
             emin = emax = e
-    blocks.append((start, last + 1))
+    if start is not None:
+        blocks.append((start, last + 1))
     return blocks
 
 
@@ -263,139 +275,105 @@ def plan_blocks(f: BallPoly, g: BallPoly, prec: int) -> BlockPlan:
     """Choose the scaling c and greedy block boundaries (height <= 3*prec+512)."""
     cap = 3 * prec + 512
     c = _scale_heuristic(f, g)
-    return BlockPlan(c, _partition(f, c, cap), _partition(g, c, cap), cap)
+    return BlockPlan(c, _partition(_mid_terms([x.mid for x in f]), c, cap),
+                     _partition(_mid_terms([x.mid for x in g]), c, cap), cap)
 
 
-# -- radius convolution ---------------------------------------------------------------
+# -- exact block convolution -------------------------------------------------------------
 
-def _conv_mag(a: list, b: list) -> list:
-    out = [mag.ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = mag.addmul(out[i + j], x, y)
-    return out
+def _block_ints(terms: list, c: int, start: int, end: int) -> IntPoly:
+    """Terms start..end-1 scaled by 2^(c*i), as exact ints over a common exponent."""
+    base = min(l + c * i for i, (m, l) in enumerate(terms[start:end], start) if m)
+    return IntPoly([m << (l + c * i - base) if m else 0
+                    for i, (m, l) in enumerate(terms[start:end], start)], base)
 
 
-def _runs(a: list) -> list:
-    """Maximal index runs whose nonzero entries span <= _RUN_SPAN exponent bits."""
-    runs = []
-    start = 0
-    emin = emax = None
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        e = x.exp
-        if emin is None:
-            if i > start:
-                start = start  # leading zeros stay in the run; harmless
-            emin = emax = e
-            continue
-        lo = min(emin, e)
-        hi = max(emax, e)
-        if hi - lo <= _RUN_SPAN:
-            emin, emax = lo, hi
-        else:
-            runs.append((start, i, emax))
-            start = i
-            emin = emax = e
-    runs.append((start, len(a), emax))
-    return [(s, e, top) for s, e, top in runs if top is not None]
+def _conv_rounded(fterms: list, fblocks: list, gterms: list, gblocks: list,
+                  c: int, n: int, prec: int, rnd: int) -> list:
+    """(sum, inexact) for each k < n: sum_{i+j=k} f_i g_j rounded once to prec.
 
-
-def _conv_double(a: list, b: list) -> list:
-    """Nonnegative convolution with float64, inflated to a certified bound."""
-    out = [mag.ZERO] * (len(a) + len(b) - 1)
-    nterms = min(len(a), len(b))
-    infl = mag.from_man_exp_upper((1 << 52) + nterms + 16, -52)  # 1 + (n+16)*2^-52
-    for sa, ea, topa in _runs(a):
-        va = np.zeros(ea - sa)
-        for i in range(sa, ea):
-            x = a[i]
-            if not x.is_zero():
-                va[i - sa] = math.ldexp(x.man, x.exp - 30 - topa)  # exact in double
-        for sb, eb, topb in _runs(b):
-            vb = np.zeros(eb - sb)
-            for j in range(sb, eb):
-                y = b[j]
-                if not y.is_zero():
-                    vb[j - sb] = math.ldexp(y.man, y.exp - 30 - topb)
-            conv = np.convolve(va, vb)
-            shift = topa + topb
-            base = sa + sb
-            for t, v in enumerate(conv.tolist()):
+    The terms are (man, lsb) pairs and the blocks index runs over them; the
+    inputs are scaled by 2^(c*i).  Each block pair is one exact integer
+    product.  Its coefficients are folded into an exact (man, lsb) sum per
+    output as they are produced; one lying more than _FOLD_GAP bits away from
+    that sum is kept as a separate term instead, so that far-apart exponents
+    never widen an integer.  The exact total is then rounded once.
+    """
+    mans = [0] * n
+    lsbs = [0] * n
+    apart = {}
+    gints = [(s, _block_ints(gterms, c, s, e)) for s, e in gblocks]
+    for sa, ea in fblocks:
+        pa = _block_ints(fterms, c, sa, ea)
+        for sb, pb in gints:
+            e = pa.exp + pb.exp
+            k = sa + sb
+            for v in intpoly.mul(pa.coeffs, pb.coeffs):
                 if v:
-                    m53, e53 = math.frexp(v)
-                    up = mag.from_man_exp_upper(int(m53 * 9007199254740992), e53 - 53 + shift)
-                    out[base + t] = mag.add(out[base + t], mag.mul(up, infl))
+                    m = mans[k]
+                    l = lsbs[k]
+                    if not m:
+                        mans[k], lsbs[k] = v, e
+                    elif e >= l:
+                        if e - l > abs(m).bit_length() + _FOLD_GAP:
+                            apart.setdefault(k, []).append((v, e))
+                        else:
+                            mans[k] = m + (v << (e - l))
+                    elif l - e > abs(v).bit_length() + _FOLD_GAP:
+                        apart.setdefault(k, []).append((v, e))
+                    else:
+                        mans[k], lsbs[k] = (m << (l - e)) + v, e
+                k += 1
+    out = []
+    for k in range(n):
+        x = BigFloat.from_man_exp(mans[k], lsbs[k] - c * k)
+        if k in apart:
+            xs = [x] + [BigFloat.from_man_exp(v, e - c * k) for v, e in apart[k]]
+            out.append(bf.vector_sum(xs, prec, rnd))
+        else:
+            out.append(bf.round_to(x, prec, rnd))
     return out
 
 
-def _conv_radius(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    if all(x.is_zero() for x in a) or all(y.is_zero() for y in b):
-        return [mag.ZERO] * (len(a) + len(b) - 1)
-    if min(len(a), len(b)) >= _DOUBLE_WIDTH_LIMIT or any(x.is_inf() for x in a + b):
-        return _conv_mag(a, b)
-    return _conv_double(a, b)
+def _conv_radius(x: list, y: list, c: int) -> list:
+    """Upper bounds of the convolution of finite magnitude lists x and y.
+
+    Each output is the exact sum rounded up once, so it is the smallest
+    magnitude above the true value.
+    """
+    n = len(x) + len(y) - 1
+    xt, yt = _mag_terms(x), _mag_terms(y)
+    xblocks, yblocks = _partition(xt, c, _RADIUS_SPAN), _partition(yt, c, _RADIUS_SPAN)
+    if not (xblocks and yblocks):
+        return [mag.ZERO] * n
+    sums = _conv_rounded(xt, xblocks, yt, yblocks, c, n, _MAG_BITS, _UP)
+    return [mag.from_bigfloat_upper(s) for s, _ in sums]
 
 
 # -- block multiplication ----------------------------------------------------------------
-
-def _block_ints(mids: list, c: int, start: int, end: int) -> IntPoly:
-    base = None
-    for i in range(start, end):
-        m = mids[i]
-        if m.is_regular():
-            l = m.lsb + c * i
-            if base is None or l < base:
-                base = l
-    coeffs = []
-    for i in range(start, end):
-        m = mids[i]
-        if m.is_regular():
-            coeffs.append((m.sign * m.man) << (m.lsb + c * i - base))
-        else:
-            coeffs.append(0)
-    return IntPoly(coeffs, base)
-
 
 def mul_block(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
     if not len(f) or not len(g):
         return BallPoly([])
     if min(len(f), len(g)) - 1 < _SCHOOLBOOK_DEGREE:
         return mul_schoolbook(f, g, prec)
-    if any(not (c.mid.is_regular() or c.mid.is_zero()) for c in f.coeffs) or \
-       any(not (c.mid.is_regular() or c.mid.is_zero()) for c in g.coeffs):
+    if any(not (x.mid.is_regular() or x.mid.is_zero()) or x.rad.is_inf()
+           for x in f.coeffs + g.coeffs):
         return mul_schoolbook(f, g, prec)
     split = MidRadSplit.of(f, g)
     plan = plan_blocks(f, g, prec)
     c = plan.scale
     n = len(f) + len(g) - 1
-    contributions = [[] for _ in range(n)]
-    fints = [(s, _block_ints(split.A, c, s, e)) for s, e in plan.blocks_f]
-    gints = [(s, _block_ints(split.B, c, s, e)) for s, e in plan.blocks_g]
-    for sa, pa in fints:
-        for sb, pb in gints:
-            prod = intpoly.mul(pa.coeffs, pb.coeffs)
-            e = pa.exp + pb.exp
-            base = sa + sb
-            for t, v in enumerate(prod):
-                if v:
-                    contributions[base + t].append(BigFloat.from_man_exp(v, e))
+    mids = _conv_rounded(_mid_terms(split.A), plan.blocks_f, _mid_terms(split.B), plan.blocks_g,
+                         c, n, prec, _NE)
     # radius polynomial |A| b + a (|B| + b)
     absA = [mag.from_bigfloat_upper(m) for m in split.A]
     absBb = [mag.add(mag.from_bigfloat_upper(m), r) for m, r in zip(split.B, split.b)]
-    rad1 = _conv_radius(absA, split.b)
-    rad2 = _conv_radius(split.a, absBb)
+    rad1 = _conv_radius(absA, split.b, c)
+    rad2 = _conv_radius(split.a, absBb, c)
     out = []
     for k in range(n):
-        mid, inexact = bf.vector_sum(contributions[k], prec, _NE)
-        if mid.is_regular() and c:
-            mid = BigFloat.from_man_exp(mid.sign * mid.man, mid.lsb - c * k)
+        mid, inexact = mids[k]
         rad = mag.add(rad1[k], rad2[k])
         if inexact:
             rad = mag.add(rad, mag.pow2(mid.exp - prec))

@@ -455,28 +455,28 @@ def vector_sum(xs, prec: int, rnd: int) -> tuple[BigFloat, bool]:
     return _sum_regulars(regs, prec, rnd)
 
 
-def _sum_regulars(regs: list, prec: int, rnd: int) -> tuple[BigFloat, bool]:
-    regs = sorted(regs, key=lambda t: t.exp, reverse=True)
+def _head_sum(regs: list, prec: int) -> tuple[int, int, int, int, int]:
+    """Exact sum of the leading terms of regs (sorted by decreasing exponent).
+
+    Returns (sign, man, lsb, i, pos): terms before index i are summed, and
+    the terms from i on total less than 2^pos, which lies at least 4 bits
+    below the sum's last bit and its prec-bit rounding point, so they cannot
+    change the sum's sign.  i == len(regs) when every term was summed.
+    """
     n = len(regs)
     first = regs[0]
     s_sign, s_man, s_lsb = first.sign, first.man, first.lsb
     i = 1
     while i < n:
+        t = regs[i]
         if s_man == 0:
-            t = regs[i]
             s_sign, s_man, s_lsb = t.sign, t.man, t.lsb
             i += 1
             continue
-        t = regs[i]
         s_top = s_lsb + s_man.bit_length()
         pos = min(s_lsb, s_top - prec - 4) - 4
         if t.exp + (n - i).bit_length() <= pos:
-            ts = _tail_sign(regs[i:])
-            if ts == 0:
-                break
-            s_man = (s_man << (s_lsb - pos)) + (ts * s_sign)
-            s_lsb = pos
-            break
+            return s_sign, s_man, s_lsb, i, pos
         l = s_lsb if s_lsb < t.lsb else t.lsb
         v = s_sign * (s_man << (s_lsb - l)) + t.sign * (t.man << (t.lsb - l))
         if v == 0:
@@ -486,14 +486,22 @@ def _sum_regulars(regs: list, prec: int, rnd: int) -> tuple[BigFloat, bool]:
         else:
             s_sign, s_man, s_lsb = -1, -v, l
         i += 1
+    return s_sign, s_man, s_lsb, n, s_lsb
+
+
+def _sum_regulars(regs: list, prec: int, rnd: int) -> tuple[BigFloat, bool]:
+    regs = sorted(regs, key=lambda t: t.exp, reverse=True)
+    s_sign, s_man, s_lsb, i, pos = _head_sum(regs, prec)
+    if i < len(regs):
+        # The rest only nudges the sum by less than 2^pos, in the direction of
+        # its own sign, which is the sign of its head sum.
+        t_sign, t_man = _head_sum(regs[i:], 1)[:2]
+        if t_man:
+            s_man = (s_man << (s_lsb - pos)) + t_sign * s_sign
+            s_lsb = pos
     if s_man == 0:
         return ZERO, False
     return _round_from(s_sign, s_man, s_lsb, prec, rnd)
-
-
-def _tail_sign(regs: list) -> int:
-    r, _ = _sum_regulars(regs, 4, Rounding.TOWARD_ZERO)
-    return r.signum()
 
 
 # -- complex multiply ---------------------------------------------------------

@@ -87,8 +87,9 @@ def _compute_pi(wp: int) -> Ball:
 
 
 def _compute_log2(wp: int) -> Ball:
-    # log 2 = 2 atanh(1/3) = (2/3) sum_{k>=0} 1/((2k+1) 9^k)
-    n = (wp + 10) // 6 + 2
+    # log 2 = 2 atanh(1/3) = (2/3) sum_{k>=0} 1/((2k+1) 9^k); each term gains
+    # log2(9) > 3 bits, so n terms leave a tail below 2^(-3n)
+    n = (wp + 10) // 3 + 2
     p, q = _binsplit(0, n, 9, False)
     mid, inexact = bf.div(BigFloat.from_int(2 * p), BigFloat.from_int(3 * q), wp + 8, _NE)
     rad = mag.pow2(mid.exp - wp - 8) if inexact else mag.ZERO

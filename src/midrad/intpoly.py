@@ -1,18 +1,17 @@
 """Exact multiplication of integer-coefficient polynomials.
 
-Polynomials are plain lists of ints (index = power).  ``mul`` picks between
-schoolbook, Karatsuba on coefficient lists, and Kronecker substitution
-(packing the coefficients into one big integer so a single bignum multiply
-does all the work); the size thresholds are tuning parameters, correctness
-does not depend on them.
+Polynomials are plain lists of ints (index = power).  ``mul`` uses the
+schoolbook product when one factor is short and Kronecker substitution
+otherwise: each factor is packed into one big integer, one bignum multiply
+does all the work, and the product's coefficients are read back from it.
+The threshold is a tuning parameter; correctness does not depend on it.
 """
 
 from __future__ import annotations
 
-__all__ = ["mul", "mul_schoolbook", "mul_karatsuba", "mul_kronecker"]
+__all__ = ["mul", "mul_schoolbook", "mul_kronecker"]
 
 _SCHOOLBOOK_LIMIT = 16
-_KARATSUBA_COEFF_BITS = 16
 
 
 def mul_schoolbook(f: list, g: list) -> list:
@@ -27,97 +26,40 @@ def mul_schoolbook(f: list, g: list) -> list:
     return out
 
 
-def mul_karatsuba(f: list, g: list) -> list:
-    if not f or not g:
-        return []
-    n = max(len(f), len(g))
-    if min(len(f), len(g)) <= _SCHOOLBOOK_LIMIT:
-        return mul_schoolbook(f, g)
-    h = (n + 1) // 2
-    f0, f1 = f[:h], f[h:]
-    g0, g1 = g[:h], g[h:]
-    p0 = mul_karatsuba(f0, g0)
-    p2 = mul_karatsuba(f1, g1) if f1 and g1 else []
-    fs = [a + b for a, b in _zip_pad(f0, f1)]
-    gs = [a + b for a, b in _zip_pad(g0, g1)]
-    p1 = mul_karatsuba(fs, gs)
-    n_out = len(f) + len(g) - 1
-    out = [0] * max(n_out, 3 * h - 1)  # uneven splits overhang; tail cancels
-    for i, v in enumerate(p0):
-        out[i] += v
-        out[i + h] -= v
-    for i, v in enumerate(p1):
-        out[i + h] += v
-    for i, v in enumerate(p2):
-        out[i + h] -= v
-        out[i + 2 * h] += v
-    return out[:n_out]
-
-
-def _zip_pad(a: list, b: list):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)
-
-
-def _pack(f: list, slot: int) -> int:
-    acc = 0
-    for i in range(len(f) - 1, -1, -1):
-        acc = (acc << slot) + f[i]
-    return acc
-
-
-def _unpack(n: int, slot: int, count: int) -> list:
-    mask = (1 << slot) - 1
-    out = []
-    for _ in range(count):
-        out.append(n & mask)
-        n >>= slot
-    return out
+def _pack_slots(f: list, nbytes: int) -> int:
+    """sum_i f[i] 2^(8 nbytes i), built from the positive and negative parts."""
+    zero = bytes(nbytes)
+    pos = b"".join(c.to_bytes(nbytes, "little") if c > 0 else zero for c in f)
+    neg = b"".join((-c).to_bytes(nbytes, "little") if c < 0 else zero for c in f)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def mul_kronecker(f: list, g: list) -> list:
-    """Exact product via packing into one huge integer multiplication.
+    """Exact product by one big multiplication of the packed factors.
 
-    Signs are handled by splitting each input into nonnegative parts, so the
-    packed slots never interact across sign boundaries.
+    Coefficients sit in byte-aligned slots wide enough that every product
+    coefficient h satisfies |h| < 2^(slot-1).  Adding 2^(slot-1) to each slot
+    of the product makes every slot nonnegative, so the slots are read off
+    the bytes and the offset is subtracted back.
     """
     if not f or not g:
         return []
-    maxbits = 1
-    for c in f:
-        if c:
-            maxbits = max(maxbits, abs(c).bit_length())
-    for c in g:
-        if c:
-            maxbits = max(maxbits, abs(c).bit_length())
-    deg = len(f) + len(g) - 2
-    slot = 2 * maxbits + (deg + 1).bit_length() + 1
-    fp = [c if c > 0 else 0 for c in f]
-    fn = [-c if c < 0 else 0 for c in f]
-    gp = [c if c > 0 else 0 for c in g]
-    gn = [-c if c < 0 else 0 for c in g]
+    bits = (max(abs(c).bit_length() for c in f) + max(abs(c).bit_length() for c in g)
+            + min(len(f), len(g)).bit_length() + 1)
+    nbytes = (bits + 7) // 8
     count = len(f) + len(g) - 1
-    pos = _pack(fp, slot) * _pack(gp, slot) + _pack(fn, slot) * _pack(gn, slot)
-    neg = _pack(fp, slot) * _pack(gn, slot) + _pack(fn, slot) * _pack(gp, slot)
-    pu = _unpack(pos, slot, count)
-    nu = _unpack(neg, slot, count)
-    return [a - b for a, b in zip(pu, nu)]
+    h = _pack_slots(f, nbytes) * _pack_slots(g, nbytes)
+    half = 1 << (8 * nbytes - 1)
+    h += int.from_bytes(half.to_bytes(nbytes, "little") * count, "little")
+    buf = memoryview(h.to_bytes(nbytes * count, "little"))
+    del h
+    return [int.from_bytes(buf[i:i + nbytes], "little") - half
+            for i in range(0, nbytes * count, nbytes)]
 
 
 def mul(f: list, g: list) -> list:
     if not f or not g:
         return []
-    small = min(len(f), len(g))
-    if small <= _SCHOOLBOOK_LIMIT:
+    if min(len(f), len(g)) <= _SCHOOLBOOK_LIMIT:
         return mul_schoolbook(f, g)
-    maxbits = 1
-    for c in f:
-        if c:
-            maxbits = max(maxbits, abs(c).bit_length())
-    for c in g:
-        if c:
-            maxbits = max(maxbits, abs(c).bit_length())
-    if maxbits <= _KARATSUBA_COEFF_BITS and small < 64:
-        return mul_karatsuba(f, g)
     return mul_kronecker(f, g)

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from conftest import (ALL_MODES, ball_bounds, contains_fraction, rand_ball,
+from conftest import (ALL_MODES, ball_bounds, contains_fraction, mpf_fraction, rand_ball,
                       sample_in_ball)
 from midrad import ball, bigfloat as bf, elementary as el, magnitude as mag
 from midrad.ball import Ball
@@ -269,6 +270,23 @@ class TestPi:
         el._pi_cache.clear()
         assert el.const_pi(70) == warm
 
+
+
+class TestLog2:
+    def test_radius_contract(self):
+        # the same contract as pi: log 2 is accurate to about its precision
+        for prec in (53, 333, 1000, 4000):
+            p = el.const_log2(prec)
+            assert p.rad.to_fraction() <= Fraction(2) ** (4 - prec) * 4, prec
+            assert ball.rel_accuracy_bits(p) >= prec - 2, prec
+
+    def test_contains_log2(self):
+        with mpmath.workprec(4200):
+            ref = mpf_fraction(mpmath.log(2))
+        eps = Fraction(1, 2 ** 4190)  # far below every radius checked
+        for prec in (10, 53, 333, 1000, 4000):
+            lo, hi = ball_bounds(el.const_log2(prec))
+            assert lo <= ref - eps and ref + eps <= hi, prec
 
 class TestMisc:
     def test_scale_and_int_ops(self):

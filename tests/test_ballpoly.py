@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import contains_fraction, sample_in_ball
+from conftest import contains_fraction, round_fraction_oracle, sample_in_ball
 from midrad import ball, ballpoly as bp, bigfloat as bf, intpoly, magnitude as mag
 from midrad.ball import Ball
-from midrad.bigfloat import BigFloat
+from midrad.bigfloat import BigFloat, Rounding
 from midrad.ballpoly import BallPoly
 
 
@@ -161,6 +161,98 @@ class TestBlockMul:
             assert acc >= prev - 8, (prev, acc)
             prev = acc
 
+
+
+def wide_poly(rng, n):
+    """Zeros of every kind, a slope that changes sign, and far-off exponents."""
+    slope, bend = rng.choice([-12, -3, 0, 3, 12]), rng.randrange(n)
+    cs = []
+    for k in range(n):
+        e = (slope * k if k < bend else slope * (2 * bend - k)) + rng.randrange(-20, 21)
+        if rng.random() < 0.1:
+            e += rng.choice([-1, 1]) * rng.randrange(200, 3000)
+        u = rng.random()
+        mid = bf.ZERO if u < 0.2 else BigFloat.from_man_exp(
+            (rng.getrandbits(rng.randrange(1, 70)) | 1) * rng.choice([1, -1]), e)
+        r = mag.ZERO if 0.1 < u < 0.4 else mag.from_man_exp_upper(
+            rng.getrandbits(30) | 1, e - rng.randrange(0, 300))
+        cs.append(Ball(mid, r))
+    return BallPoly(cs)
+
+
+def up30(q):
+    return round_fraction_oracle(q, 30, Rounding.UP)
+
+
+class TestBlockRadius:
+    def test_radius_sums_round_up_once(self, monkeypatch):
+        # |A| b and a (|B| + b) are each the exact convolution rounded up once
+        calls = []
+        conv = bp._conv_radius
+
+        def spy(x, y, c):
+            out = conv(x, y, c)
+            calls.append((x, y, out))
+            return out
+        monkeypatch.setattr(bp, "_conv_radius", spy)
+        rng = random.Random(41)
+        for _ in range(25):
+            f, g = wide_poly(rng, rng.randrange(17, 60)), wide_poly(rng, rng.randrange(17, 60))
+            del calls[:]
+            h = bp.mul_block(f, g, rng.choice([32, 64, 200]))
+            (x1, y1, rad1), (x2, y2, rad2) = calls
+            assert x1 == [mag.from_bigfloat_upper(c.mid) for c in f] and y1 == [c.rad for c in g]
+            assert x2 == [c.rad for c in f]
+            assert y2 == [mag.add(mag.from_bigfloat_upper(c.mid), c.rad) for c in g]
+            for x, y, out in calls:
+                exact = exact_conv([m.to_fraction() for m in x], [m.to_fraction() for m in y])
+                assert [r.to_fraction() for r in out] == [up30(q) for q in exact]
+            for k, c in enumerate(h):
+                assert c.rad.to_fraction() >= rad1[k].to_fraction() + rad2[k].to_fraction()
+
+    def test_far_apart_terms_still_round_up(self):
+        # the two terms of coefficient 1 are 1000 bits apart, in either order
+        one, tiny = mag.ONE, mag.pow2(-1000)
+        for x in ([one, tiny], [tiny, one]):
+            out = bp._conv_radius(x, [one, one], 0)
+            assert out[1].to_fraction() == 1 + Fraction(1, 2 ** 29)
+            assert out[0] == x[0] and out[2] == x[1]
+
+    def test_midpoints_round_once_with_far_apart_terms(self):
+        rng = random.Random(42)
+        for _ in range(20):
+            f = wide_poly(rng, rng.randrange(17, 50))
+            g = wide_poly(rng, rng.randrange(17, 50))
+            h = bp.mul_block(f, g, 64)
+            exact = exact_conv([c.mid.to_fraction() for c in f], [c.mid.to_fraction() for c in g])
+            for k, q in enumerate(exact):
+                assert h[k].mid.to_fraction() == round_fraction_oracle(q, 64, Rounding.NEAREST_EVEN)
+                assert contains_fraction(h[k], q)
+
+    def test_infinite_radius(self):
+        rng = random.Random(43)
+        f, g = rand_poly(rng, 20), rand_poly(rng, 24)
+        f.coeffs[3] = Ball(f[3].mid, mag.INF)
+        h = bp.mul_block(f, g, 64)
+        assert [c.rad.is_inf() for c in h] == [3 <= k < 3 + len(g) for k in range(len(h))]
+        h = bp.mul_block(g, f, 64)
+        assert [c.rad.is_inf() for c in h] == [3 <= k < 3 + len(g) for k in range(len(h))]
+
+    def test_figure_product_makes_no_addmul_calls(self, monkeypatch):
+        # the radii of the n = 1000 figure-regime product need no O(n^2)
+        # magnitude arithmetic
+        n, prec = 1000, 333
+        fact = 1
+        cs = [Ball.from_int(1)]
+        for k in range(1, n):
+            fact *= k
+            cs.append(ball.div(Ball.from_int(1), Ball.from_int(fact), prec))
+        f = BallPoly(cs)
+        calls = []
+        addmul = mag.addmul
+        monkeypatch.setattr(mag, "addmul", lambda *a: calls.append(1) or addmul(*a))
+        bp.mul_block(f, f, prec)
+        assert not calls
 
 class TestMullow:
     def test_zero_length(self):

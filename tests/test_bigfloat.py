@@ -199,6 +199,16 @@ class TestVectorSum:
         assert inexact and r.exp == 2 ** 80 + 2
 
 
+    @pytest.mark.parametrize("rnd", ALL_MODES)
+    def test_many_far_apart_terms(self, rnd):
+        # each term lies 100 bits below the previous one; the tail's sign
+        # decides the rounding, and 1500 terms once exhausted the recursion
+        for n in (3, 1500):
+            xs = [BigFloat.from_man_exp(3 * (-1) ** (k // 3), -100 * k) for k in range(n)]
+            got, inexact = bf.vector_sum(xs, 53, rnd)
+            exact = sum((F(x) for x in xs), Fraction(0))
+            assert F(got) == round_fraction_oracle(exact, 53, rnd) and inexact
+
 class TestComplexMul:
     def test_small(self):
         e, f, ie, if_ = bf.complex_mul(*map(BigFloat.from_int, (1, 2, 3, 4)), 53, NE)

@@ -1,4 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import midrad
 from midrad import cli
+
+
+def test_import_leaves_numpy_out():
+    src = Path(midrad.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", "import sys, midrad; print('numpy' in sys.modules)"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def run(capsys, *argv):

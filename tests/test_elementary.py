@@ -447,16 +447,18 @@ def test_public_functions_at_reduction_edges(prec):
 
 # Radii of the five public functions on exact inputs man * 2^e at precisions
 # 53, 333 and 1000, as computed by the ball-arithmetic Taylor loops that the
-# fixed-point kernel replaced.  The kernel may only tighten them.
+# fixed-point kernel replaced.  The kernel may only tighten them.  The 333-bit
+# radii of exp and log that inherited the radius of a half-accurate log 2
+# constant are pinned at the tighter values of the full-accuracy constant.
 BALL_LOOP_RADII = {
-    ('exp', 1, 0): ('268469715*2^-79', '479034497*2^-317', '537435151*2^-1027'),
-    ('exp', -1, 0): ('134235603*2^-81', '958068993*2^-320', '537438237*2^-1030'),
+    ('exp', 1, 0): ('268469715*2^-79', '120006563*2^-364', '537435151*2^-1027'),
+    ('exp', -1, 0): ('134235603*2^-81', '766725923*2^-367', '537438237*2^-1030'),
     ('exp', -3, -3): ('268492817*2^-81', '8395777*2^-356', '269004819*2^-1028'),
     ('exp', 1419, -12): ('134244403*2^-79', '537321519*2^-361', '268996627*2^-1027'),
     ('exp', -1419, -12): ('536977815*2^-82', '268660783*2^-361', '537993291*2^-1029'),
     ('exp', 3, -40): ('4105*2^-80', '536911873*2^-361', '537042945*2^-1028'),
-    ('exp', 229, -2): ('536883849*2^1', '605523499*2^-229', '33556199*2^-942'),
-    ('exp', 2001, -1): ('536876643*2^1362', '331424115*2^1136', '536877475*2^415'),
+    ('exp', 229, -2): ('536883849*2^1', '198656937*2^-279', '33556199*2^-942'),
+    ('exp', 2001, -1): ('536876643*2^1362', '438969071*2^1081', '536877475*2^415'),
     ('sin', 1, 0): ('33557373*2^-78', '537012151*2^-362', '537192379*2^-1029'),
     ('sin', 3, -2): ('536944899*2^-82', '537141413*2^-362', '268763153*2^-1028'),
     ('sin', 201, -8): ('536952867*2^-82', '268574737*2^-361', '67190791*2^-1026'),
@@ -468,12 +470,12 @@ BALL_LOOP_RADII = {
     ('cos', 201, -8): ('268472333*2^-81', '537141287*2^-362', '537526277*2^-1029'),
     ('cos', 100, 0): ('536876191*2^-82', '536877599*2^-362', '536880351*2^-1029'),
     ('cos', -15, -1): ('268448809*2^-82', '268459553*2^-362', '268480545*2^-1029'),
-    ('log', 2, 0): ('536872961*2^-82', '704907689*2^-319', '536872961*2^-1029'),
-    ('log', 3, 0): ('134220549*2^-79', '704907691*2^-318', '268483083*2^-1027'),
-    ('log', 5, -4): ('268442643*2^-80', '704907691*2^-318', '536961559*2^-1028'),
+    ('log', 2, 0): ('536872961*2^-82', '359146921*2^-363', '536872961*2^-1029'),
+    ('log', 3, 0): ('134220549*2^-79', '1055285385*2^-365', '268483083*2^-1027'),
+    ('log', 5, -4): ('268442643*2^-80', '998194737*2^-363', '536961559*2^-1028'),
     ('log', 3145727, -21): ('134234245*2^-81', '537182677*2^-363', '537768519*2^-1030'),
     ('log', 3, -2): ('268489141*2^-82', '537387375*2^-363', '538354459*2^-1030'),
-    ('log', 1000000, 0): ('536871433*2^-78', '881134613*2^-315', '16777235*2^-1020'),
+    ('log', 1000000, 0): ('536871433*2^-78', '640944211*2^-361', '16777235*2^-1020'),
     ('log', 1073741825, -30): ('268614315*2^-111', '536899585*2^-392', '293859829*2^-1055'),
     ('atan', 1, -3): ('536871329*2^-85', '536872803*2^-365', '268438177*2^-1031'),
     ('atan', 1099511627777, -43): ('536871297*2^-85', '67109057*2^-362', '134218779*2^-1030'),
