@@ -6,6 +6,10 @@ for any points chosen from the input balls, the exact result lies in the
 output ball.  Midpoints are rounded to the requested precision (nearest,
 ties to even) and a one-ulp bound on that rounding error is folded into the
 radius whenever rounding was inexact; ``round_to`` adds the actual error.
+That fold is one function, ``rounded``: it takes the (mid, inexact) pair a
+bigfloat operation returns and a radius for everything else, and every ball
+operation here, the polynomial products, the constants and the decimal
+parser build their balls through it.
 
 A NaN midpoint means "indeterminate / whole extended line"; an infinite
 radius with a finite midpoint means "the whole real line".  Predicates
@@ -29,6 +33,7 @@ __all__ = [
     "ACC_NONE",
     "indeterminate",
     "whole_line",
+    "rounded",
     "add",
     "sub",
     "neg",
@@ -125,10 +130,19 @@ def whole_line() -> Ball:
     return Ball(bf.ZERO, mag.INF)
 
 
-def _with_ulp(rad: Magnitude, mid: BigFloat, prec: int, inexact: bool) -> Magnitude:
+def rounded(result: tuple[BigFloat, bool], rad: Magnitude, prec: int) -> Ball:
+    """The ball of a midpoint rounded to prec bits, given as the (mid, inexact)
+    pair of a bigfloat operation, and a radius rad bounding everything else.
+
+    A NaN midpoint gives indeterminate(); an inexact one adds one ulp,
+    2^(mid.exp - prec), to rad.
+    """
+    mid, inexact = result
+    if mid.is_nan():
+        return indeterminate()
     if inexact:
-        return mag.add(rad, mag.pow2(mid.exp - prec))
-    return rad
+        rad = mag.add(rad, mag.pow2(mid.exp - prec))
+    return Ball(mid, rad)
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -138,32 +152,31 @@ def neg(x: Ball) -> Ball:
 
 
 def add(x: Ball, y: Ball, prec: int) -> Ball:
-    mid, inexact = bf.add(x.mid, y.mid, prec, _NE)
-    if mid.is_nan():
-        return indeterminate()
-    return Ball(mid, _with_ulp(mag.add(x.rad, y.rad), mid, prec, inexact))
+    return rounded(bf.add(x.mid, y.mid, prec, _NE), mag.add(x.rad, y.rad), prec)
 
 
 def sub(x: Ball, y: Ball, prec: int) -> Ball:
-    mid, inexact = bf.sub(x.mid, y.mid, prec, _NE)
-    if mid.is_nan():
-        return indeterminate()
-    return Ball(mid, _with_ulp(mag.add(x.rad, y.rad), mid, prec, inexact))
+    return rounded(bf.sub(x.mid, y.mid, prec, _NE), mag.add(x.rad, y.rad), prec)
+
+
+def _mid_mag(m: BigFloat) -> Magnitude:
+    """Upper bound of |m|; inf for NaN, whose result rounded() discards."""
+    return mag.INF if m.is_nan() else mag.from_bigfloat_upper(m)
+
+
+def _mul_rad(x: Ball, y: Ball) -> Magnitude:
+    """Upper bound of |x.mid| y.rad + |y.mid| x.rad + x.rad y.rad."""
+    rx, ry = x.rad, y.rad
+    rad = mag.ZERO
+    if not ry.is_zero():
+        rad = mag.addmul(mag.mul(rx, ry), _mid_mag(x.mid), ry)
+    if not rx.is_zero():
+        rad = mag.addmul(rad, _mid_mag(y.mid), rx)
+    return rad
 
 
 def mul(x: Ball, y: Ball, prec: int) -> Ball:
-    mid, inexact = bf.mul(x.mid, y.mid, prec, _NE)
-    if mid.is_nan():
-        return indeterminate()
-    rx, ry = x.rad, y.rad
-    if rx.is_zero() and ry.is_zero():
-        return Ball(mid, _with_ulp(mag.ZERO, mid, prec, inexact))
-    rad = mag.mul(rx, ry)
-    if not ry.is_zero():
-        rad = mag.addmul(rad, mag.from_bigfloat_upper(x.mid), ry)
-    if not rx.is_zero():
-        rad = mag.addmul(rad, mag.from_bigfloat_upper(y.mid), rx)
-    return Ball(mid, _with_ulp(rad, mid, prec, inexact))
+    return rounded(bf.mul(x.mid, y.mid, prec, _NE), _mul_rad(x, y), prec)
 
 
 def sqr(x: Ball, prec: int) -> Ball:
@@ -185,17 +198,8 @@ def sqr(x: Ball, prec: int) -> Ball:
 
 def fma(z: Ball, x: Ball, y: Ball, prec: int) -> Ball:
     """z + x*y with a single midpoint rounding."""
-    p = bf.mul_exact(x.mid, y.mid)
-    mid, inexact = bf.add(z.mid, p, prec, _NE)
-    if mid.is_nan():
-        return indeterminate()
-    rad = mag.mul(x.rad, y.rad)
-    if not y.rad.is_zero():
-        rad = mag.addmul(rad, mag.from_bigfloat_upper(x.mid), y.rad)
-    if not x.rad.is_zero():
-        rad = mag.addmul(rad, mag.from_bigfloat_upper(y.mid), x.rad)
-    rad = mag.add(z.rad, rad) if not z.rad.is_zero() else rad
-    return Ball(mid, _with_ulp(rad, mid, prec, inexact))
+    return rounded(bf.add(z.mid, bf.mul_exact(x.mid, y.mid), prec, _NE),
+                   mag.add(z.rad, _mul_rad(x, y)), prec)
 
 
 def _sign_sum(terms) -> int:
@@ -226,16 +230,11 @@ def div(x: Ball, y: Ball, prec: int) -> Ball:
     if x.mid.is_inf():
         q, _ = bf.div(x.mid, y.mid, prec, _NE)
         return Ball(q)
-    mid, inexact = bf.div(x.mid, y.mid, prec, _NE)
-    rx, ry = x.rad, y.rad
-    if rx.is_zero() and ry.is_zero():
-        return Ball(mid, _with_ulp(mag.ZERO, mid, prec, inexact))
-    num = rx
-    if not ry.is_zero():
+    num = x.rad
+    if not y.rad.is_zero():
         qu = mag.div_lower_denominator(mag.from_bigfloat_upper(x.mid), abs(y.mid))
-        num = mag.addmul(rx, qu, ry)
-    rad = mag.div_lower_denominator(num, lo)
-    return Ball(mid, _with_ulp(rad, mid, prec, inexact))
+        num = mag.addmul(num, qu, y.rad)
+    return rounded(bf.div(x.mid, y.mid, prec, _NE), mag.div_lower_denominator(num, lo), prec)
 
 
 def sqrt(x: Ball, prec: int) -> Ball:
@@ -248,18 +247,14 @@ def sqrt(x: Ball, prec: int) -> Ball:
         return Ball(bf.ZERO) if x.rad.is_zero() else indeterminate()
     if m.signum() < 0:
         return indeterminate()
-    if not x.rad.is_zero():
-        if x.rad.is_inf():
-            return indeterminate()
-        if _sign_sum([m, -mag.to_bigfloat(x.rad)]) < 0:
+    rad = x.rad
+    if not rad.is_zero():
+        if rad.is_inf() or _sign_sum([m, -mag.to_bigfloat(rad)]) < 0:
             return indeterminate()  # the ball reaches below zero
-    mid, inexact = bf.sqrt(m, prec, _NE)
-    if x.rad.is_zero():
-        return Ball(mid, _with_ulp(mag.ZERO, mid, prec, inexact))
-    # |sqrt(t) - sqrt(m)| = |t - m| / (sqrt(t) + sqrt(m)) <= rad / sqrt(m)
-    root_lo, _ = bf.sqrt(m, 32, Rounding.DOWN)
-    rad = mag.div_lower_denominator(x.rad, root_lo)
-    return Ball(mid, _with_ulp(rad, mid, prec, inexact))
+        # |sqrt(t) - sqrt(m)| = |t - m| / (sqrt(t) + sqrt(m)) <= rad / sqrt(m)
+        root_lo, _ = bf.sqrt(m, 32, Rounding.DOWN)
+        rad = mag.div_lower_denominator(rad, root_lo)
+    return rounded(bf.sqrt(m, prec, _NE), rad, prec)
 
 
 def scale_2exp(x: Ball, k: int) -> Ball:
@@ -272,20 +267,16 @@ def scale_2exp(x: Ball, k: int) -> Ball:
 
 def mul_int(x: Ball, n: int, prec: int) -> Ball:
     """x * n for an int n, with the usual midpoint rounding."""
-    mid, inexact = bf.mul(x.mid, BigFloat.from_int(n), prec, _NE)
-    if mid.is_nan():
-        return indeterminate()
-    rad = mag.mul_int_upper(x.rad, abs(n))
-    return Ball(mid, _with_ulp(rad, mid, prec, inexact))
+    return rounded(bf.mul(x.mid, BigFloat.from_int(n), prec, _NE),
+                   mag.mul_int_upper(x.rad, abs(n)), prec)
 
 
 def div_int(x: Ball, n: int, prec: int) -> Ball:
-    """x / n for a nonzero int n."""
-    mid, inexact = bf.div(x.mid, BigFloat.from_int(n), prec, _NE)
-    if mid.is_nan():
+    """x / n for an int n; indeterminate for n = 0."""
+    if n == 0:
         return indeterminate()
-    rad = mag.div_int_upper(x.rad, abs(n)) if not x.rad.is_zero() else mag.ZERO
-    return Ball(mid, _with_ulp(rad, mid, prec, inexact))
+    return rounded(bf.div(x.mid, BigFloat.from_int(n), prec, _NE),
+                   mag.div_int_upper(x.rad, abs(n)), prec)
 
 
 def round_to(x: Ball, prec: int) -> Ball:
@@ -299,9 +290,7 @@ def round_to(x: Ball, prec: int) -> Ball:
 
 def upper_mag(x: Ball) -> Magnitude:
     """Upper bound of sup |t| over the ball."""
-    if x.mid.is_nan():
-        return mag.INF
-    return mag.add(mag.from_bigfloat_upper(x.mid), x.rad)
+    return mag.add(_mid_mag(x.mid), x.rad)
 
 
 def lower_bound(x: Ball, prec: int = 64) -> BigFloat:
@@ -322,6 +311,11 @@ def upper_bound(x: Ball, prec: int = 64) -> BigFloat:
 
 # -- predicates (decided exactly) ---------------------------------------------
 
+def _within(a: BigFloat, b: BigFloat, r: list) -> bool:
+    """|a - b| <= sum(r), decided exactly."""
+    return _sign_sum(r + [a, -b]) >= 0 and _sign_sum(r + [b, -a]) >= 0
+
+
 def contains(x: Ball, y: Ball) -> bool:
     """Is every point of y a point of x?  Decided exactly."""
     if x.mid.is_nan():
@@ -334,13 +328,7 @@ def contains(x: Ball, y: Ball) -> bool:
         return False
     if x.mid.is_inf() or y.mid.is_inf():
         return x.mid.kind == y.mid.kind
-    s = _sign_sum([y.mid, -x.mid])
-    terms = [mag.to_bigfloat(x.rad), -mag.to_bigfloat(y.rad)]
-    if s > 0:
-        terms += [x.mid, -y.mid]
-    elif s < 0:
-        terms += [y.mid, -x.mid]
-    return _sign_sum(terms) >= 0
+    return _within(x.mid, y.mid, [mag.to_bigfloat(x.rad), -mag.to_bigfloat(y.rad)])
 
 
 def overlaps(x: Ball, y: Ball) -> bool:
@@ -351,13 +339,7 @@ def overlaps(x: Ball, y: Ball) -> bool:
         return x.mid.kind == y.mid.kind
     if x.rad.is_inf() or y.rad.is_inf():
         return True
-    s = _sign_sum([x.mid, -y.mid])
-    terms = [mag.to_bigfloat(x.rad), mag.to_bigfloat(y.rad)]
-    if s > 0:
-        terms += [y.mid, -x.mid]
-    elif s < 0:
-        terms += [x.mid, -y.mid]
-    return _sign_sum(terms) >= 0
+    return _within(x.mid, y.mid, [mag.to_bigfloat(x.rad), mag.to_bigfloat(y.rad)])
 
 
 def contains_point(x: Ball, q) -> bool:
@@ -369,14 +351,7 @@ def contains_point(x: Ball, q) -> bool:
     q = Fraction(q)
     qd = BigFloat.from_int(q.denominator)
     qn = BigFloat.from_int(q.numerator)
-    md = bf.mul_exact(x.mid, qd)
-    s = _sign_sum([qn, -md])
-    terms = [bf.mul_exact(mag.to_bigfloat(x.rad), qd)]
-    if s > 0:
-        terms += [md, -qn]
-    elif s < 0:
-        terms += [qn, -md]
-    return _sign_sum(terms) >= 0
+    return _within(qn, bf.mul_exact(x.mid, qd), [bf.mul_exact(mag.to_bigfloat(x.rad), qd)])
 
 
 # -- accuracy and rounding certification ---------------------------------------

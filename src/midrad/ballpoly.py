@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import ball
 from . import bigfloat as bf
@@ -32,9 +33,7 @@ from .bigfloat import BigFloat, Rounding
 
 __all__ = [
     "BallPoly",
-    "MidRadSplit",
     "BlockPlan",
-    "IntPoly",
     "mul",
     "mul_schoolbook",
     "mul_block",
@@ -100,20 +99,6 @@ class BallPoly:
 
 
 @dataclass
-class MidRadSplit:
-    """Midpoint/radius decomposition of a factor pair: (A +- a)(B +- b)."""
-    A: list
-    a: list
-    B: list
-    b: list
-
-    @classmethod
-    def of(cls, f: BallPoly, g: BallPoly) -> "MidRadSplit":
-        return cls([c.mid for c in f], [c.rad for c in f],
-                   [c.mid for c in g], [c.rad for c in g])
-
-
-@dataclass
 class BlockPlan:
     """Scaling and per-input block boundaries for the exact midpoint stage."""
     scale: int
@@ -122,33 +107,17 @@ class BlockPlan:
     height_cap: int
 
 
-@dataclass
-class IntPoly:
-    """Exact integer image of a floating-point block: 2^exp * coeffs."""
-    coeffs: list
-    exp: int
+def _zip_with(op, f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
+    zero = Ball(bf.ZERO)
+    return BallPoly([op(a, b, prec) for a, b in zip_longest(f, g, fillvalue=zero)])
 
 
 def add(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
-    n = max(len(f), len(g))
-    out = []
-    zero = Ball(bf.ZERO)
-    for k in range(n):
-        a = f.coeffs[k] if k < len(f) else zero
-        b = g.coeffs[k] if k < len(g) else zero
-        out.append(ball.add(a, b, prec))
-    return BallPoly(out)
+    return _zip_with(ball.add, f, g, prec)
 
 
 def sub(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
-    n = max(len(f), len(g))
-    out = []
-    zero = Ball(bf.ZERO)
-    for k in range(n):
-        a = f.coeffs[k] if k < len(f) else zero
-        b = g.coeffs[k] if k < len(g) else zero
-        out.append(ball.sub(a, b, prec))
-    return BallPoly(out)
+    return _zip_with(ball.sub, f, g, prec)
 
 
 # -- schoolbook ------------------------------------------------------------------
@@ -160,8 +129,8 @@ def mul_schoolbook(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
     gm = [c.mid for c in g]
     fr = [c.rad for c in f]
     gr = [c.rad for c in g]
-    fu = [mag.from_bigfloat_upper(m) if not m.is_nan() else mag.INF for m in fm]
-    gu = [mag.from_bigfloat_upper(m) if not m.is_nan() else mag.INF for m in gm]
+    fu = [ball._mid_mag(m) for m in fm]
+    gu = [ball._mid_mag(m) for m in gm]
     n = len(f) + len(g) - 1
     out = []
     for k in range(n):
@@ -182,13 +151,7 @@ def mul_schoolbook(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
                     rad = mag.addmul(rad, gu[j], ri)
                 if not (riz or rjz):
                     rad = mag.addmul(rad, ri, rj)
-        mid, inexact = bf.vector_sum(prods, prec, _NE)
-        if mid.is_nan():
-            out.append(ball.indeterminate())
-            continue
-        if inexact:
-            rad = mag.add(rad, mag.pow2(mid.exp - prec))
-        out.append(Ball(mid, rad))
+        out.append(ball.rounded(bf.vector_sum(prods, prec, _NE), rad, prec))
     return BallPoly(out)
 
 
@@ -281,11 +244,11 @@ def plan_blocks(f: BallPoly, g: BallPoly, prec: int) -> BlockPlan:
 
 # -- exact block convolution -------------------------------------------------------------
 
-def _block_ints(terms: list, c: int, start: int, end: int) -> IntPoly:
-    """Terms start..end-1 scaled by 2^(c*i), as exact ints over a common exponent."""
+def _block_ints(terms: list, c: int, start: int, end: int) -> tuple[list, int]:
+    """(ints, base): terms start..end-1 scaled by 2^(c*i) are ints[i-start] 2^base."""
     base = min(l + c * i for i, (m, l) in enumerate(terms[start:end], start) if m)
-    return IntPoly([m << (l + c * i - base) if m else 0
-                    for i, (m, l) in enumerate(terms[start:end], start)], base)
+    return [m << (l + c * i - base) if m else 0
+            for i, (m, l) in enumerate(terms[start:end], start)], base
 
 
 def _conv_rounded(fterms: list, fblocks: list, gterms: list, gblocks: list,
@@ -302,13 +265,13 @@ def _conv_rounded(fterms: list, fblocks: list, gterms: list, gblocks: list,
     mans = [0] * n
     lsbs = [0] * n
     apart = {}
-    gints = [(s, _block_ints(gterms, c, s, e)) for s, e in gblocks]
+    gints = [(s, *_block_ints(gterms, c, s, e)) for s, e in gblocks]
     for sa, ea in fblocks:
-        pa = _block_ints(fterms, c, sa, ea)
-        for sb, pb in gints:
-            e = pa.exp + pb.exp
+        fa, ba = _block_ints(fterms, c, sa, ea)
+        for sb, fb, bb in gints:
+            e = ba + bb
             k = sa + sb
-            for v in intpoly.mul(pa.coeffs, pb.coeffs):
+            for v in intpoly.mul(fa, fb):
                 if v:
                     m = mans[k]
                     l = lsbs[k]
@@ -360,25 +323,16 @@ def mul_block(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
     if any(not (x.mid.is_regular() or x.mid.is_zero()) or x.rad.is_inf()
            for x in f.coeffs + g.coeffs):
         return mul_schoolbook(f, g, prec)
-    split = MidRadSplit.of(f, g)
     plan = plan_blocks(f, g, prec)
     c = plan.scale
-    n = len(f) + len(g) - 1
-    mids = _conv_rounded(_mid_terms(split.A), plan.blocks_f, _mid_terms(split.B), plan.blocks_g,
-                         c, n, prec, _NE)
-    # radius polynomial |A| b + a (|B| + b)
-    absA = [mag.from_bigfloat_upper(m) for m in split.A]
-    absBb = [mag.add(mag.from_bigfloat_upper(m), r) for m, r in zip(split.B, split.b)]
-    rad1 = _conv_radius(absA, split.b, c)
-    rad2 = _conv_radius(split.a, absBb, c)
-    out = []
-    for k in range(n):
-        mid, inexact = mids[k]
-        rad = mag.add(rad1[k], rad2[k])
-        if inexact:
-            rad = mag.add(rad, mag.pow2(mid.exp - prec))
-        out.append(Ball(mid, rad))
-    return BallPoly(out)
+    mids = _conv_rounded(_mid_terms([x.mid for x in f]), plan.blocks_f,
+                         _mid_terms([x.mid for x in g]), plan.blocks_g,
+                         c, len(f) + len(g) - 1, prec, _NE)
+    # radius polynomial |A| b + a (|B| + b) for f = A +/- a, g = B +/- b
+    rad1 = _conv_radius([mag.from_bigfloat_upper(x.mid) for x in f], [x.rad for x in g], c)
+    rad2 = _conv_radius([x.rad for x in f], [ball.upper_mag(x) for x in g], c)
+    return BallPoly([ball.rounded(m, mag.add(r1, r2), prec)
+                     for m, r1, r2 in zip(mids, rad1, rad2)])
 
 
 def mul(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:

@@ -12,6 +12,14 @@ directed rounding; no floating point is involved in any bound.
 
 ``from_decimal`` parses the same grammar back into a containing ball;
 decimal-exact midpoints round-trip exactly.
+
+One function, ``_scaled_parts``, forms man * 2^e2 / 10^k as an exact
+fraction; the decimal exponent, the digit count, the midpoint digits and
+the three radius digits all come from it.  Two caps bound the work.  On
+output, a midpoint or radius whose mantissa bits plus |binary exponent|
+exceed ``_BITS_CAP`` is not scaled: it prints as a crude power-of-ten bound
+(still sound, still parseable).  On input, a decimal exponent beyond
+``_POW_CAP`` parses to a crude power-of-two enclosure.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ __all__ = ["to_decimal", "from_decimal", "ParseError"]
 _LOG10_2 = 0.30102999566398119521
 
 # Beyond this bit size the 5^k intermediates become impractical and output
-# degrades to a crude magnitude bound (still sound, still parseable).
+# degrades to a crude power-of-ten bound.
 _BITS_CAP = 20_000_000
 
 
@@ -40,47 +48,16 @@ class ParseError(ValueError):
         self.position = position
 
 
-# -- exact decimal/binary comparisons ------------------------------------------
+# -- exact decimal scaling -----------------------------------------------------
 
-def _cmp_value_pow10(man: int, e2: int, k: int) -> int:
-    """Compare man * 2^e2 (man > 0) against 10^k, exactly."""
-    e = e2 - k
-    if k >= 0:
-        lhs, rhs = man, 5 ** k
-    else:
-        lhs, rhs = man * 5 ** (-k), 1
-    if e >= 0:
-        lhs <<= e
-    else:
-        rhs <<= -e
-    if lhs < rhs:
-        return -1
-    return 1 if lhs > rhs else 0
+def _beyond_cap(man: int, e2: int) -> bool:
+    """Would scaling man * 2^e2 by a power of ten exceed the size cap?"""
+    return man.bit_length() + abs(e2) > _BITS_CAP
 
 
-def _floor_log10(man: int, e2: int) -> int:
-    """E with 10^E <= man * 2^e2 < 10^(E+1)."""
-    t = e2 + man.bit_length()
-    e = math.floor((t - 0.5) * _LOG10_2)
-    while _cmp_value_pow10(man, e2, e + 1) >= 0:
-        e += 1
-    while _cmp_value_pow10(man, e2, e) < 0:
-        e -= 1
-    return e
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def _ratio_upper(num: int, den: int) -> Magnitude:
-    """Upper bound of num/den for nonnegative num, positive den."""
-    if num == 0:
-        return mag.ZERO
-    s = den.bit_length() + 34 - num.bit_length()
-    if s < 0:
-        s = 0
-    return mag.from_man_exp_upper(_ceil_div(num << s, den), -s)
+def _pow10_upper(e: int) -> int:
+    """k with 2^e <= 10^k (a couple of decades above the least such k)."""
+    return (e * 30103) // 100000 + (abs(e) >> 27) + 2
 
 
 def _scaled_parts(man: int, e2: int, k: int) -> tuple[int, int]:
@@ -98,16 +75,44 @@ def _scaled_parts(man: int, e2: int, k: int) -> tuple[int, int]:
     return num, den
 
 
+def _floor_log10(man: int, e2: int) -> tuple[int, int, int]:
+    """(E, num, den) with num / den = man * 2^e2 / 10^E in [1, 10)."""
+    e = math.floor((e2 + man.bit_length() - 0.5) * _LOG10_2)
+    while True:
+        num, den = _scaled_parts(man, e2, e)
+        if num < den:
+            e -= 1
+        elif num >= 10 * den:
+            e += 1
+        else:
+            return e, num, den
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _ratio_upper(num: int, den: int) -> Magnitude:
+    """Upper bound of num/den for nonnegative num, positive den."""
+    if num == 0:
+        return mag.ZERO
+    s = den.bit_length() + 34 - num.bit_length()  # a quotient of 34+ bits
+    if s < 0:
+        return mag.from_man_exp_upper(_ceil_div(num, den << -s), -s)
+    return mag.from_man_exp_upper(_ceil_div(num << s, den), -s)
+
+
 def _rad_to_decimal_upper(r: Magnitude) -> tuple[int, int]:
-    """(R, G) with 100 <= R <= 999 and R * 10^G an upper bound of r."""
+    """(R, G) with 100 <= R <= 999 and R * 10^G an upper bound of r; beyond
+    the cap, the crude 10^(G+2) bound of 2^r.exp."""
     man, e2 = r.man, r.exp - 30
-    g = _floor_log10(man, e2) - 2
-    num, den = _scaled_parts(man, e2, g)
-    rr = _ceil_div(num, den)
+    if _beyond_cap(man, e2):
+        return 100, _pow10_upper(r.exp) - 2
+    e, num, den = _floor_log10(man, e2)
+    rr = _ceil_div(100 * num, den)
     if rr >= 1000:
-        rr = 100
-        g += 1
-    return rr, g
+        return 100, e - 1
+    return rr, e - 2
 
 
 def _mid_to_decimal(man: int, lsb: int, q: int, e10: int) -> tuple[int, int, int, int]:
@@ -132,20 +137,20 @@ def _mid_to_decimal(man: int, lsb: int, q: int, e10: int) -> tuple[int, int, int
 
 
 def _choose_digits(rad: Magnitude, e10: int, d: int) -> int:
-    """Largest q in [1, d] with 2*rad <= 10^(e10 - q + 1); 0 if none."""
+    """Largest q in [1, d] with 2*rad <= 10^(e10 - q + 1); 0 if none.
+
+    Beyond the cap, g below is only an upper bound, so q may come out smaller.
+    """
     if rad.is_zero():
         return d
     man, e2 = rad.man, rad.exp - 30 + 1  # 2 * rad
-    if _cmp_value_pow10(man, e2, e10) > 0:
-        return 0
-    lo, hi = 1, d
-    while lo < hi:
-        m = (lo + hi + 1) // 2
-        if _cmp_value_pow10(man, e2, e10 - m + 1) <= 0:
-            lo = m
-        else:
-            hi = m - 1
-    return lo
+    if _beyond_cap(man, e2):
+        g = _pow10_upper(rad.exp + 1)
+    else:
+        # the least g with 2 * rad <= 10^g
+        e, num, den = _floor_log10(man, e2)
+        g = e if num == den else e + 1
+    return max(0, min(d, e10 + 1 - g))
 
 
 # -- formatting -----------------------------------------------------------------
@@ -169,32 +174,8 @@ def _fmt_rad(r: int, g: int) -> str:
     return f"{s[0]}.{s[1:]}e{g + 2}"
 
 
-def _crude_bound_str(x: Ball) -> str:
-    t = ballmod.upper_mag(x)
-    if t.is_inf():
-        return "[+/- inf]"
-    e = t.exp
-    k = (e * 30103) // 100000 + (abs(e) >> 27) + 2
-    return f"[+/- 1.00e{k}]"
-
-
-def _try_exact(mid: BigFloat, digits: int) -> str | None:
-    """Plain decimal if the midpoint is exactly representable in <= digits."""
-    lsb, man = mid.lsb, mid.man
-    # quick size screen before materializing 5^|lsb|
-    est_digits = (man.bit_length() + 2.33 * max(0, -lsb) + max(0, lsb)) * _LOG10_2
-    if est_digits > digits + 4:
-        return None
-    if lsb >= 0:
-        dec, e10 = man << lsb, 0
-    else:
-        dec, e10 = man * 5 ** (-lsb), lsb
-    s = str(dec)
-    stripped = s.rstrip("0")
-    if len(stripped) > digits:
-        return None
-    z = len(s) - len(stripped)
-    return _fmt_mid(mid.sign, int(stripped), e10 + z + len(stripped) - 1)
+def _bound_str(r: Magnitude) -> str:
+    return f"[+/- {_fmt_rad(*_rad_to_decimal_upper(r))}]"
 
 
 def to_decimal(x: Ball, digits: int) -> str:
@@ -210,26 +191,19 @@ def to_decimal(x: Ball, digits: int) -> str:
         return "inf" if mid.signum() > 0 else "-inf"
     if rad.is_zero() and mid.is_zero():
         return "0"
-    if rad.is_zero():
-        s = _try_exact(mid, digits)
-        if s is not None:
-            return s
     if mid.is_zero():
-        return f"[+/- {_fmt_rad(*_rad_to_decimal_upper(rad))}]"
+        return _bound_str(rad)
     man, lsb = mid.man, mid.lsb
-    if man.bit_length() + abs(lsb) > _BITS_CAP:
-        return _crude_bound_str(x)
-    e10 = _floor_log10(man, lsb)
-    q = _choose_digits(rad, e10, digits)
+    if _beyond_cap(man, lsb):
+        return f"[+/- {_fmt_rad(100, _pow10_upper(ballmod.upper_mag(x).exp) - 2)}]"
+    e10 = _floor_log10(man, lsb)[0]
+    # the midpoint's exact decimal has at most e10 + 1 - min(lsb, 0) digits
+    q = _choose_digits(rad, e10, min(digits, e10 + 1 - min(lsb, 0)))
     if q == 0:
-        total = mag.add(mag.from_bigfloat_upper(mid), rad)
-        return f"[+/- {_fmt_rad(*_rad_to_decimal_upper(total))}]"
+        return _bound_str(ballmod.upper_mag(x))
     d, e10, err, den = _mid_to_decimal(man, lsb, q, e10)
     f = e10 - q + 1
-    if err:
-        conv = _ratio_upper(err * 10 ** f, den) if f >= 0 else _ratio_upper(err, den * 10 ** (-f))
-    else:
-        conv = mag.ZERO
+    conv = _ratio_upper(err * 10 ** f, den) if f >= 0 else _ratio_upper(err, den * 10 ** (-f))
     total = mag.add(rad, conv)
     mid_str = _fmt_mid(mid.sign, d, e10)
     if total.is_zero():
@@ -304,9 +278,8 @@ def _number_to_ball(d: int, e10: int, wp: int = 0) -> Ball:
     if d % p5 == 0:
         return Ball(BigFloat.from_man_exp(d // p5, e10))
     wp = wp or max(64, abs(d).bit_length() + 32)
-    mid, inexact = bf.div(BigFloat.from_int(d), BigFloat.from_int(10 ** (-e10)), wp, Rounding.NEAREST_EVEN)
-    rad = mag.pow2(mid.exp - wp) if inexact else mag.ZERO
-    return Ball(mid, rad)
+    mid = bf.div(BigFloat.from_int(d), BigFloat.from_int(10 ** (-e10)), wp, Rounding.NEAREST_EVEN)
+    return ballmod.rounded(mid, mag.ZERO, wp)
 
 
 def _posnumber_to_mag(r: int, e10: int) -> Magnitude:

@@ -67,35 +67,28 @@ def _binsplit(a: int, b: int, M: int, alternating: bool) -> tuple[int, int]:
     return p1 * q2 * mp + p2 * q1, q1 * q2 * mp
 
 
-def _atan_inv_int(m: int, wp: int) -> Ball:
-    """Enclosure of atan(1/m) for an integer m >= 2."""
+def _arctan_inv(m: int, wp: int, alternating: bool) -> Ball:
+    """Enclosure of atan(1/m) (alternating) or atanh(1/m) for an int m >= 2."""
+    # each term gains at least int(2 log2 m) bits
     n = (wp + 10) // int(2 * math.log2(m)) + 2
-    p, q = _binsplit(0, n, m * m, True)
-    mid, inexact = bf.div(BigFloat.from_int(p), BigFloat.from_int(q * m), wp, _NE)
-    rad = mag.pow2(mid.exp - wp) if inexact else mag.ZERO
-    # alternating series: tail <= 1/((2n+1) m^(2n+1))
-    tail = mag.div_lower_denominator(
-        mag.ONE, BigFloat.from_int((2 * n + 1) * m ** (2 * n + 1)))
-    return Ball(mid, mag.add(rad, tail))
+    p, q = _binsplit(0, n, m * m, alternating)
+    # the unsummed terms add up to at most the first of them, or (terms
+    # shrinking by m^2 >= 4) to twice it
+    tail = mag.div_lower_denominator(mag.ONE if alternating else mag.TWO,
+                                     BigFloat.from_int((2 * n + 1) * m ** (2 * n + 1)))
+    return ball.rounded(bf.div(BigFloat.from_int(p), BigFloat.from_int(q * m), wp, _NE), tail, wp)
 
 
 def _compute_pi(wp: int) -> Ball:
     # pi = 16 atan(1/5) - 4 atan(1/239)
-    a = ball.scale_2exp(_atan_inv_int(5, wp + 8), 4)
-    b = ball.scale_2exp(_atan_inv_int(239, wp + 8), 2)
+    a = ball.scale_2exp(_arctan_inv(5, wp + 8, True), 4)
+    b = ball.scale_2exp(_arctan_inv(239, wp + 8, True), 2)
     return ball.sub(a, b, wp + 8)
 
 
 def _compute_log2(wp: int) -> Ball:
-    # log 2 = 2 atanh(1/3) = (2/3) sum_{k>=0} 1/((2k+1) 9^k); each term gains
-    # log2(9) > 3 bits, so n terms leave a tail below 2^(-3n)
-    n = (wp + 10) // 3 + 2
-    p, q = _binsplit(0, n, 9, False)
-    mid, inexact = bf.div(BigFloat.from_int(2 * p), BigFloat.from_int(3 * q), wp + 8, _NE)
-    rad = mag.pow2(mid.exp - wp - 8) if inexact else mag.ZERO
-    # tail <= (2/3)(9/8) / ((2n+1) 9^n) <= 1/((2n+1) 9^n)
-    tail = mag.div_lower_denominator(mag.ONE, BigFloat.from_int((2 * n + 1) * 9 ** n))
-    return Ball(mid, mag.add(rad, tail))
+    # log 2 = 2 atanh(1/3)
+    return ball.scale_2exp(_arctan_inv(3, wp + 8, False), 1)
 
 
 _pi_cache: dict[int, Ball] = {}

@@ -170,10 +170,7 @@ def add(x: Magnitude, y: Magnitude) -> Magnitude:
     d = x.exp - y.exp
     if d > _MBITS + 2:
         # The smaller term is below one ulp; bump by one ulp instead.
-        man = x.man + 1
-        if man == _MANT_TOP:
-            return _mk(_MANT_MIN, x.exp + 1)
-        return _mk(man, x.exp)
+        return _norm_up((x.man << 1) | 1, x.exp - _MBITS - 1)
     return _norm_up((x.man << d) + y.man, y.exp - _MBITS)
 
 
@@ -202,10 +199,7 @@ def addmul(z: Magnitude, x: Magnitude, y: Magnitude) -> Magnitude:
     lz = z.exp - _MBITS
     top_p = lp + p.bit_length()
     if top_p < lz - 2 * _MBITS:
-        man = z.man + 1
-        if man == _MANT_TOP:
-            return _mk(_MANT_MIN, z.exp + 1)
-        return _mk(man, z.exp)
+        return _norm_up((z.man << 1) | 1, lz - 1)  # x*y below one ulp of z
     if z.exp < top_p - 3 * _MBITS:
         return _norm_up(p + 1, lp)  # z below one ulp of the product
     l = lp if lp < lz else lz
@@ -238,19 +232,13 @@ def max_(x: Magnitude, y: Magnitude) -> Magnitude:
 
 def from_bigfloat_upper(x: BigFloat) -> Magnitude:
     """Upper bound of |x|; exact when the mantissa fits in 30 bits."""
+    if x.is_regular():
+        return _norm_up(x.man, x.lsb)
     if x.is_zero():
         return ZERO
-    if x.is_inf():
-        return INF
     if x.is_nan():
         raise ValueError("no magnitude bound for nan")
-    bl = x.man.bit_length()
-    if bl <= _MBITS:
-        return _mk(x.man << (_MBITS - bl), x.exp)
-    man = -(-x.man >> (bl - _MBITS))
-    if man == _MANT_TOP:
-        return _mk(_MANT_MIN, x.exp + 1)
-    return _mk(man, x.exp)
+    return INF
 
 
 def to_bigfloat(x: Magnitude) -> BigFloat:

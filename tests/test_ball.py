@@ -20,6 +20,29 @@ def B(m, r=None):
     return Ball(mid, r)
 
 
+class TestRounded:
+    def test_nan_midpoint_is_indeterminate(self):
+        assert ball.rounded((bf.NAN, False), mag.ONE, 53) == ball.indeterminate()
+        assert ball.rounded((bf.NAN, True), mag.ZERO, 53) == ball.indeterminate()
+
+    def test_exact_midpoint_keeps_the_radius(self):
+        m = BigFloat.from_man_exp(3, -1)
+        r = mag.from_man_exp_upper(5, -70)
+        assert ball.rounded((m, False), r, 53) == Ball(m, r)
+        assert ball.rounded((m, False), mag.ZERO, 2) == Ball(m)
+
+    def test_inexact_midpoint_adds_one_ulp(self):
+        for prec in (2, 53, 300):
+            m, inexact = bf.div(BigFloat.from_int(1), BigFloat.from_int(3), prec, Rounding.NEAREST_EVEN)
+            assert inexact
+            b = ball.rounded((m, inexact), mag.ZERO, prec)
+            # 1/3 lies in [1/4, 1/2), where one ulp of a prec-bit float is 2^(-1-prec)
+            assert b.mid == m and b.rad.to_fraction() == Fraction(1, 2 ** (prec + 1))
+            assert contains_fraction(b, Fraction(1, 3))
+            r = mag.from_man_exp_upper(7, -prec - 9)
+            assert ball.rounded((m, True), r, prec).rad == mag.add(r, b.rad)
+
+
 class TestAdd:
     def test_exact(self):
         s = ball.add(B(1), B(2), 53)

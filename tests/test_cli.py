@@ -46,6 +46,15 @@ class TestEval:
         assert code == 2
         assert "unconverged" in err
 
+    def test_huge_literal_exit_2_with_enclosure(self, capsys):
+        # the literal parses to [0 +/- 2^1328772003], a radius far beyond the
+        # print cap
+        code, out, err = run(capsys, "eval", "1e400000000")
+        assert code == 2 and "unconverged" in err
+        head, _, exponent = out.strip().partition("[+/- 1.00e")
+        assert not head and exponent.endswith("]")
+        assert int(exponent[:-1]) >= 400000000  # [+/- 10^K] holds 10^400000000
+
     def test_parse_error_exit_1(self, capsys):
         code, _, err = run(capsys, "eval", "sin(")
         assert code == 1 and "position" in err

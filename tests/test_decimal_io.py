@@ -55,6 +55,46 @@ class TestFormatting:
         assert s.startswith("[9.537e-7 +/- ")
         assert ball.contains(dio.from_decimal(s), x)
 
+    def test_exact_midpoints_print_plain_up_to_digits(self, monkeypatch):
+        # an exact midpoint with n significant decimal digits prints as exactly
+        # that decimal, without brackets, whenever n <= digits; a huge digit
+        # count costs no scaling beyond the midpoint's own digits
+        ks = []
+        scaled_parts = dio._scaled_parts
+        monkeypatch.setattr(dio, "_scaled_parts", lambda m, e2, k: ks.append(k) or scaled_parts(m, e2, k))
+        rng = random.Random(21)
+        for _ in range(400):
+            man = rng.getrandbits(rng.randrange(1, 50)) | 1
+            x = Ball(BigFloat.from_man_exp(rng.choice((1, -1)) * man, rng.randrange(-40, 40)))
+            n = len(_exact_digits(x.mid.to_fraction()))
+            for d in (n, n + rng.randrange(1, 5), max(1, n - 1), 10 ** 5):
+                s = dio.to_decimal(x, d)
+                if n <= d:
+                    assert "[" not in s and _decimal_str_fraction(s) == x.mid.to_fraction(), (s, d)
+                else:
+                    assert s.startswith("[") and ball.contains(dio.from_decimal(s), x), (s, d)
+        assert max(map(abs, ks)) <= 100
+
+    @pytest.mark.parametrize("e", [10 ** 9, -10 ** 9, 4 * 10 ** 7, -4 * 10 ** 7])
+    def test_radius_beyond_the_cap_is_never_scaled(self, e, monkeypatch):
+        # scaling such a radius exactly needs 5^k for |k| near e log10(2), which
+        # takes minutes or more; it prints as a crude 10^K bound instead
+        ks = []
+        scaled_parts = dio._scaled_parts
+        monkeypatch.setattr(dio, "_scaled_parts", lambda m, e2, k: ks.append(k) or scaled_parts(m, e2, k))
+        for mid in (bf.ZERO, bf.ONE, BigFloat.from_man_exp(-12345, -9)):
+            x = Ball(mid, mag.pow2(e))
+            s = dio.to_decimal(x, 15)
+            head, _, rad_text = s[1:-1].rpartition("+/- ")
+            assert rad_text.startswith("1.00e")
+            k = int(rad_text[5:])
+            assert _pow10_at_least_pow2(k, e)  # the printed bound holds the radius
+            assert k <= e * 30103 // 100000 + abs(e) // 10 ** 8 + 3
+            if e < 0 and not mid.is_zero():  # a tiny radius leaves the midpoint digits alone
+                assert _decimal_str_fraction(head.strip()) == mid.to_fraction()
+            assert ball.contains(dio.from_decimal(s), x)
+        assert max(map(abs, ks)) <= 20
+
     def test_radius_always_three_digits(self):
         rng = random.Random(12)
         for _ in range(100):
@@ -108,6 +148,52 @@ class TestContract:
             s = dio.to_decimal(b, 30)
             assert "[" not in s
             assert _decimal_str_fraction(s) == _decimal_str_fraction(txt)
+
+
+def _pow10_at_least_pow2(k: int, e: int) -> bool:
+    """10^k >= 2^e, decided with integers only (sufficient, and tight enough
+    here): 3.321928094 < log2(10) < 3.321928095."""
+    if k >= 0:
+        return e <= 0 or k * 3321928094 >= e * 10 ** 9
+    return e < 0 and k * 3321928095 >= e * 10 ** 9
+
+
+def _exact_digits(v: Fraction) -> str:
+    """Significant decimal digits of a nonzero dyadic rational."""
+    v = abs(v)
+    while v.denominator != 1:
+        v *= 10
+    return str(v.numerator).rstrip("0")
+
+
+def _choose_digits_oracle(rad: Fraction, e10: int, d: int) -> int:
+    """Largest q in [1, d] with 2 rad <= 10^(e10 - q + 1), by trying every q."""
+    return max([q for q in range(1, d + 1) if 2 * rad <= Fraction(10) ** (e10 - q + 1)], default=0)
+
+
+class TestChooseDigits:
+    def test_against_brute_force(self):
+        rng = random.Random(5)
+        for _ in range(600):
+            e10 = rng.randrange(-60, 60)
+            top = int(e10 * 3.3219) - rng.randrange(-10, 130)  # radius about 2^top
+            rad = mag.from_man_exp_upper(rng.getrandbits(30) | 1, top - 30)
+            d = rng.randrange(1, 40)
+            assert dio._choose_digits(rad, e10, d) == _choose_digits_oracle(rad.to_fraction(), e10, d)
+
+    @pytest.mark.parametrize("g", range(13))
+    def test_radius_half_a_power_of_ten(self, g):
+        rad = mag.from_man_exp_upper(5 ** g, g - 1)  # 2 rad = 10^g exactly
+        assert 2 * rad.to_fraction() == 10 ** g
+        nxt = mag.from_man_exp_upper(rad.man + 1, rad.exp - 30)  # one ulp wider
+        for r in (rad, nxt):
+            for e10 in range(g - 3, g + 25):
+                for d in (1, 2, 7, 20):
+                    assert dio._choose_digits(r, e10, d) == _choose_digits_oracle(r.to_fraction(), e10, d)
+        assert dio._choose_digits(rad, g, 5) == 1  # 2 rad = 10^e10: one digit
+        assert dio._choose_digits(nxt, g, 5) == 0
+        assert dio._choose_digits(rad, g + 30, 5) == 5  # clamped at d
+        assert dio._choose_digits(mag.ZERO, g, 5) == 5
 
 
 def _dec_exponent(s: str) -> int:
@@ -187,6 +273,8 @@ class TestParse:
                 assert b.rad.exp - 1 > mpmath.log(7, 2) + e * mpmath.log(10, 2)
                 r = dio.from_decimal(f"[+/- 7e{e}]").rad
                 assert r.exp - 1 >= mpmath.log(7, 2) + e * mpmath.log(10, 2)
+                assert r == b.rad
+                assert ball.contains(dio.from_decimal(dio.to_decimal(b, 10)), b)  # prints back
 
     @pytest.mark.parametrize("bad,pos", [
         ("1.2.3", 3),

@@ -51,6 +51,33 @@ class TestBasicOps:
             assert exact <= F(am) <= exact * TIGHT or exact == 0
 
 
+class TestCarry:
+    """One-ulp round-ups at the top mantissa 2^30 - 1 carry into the next binade."""
+
+    TOP = (1 << 30) - 1
+
+    @pytest.mark.parametrize("e", [-100, -1, 0, 1, 77])
+    def test_far_term_bumps_give_the_next_power_of_two(self, e):
+        z = mag.from_man_exp_upper(self.TOP, e - 30)  # just below 2^e
+        tiny = mag.pow2(e - 100)
+        assert mag.add(z, tiny) == mag.pow2(e)
+        assert mag.add(tiny, z) == mag.pow2(e)
+        assert mag.addmul(z, tiny, mag.pow2(-10)) == mag.pow2(e)
+        # below the top mantissa the bump is exactly one ulp
+        y = mag.from_man_exp_upper(self.TOP - 6, e - 30)
+        assert F(mag.add(y, tiny)) == (self.TOP - 5) * Fraction(2) ** (e - 30)
+        assert F(mag.addmul(y, tiny, tiny)) == (self.TOP - 5) * Fraction(2) ** (e - 30)
+
+    @pytest.mark.parametrize("e", [-100, -1, 0, 1, 77])
+    def test_from_bigfloat_upper_at_the_top_mantissa(self, e):
+        x = BigFloat.from_man_exp(self.TOP, e - 30)
+        assert F(mag.from_bigfloat_upper(x)) == x.to_fraction()  # fits: exact
+        assert mag.from_bigfloat_upper(-x) == mag.from_bigfloat_upper(x)
+        for bits in (31, 32, 90):  # 2^bits - 1 rounds up to exactly 2^bits
+            y = BigFloat.from_man_exp(-((1 << bits) - 1), e - bits)
+            assert mag.from_bigfloat_upper(y) == mag.pow2(e)
+
+
 class TestConversions:
     def test_exact_small_bigfloat(self):
         m = mag.from_bigfloat_upper(BigFloat.from_man_exp(3, -2))

@@ -1,0 +1,250 @@
+"""Print the exact results of a fixed-seed suite over every midrad layer.
+
+Usage: python tools/same_results.py SRC_DIR
+
+SRC_DIR is the directory that holds the ``midrad`` package (``src`` in a
+checkout).  Each line is one result in exact text (``M*2^E`` midpoints and
+radii, predicate answers, decimal strings, or the exception raised); the
+last line is the SHA-256 of all the others.  Running it on two checkouts and
+comparing the outputs (or just the hashes) shows whether a change kept every
+result bit-identical.  It calls only public functions, none of them new, so
+it runs on older checkouts too.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+
+
+def _rand_bigfloat(rng, BigFloat, max_bits=64, exp_range=60):
+    man = rng.getrandbits(rng.randrange(1, max_bits + 1)) | 1
+    if rng.random() < 0.5:
+        man = -man
+    return BigFloat.from_man_exp(man, rng.randrange(-exp_range, exp_range + 1))
+
+
+def _rand_mag(rng, mag, exp_range=60):
+    if rng.random() < 0.05:
+        return mag.ZERO
+    if rng.random() < 0.1:  # the top mantissa, where rounding up carries
+        man = (1 << 30) - 1
+    else:
+        man = rng.getrandbits(30) | (1 << 29)
+    return mag.from_man_exp_upper(man, rng.randrange(-exp_range, exp_range + 1) - 30)
+
+
+def _rand_ball(rng, m, max_bits=64, exp_range=40):
+    mid = _rand_bigfloat(rng, m.BigFloat, max_bits, exp_range)
+    u = rng.random()
+    if u < 0.25:
+        rad = m.magnitude.ZERO
+    elif u < 0.3:  # radius above |mid|
+        rad = m.magnitude.from_man_exp_upper(rng.getrandbits(20) + 1, mid.exp - 18)
+    else:
+        rad = m.magnitude.from_man_exp_upper(rng.getrandbits(16) + 1,
+                                             mid.exp - rng.randrange(8, 120))
+    return m.Ball(mid, rad)
+
+
+def _bigfloat(rng, m, out):
+    bf = m.bigfloat
+    modes = list(m.Rounding)
+    for _ in range(400):
+        x, y = _rand_bigfloat(rng, m.BigFloat, 200), _rand_bigfloat(rng, m.BigFloat, 200)
+        p, r = rng.randrange(2, 300), rng.choice(modes)
+        for f in (bf.add, bf.sub, bf.mul, bf.div):
+            out(f(x, y, p, r))
+        out(bf.sqrt(abs(x), p, r), bf.round_to(x, p, r))
+        xs = [_rand_bigfloat(rng, m.BigFloat, 100, 2000) for _ in range(rng.randrange(1, 12))]
+        out(bf.vector_sum(xs, p, r))
+
+
+def _magnitude(rng, m, out):
+    mag = m.magnitude
+    for _ in range(1500):
+        x, y, z = (_rand_mag(rng, mag) for _ in range(3))
+        out(mag.add(x, y), mag.mul(x, y), mag.addmul(z, x, y), mag.compare(x, y))
+        out(mag.mul_int_upper(x, rng.randrange(0, 10 ** 12)),
+            mag.div_int_upper(x, rng.randrange(1, 10 ** 12)))
+        b = _rand_bigfloat(rng, m.BigFloat, 100)
+        out(mag.from_bigfloat_upper(b), mag.div_lower_denominator(x, abs(b)))
+    top = (1 << 30) - 1
+    for e in range(-3, 4):
+        t = mag.from_man_exp_upper(top, e)
+        for d in (0, 1, 2, 31, 32, 33, 34, 60, 61, 62, 63, 200):
+            out(mag.add(t, mag.pow2(e - d)), mag.add(mag.pow2(e - d), t),
+                mag.addmul(t, mag.pow2(e - d), mag.pow2(-3)))
+        for bits in (29, 30, 31, 45):
+            out(mag.from_bigfloat_upper(m.BigFloat.from_man_exp((1 << bits) - 1, e)))
+
+
+def _ball(rng, m, out):
+    b = m.ball
+    for _ in range(1500):
+        x, y, z = (_rand_ball(rng, m) for _ in range(3))
+        p = rng.choice((2, 3, 10, 53, 64, 100, 333, 1000))
+        out(b.add(x, y, p), b.sub(x, y, p), b.mul(x, y, p), b.sqr(x, p),
+            b.fma(z, x, y, p), b.div(x, y, p), b.sqrt(x, p), b.round_to(x, p))
+        n = rng.randrange(-10 ** 9, 10 ** 9) or 7
+        out(b.mul_int(x, n, p), b.div_int(x, n, p), b.scale_2exp(x, rng.randrange(-99, 99)))
+        # near-touching pairs exercise the exact predicates
+        w = m.Ball(x.mid, m.magnitude.add(x.rad, y.rad))
+        q = x.mid.to_fraction() + rng.choice((-1, 1)) * x.rad.to_fraction()
+        out(b.contains(x, y), b.contains(w, x), b.contains(x, w), b.overlaps(x, y),
+            b.overlaps(w, y), b.contains_point(x, q), b.contains_point(x, q / 3),
+            b.contains_point(w, x.mid.to_fraction()))
+        out(b.rel_accuracy_bits(x), b.can_round(x, rng.randrange(2, 60), rng.choice(list(m.Rounding))),
+            b.upper_mag(x), b.lower_bound(x), b.upper_bound(x))
+    specials = [b.indeterminate(), b.whole_line(), m.Ball(m.bigfloat.POS_INF),
+                m.Ball(m.bigfloat.NEG_INF), m.Ball(m.bigfloat.ZERO), b.ONE]
+    for x in specials:
+        for y in specials:
+            out(b.add(x, y, 53), b.mul(x, y, 53), b.fma(x, y, y, 53), b.div(x, y, 53),
+                b.contains(x, y), b.overlaps(x, y))
+        out(b.sqrt(x, 53), b.mul_int(x, 3, 53), b.div_int(x, 3, 53))
+
+
+def _elementary(rng, m, out):
+    el, b = m.elementary, m.ball
+    for p in (53, 333, 1000):
+        for _ in range(60):
+            x = _rand_ball(rng, m, 80, 12)
+            out(el.exp(x, p), el.log(x, p), el.sin_cos(x, p), el.atan(x, p),
+                el.sinh_cosh(x, p), el.power(x, m.Ball.from_int(rng.randrange(-9, 9)), p),
+                el.power(b.sqrt(b.mul(x, x, p), p), _rand_ball(rng, m, 20, 3), p))
+        for v in (1, 2, 3, -1, 10 ** 6, 12345):
+            x = m.Ball.from_int(v)
+            out(el.exp(x, p), el.log(x, p), el.sin_cos(x, p), el.atan(x, p))
+        for e in (-5000, -200, 200, 5000, 10 ** 5):  # large multiples of log 2 and pi
+            x = m.Ball.from_man_exp(rng.getrandbits(60) | 1, e - 60)
+            out(el.log(x, p), el.exp(b.scale_2exp(x, -e + rng.randrange(1, 14)), p),
+                el.sin_cos(x, p) if e < 2000 else el.atan(x, p))
+    for p in (2, 10, 53, 64, 100, 200, 333, 500, 1000, 2000, 4000, 8000, 16000, 20000):
+        out(el.const_pi(p), el.const_log2(p))
+
+
+def _poly(rng, m, out):
+    bp, mag = m.ballpoly, m.magnitude
+    for i in range(300):
+        p = rng.choice((20, 53, 64, 128, 300))
+
+        def rand_poly(n):
+            cs = []
+            for _ in range(n):
+                if rng.random() < 0.05:
+                    cs.append(m.Ball(m.bigfloat.ZERO))
+                    continue
+                mid = _rand_bigfloat(rng, m.BigFloat, rng.choice((8, 64, 200)), 30)
+                rad = (mag.from_man_exp_upper(rng.getrandbits(20) + 1, mid.exp - rng.randrange(5, 90))
+                       if rng.random() < 0.6 else mag.ZERO)
+                cs.append(m.Ball(mid, rad))
+            return bp.BallPoly(cs)
+
+        f = rand_poly(rng.randrange(1, 70 if i % 3 else 8))
+        g = rand_poly(rng.randrange(1, 70 if i % 3 else 8))
+        out(*bp.mul_block(f, g, p).coeffs)
+        if i % 10 == 0:
+            out(*bp.mul_schoolbook(f, g, p).coeffs, *bp.add(f, g, p).coeffs,
+                *bp.sub(f, g, p).coeffs, bp.evaluate(f, _rand_ball(rng, m, 30, 2), p))
+    out(*bp.product_tree([(m.Ball.from_int(-k), m.Ball.from_int(1)) for k in range(60)], 64).coeffs)
+
+
+def _complex(rng, m, out):
+    cb = m.complexbox
+    for _ in range(80):
+        x = cb.ComplexBox(_rand_ball(rng, m, 12, 4), _rand_ball(rng, m, 12, 4))
+        y = cb.ComplexBox(_rand_ball(rng, m, 60, 6), _rand_ball(rng, m, 60, 6))
+        for p in (53, 200):
+            for r in (cb.mul(x, y, p), cb.div(x, y, p), cb.sqrt(x, p), cb.exp(x, p),
+                      cb.log(x, p), *cb.sin_cos(x, p), cb.tan(x, p)):
+                out(r.to_exact_text(), cb.to_decimal(r, 20))
+
+
+def _decimal(rng, m, out):
+    dio = m.decimal_io
+    for _ in range(20000):
+        x = _rand_ball(rng, m, rng.choice((8, 64, 300)), rng.choice((30, 120, 3000)))
+        s = dio.to_decimal(x, rng.randrange(1, 40))
+        out(s, dio.from_decimal(s))
+    for g in range(13):  # radii with 2 rad = 10^g exactly, and one ulp either side
+        for dm in (-1, 0, 1):
+            rad = m.magnitude.from_man_exp_upper(5 ** g + dm, g - 1)
+            for e10 in range(g - 2, g + 18, 3):
+                x = m.Ball(m.BigFloat.from_man_exp(rng.getrandbits(70) | 1, int(e10 * 3.33) - 70), rad)
+                out(dio.to_decimal(x, rng.randrange(1, 25)))
+    for s in ("0.1", "-3.25", "1e-300", "[1.5 +/- 0.25]", "[+/- 1.23e-8]", "7e30000",
+              "7e3000001", "[1 +/- 7e-300001]", "12345678901234567890e-25", ".5"):
+        x = dio.from_decimal(s)
+        out(x, dio.to_decimal(x, 30), dio.to_decimal(x, 10 ** 4))
+
+
+def _expreval(rng, m, out):
+    ev = m.expreval
+    for src in ("exp(1)", "log(2)", "pi", "sin(pi + exp(-100))", "atan(1) * 4 - pi",
+                "sqrt(2) ^ 2", "pow(2, 0.5)", "1/3 + 2/3", "exp(-1000) + 1", "x * x - 2"):
+        e = ev.parse_expr(src)
+        env = {"x": m.decimal_io.from_decimal("1.4142135623730950488")}
+        for digits in (5, 30, 300):
+            r = ev.eval_adaptive(e, env, ev.EvalConfig.for_digits(digits, max_prec=1 << 14))
+            out(r.value, r.prec, r.converged, m.decimal_io.to_decimal(r.value, digits))
+        for rnd in m.Rounding:
+            try:
+                out(ev.eval_correctly_rounded(e, env, 53, rnd, ev.EvalConfig(max_prec=1 << 12)))
+            except ev.UnconvergedError as ex:
+                out(f"UnconvergedError: {ex}")
+
+
+SECTIONS = (_bigfloat, _magnitude, _ball, _elementary, _poly, _complex, _decimal, _expreval)
+
+
+def _text(v) -> str:
+    if isinstance(v, tuple):
+        return "(" + ", ".join(_text(t) for t in v) + ")"
+    for attr in ("to_exact_text", "to_text"):
+        if hasattr(v, attr):
+            return getattr(v, attr)()
+    return repr(v)
+
+
+def results(sections=SECTIONS, seed: int = 1611):
+    """Yield one text line per result of the given sections."""
+    import midrad as m
+    for section in sections:
+        rng = random.Random(f"{seed}:{section.__name__}")
+        lines = []
+
+        def out(*values):
+            for v in values:
+                lines.append(f"{section.__name__[1:]} {_text(v)}")
+
+        try:
+            section(rng, m, out)
+        except Exception as ex:  # the failure itself is a result to compare
+            lines.append(f"{section.__name__[1:]} raised {type(ex).__name__}: {ex}")
+        yield from lines
+
+
+def digest(sections=SECTIONS, seed: int = 1611, echo=None) -> str:
+    """SHA-256 hex digest of the result lines, each passed to echo first."""
+    h = hashlib.sha256()
+    for line in results(sections, seed):
+        if echo:
+            echo(line)
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 1
+    sys.path.insert(0, argv[1])
+    sys.set_int_max_str_digits(0)
+    print(f"sha256 {digest(echo=print)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
