@@ -11,6 +11,10 @@ bigfloat operation returns and a radius for everything else, and every ball
 operation here, the polynomial products, the constants and the decimal
 parser build their balls through it.
 
+A sum of products is one operation too: ``dot`` rounds the exact midpoint
+sum once and bounds every product's propagated error in one upward sum
+(``magnitude.dot_upper``), which also bounds ``mul``'s radius.
+
 A NaN midpoint means "indeterminate / whole extended line"; an infinite
 radius with a finite midpoint means "the whole real line".  Predicates
 (contains / overlaps / contains_point) are decided exactly via exact
@@ -40,6 +44,7 @@ __all__ = [
     "mul",
     "sqr",
     "fma",
+    "dot",
     "div",
     "sqrt",
     "scale_2exp",
@@ -164,19 +169,32 @@ def _mid_mag(m: BigFloat) -> Magnitude:
     return mag.INF if m.is_nan() else mag.from_bigfloat_upper(m)
 
 
-def _mul_rad(x: Ball, y: Ball) -> Magnitude:
-    """Upper bound of |x.mid| y.rad + |y.mid| x.rad + x.rad y.rad."""
+def _rad_pairs(x: Ball, y: Ball) -> list:
+    """(a, b) pairs with sum a*b >= |x.mid| y.rad + |y.mid| x.rad + x.rad y.rad."""
     rx, ry = x.rad, y.rad
-    rad = mag.ZERO
-    if not ry.is_zero():
-        rad = mag.addmul(mag.mul(rx, ry), _mid_mag(x.mid), ry)
-    if not rx.is_zero():
-        rad = mag.addmul(rad, _mid_mag(y.mid), rx)
-    return rad
+    if rx.is_zero():
+        return [] if ry.is_zero() else [(_mid_mag(x.mid), ry)]
+    if ry.is_zero():
+        return [(_mid_mag(y.mid), rx)]
+    return [(_mid_mag(x.mid), ry), (_mid_mag(y.mid), rx), (rx, ry)]
 
 
 def mul(x: Ball, y: Ball, prec: int) -> Ball:
-    return rounded(bf.mul(x.mid, y.mid, prec, _NE), _mul_rad(x, y), prec)
+    pairs = _rad_pairs(x, y)
+    rad = mag.dot_upper(pairs) if pairs else mag.ZERO
+    return rounded(bf.mul(x.mid, y.mid, prec, _NE), rad, prec)
+
+
+def dot(xs, ys, prec: int, initial: Ball | None = None) -> Ball:
+    """initial + sum x*y, the midpoint rounded once and the radius bounded once."""
+    if initial is not None:
+        xs, ys = [*xs, initial], [*ys, ONE]
+    mids, pairs = [], []
+    for x, y in zip(xs, ys, strict=True):
+        mids.append(bf.mul_exact(x.mid, y.mid))
+        if not (x.rad.is_zero() and y.rad.is_zero()):
+            pairs += _rad_pairs(x, y)
+    return rounded(bf.vector_sum(mids, prec, _NE), mag.dot_upper(pairs), prec)
 
 
 def sqr(x: Ball, prec: int) -> Ball:
@@ -198,8 +216,7 @@ def sqr(x: Ball, prec: int) -> Ball:
 
 def fma(z: Ball, x: Ball, y: Ball, prec: int) -> Ball:
     """z + x*y with a single midpoint rounding."""
-    return rounded(bf.add(z.mid, bf.mul_exact(x.mid, y.mid), prec, _NE),
-                   mag.add(z.rad, _mul_rad(x, y)), prec)
+    return dot([x], [y], prec, z)
 
 
 def _sign_sum(terms) -> int:

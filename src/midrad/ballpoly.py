@@ -1,12 +1,12 @@
 """Dense polynomials with ball coefficients.
 
-``mul_schoolbook`` accumulates every pairwise product with one exact sum
-per output coefficient, which is essentially the best bound a coefficient
-can get.  ``mul_block`` keeps that bound quality at high degree: it splits
-midpoints from radii, rescales x -> 2^c x so coefficient magnitudes vary
-slowly, cuts the scaled coefficients into blocks of bounded exponent spread,
-multiplies block pairs exactly over the integers (``intpoly.mul``), and
-rounds each output's exact sum once.  The midpoints and the radius
+``mul_schoolbook`` is one ``ball.dot`` per output coefficient: an exact sum
+of every pairwise product, rounded once, which is essentially the best
+bound a coefficient can get.  ``mul_block`` keeps that bound quality at
+high degree: it splits midpoints from radii, rescales x -> 2^c x so
+coefficient magnitudes vary slowly, cuts the scaled coefficients into
+blocks of bounded exponent spread, multiplies block pairs exactly over the
+integers (``intpoly.mul``), and rounds each output's exact sum once.  The midpoints and the radius
 polynomial |A| b + a (|B| + b) share this one exact convolution: midpoints
 round to nearest at the working precision, radius sums round up to a
 30-bit magnitude.
@@ -123,35 +123,14 @@ def sub(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
 # -- schoolbook ------------------------------------------------------------------
 
 def mul_schoolbook(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
+    """One ball.dot per output coefficient."""
     if not len(f) or not len(g):
         return BallPoly([])
-    fm = [c.mid for c in f]
-    gm = [c.mid for c in g]
-    fr = [c.rad for c in f]
-    gr = [c.rad for c in g]
-    fu = [ball._mid_mag(m) for m in fm]
-    gu = [ball._mid_mag(m) for m in gm]
-    n = len(f) + len(g) - 1
+    fc, gc = f.coeffs, g.coeffs
     out = []
-    for k in range(n):
-        lo = max(0, k - len(g) + 1)
-        hi = min(k, len(f) - 1)
-        prods = []
-        rad = mag.ZERO
-        for i in range(lo, hi + 1):
-            j = k - i
-            prods.append(bf.mul_exact(fm[i], gm[j]))
-            ri, rj = fr[i], gr[j]
-            rjz = rj.is_zero()
-            riz = ri.is_zero()
-            if not (riz and rjz):
-                if not rjz:
-                    rad = mag.addmul(rad, fu[i], rj)
-                if not riz:
-                    rad = mag.addmul(rad, gu[j], ri)
-                if not (riz or rjz):
-                    rad = mag.addmul(rad, ri, rj)
-        out.append(ball.rounded(bf.vector_sum(prods, prec, _NE), rad, prec))
+    for k in range(len(fc) + len(gc) - 1):
+        lo, hi = max(0, k - len(gc) + 1), min(k, len(fc) - 1)
+        out.append(ball.dot(fc[lo:hi + 1], gc[k - hi:k - lo + 1][::-1], prec))
     return BallPoly(out)
 
 

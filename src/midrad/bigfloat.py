@@ -36,7 +36,6 @@ __all__ = [
     "div",
     "sqrt",
     "vector_sum",
-    "complex_mul",
     "compare",
     "compare_abs",
     "to_int_nearest",
@@ -502,16 +501,6 @@ def _sum_regulars(regs: list, prec: int, rnd: int) -> tuple[BigFloat, bool]:
     if s_man == 0:
         return ZERO, False
     return _round_from(s_sign, s_man, s_lsb, prec, rnd)
-
-
-# -- complex multiply ---------------------------------------------------------
-
-def complex_mul(a: BigFloat, b: BigFloat, c: BigFloat, d: BigFloat,
-                prec: int, rnd: int) -> tuple[BigFloat, BigFloat, bool, bool]:
-    """(e + f*i) = (a + b*i)(c + d*i); each component rounded exactly once."""
-    e, ie = add(mul_exact(a, c), -mul_exact(b, d), prec, rnd)
-    f, if_ = add(mul_exact(a, d), mul_exact(b, c), prec, rnd)
-    return e, f, ie, if_
 
 
 # -- comparison ---------------------------------------------------------------

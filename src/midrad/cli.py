@@ -36,7 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="evaluate to a guaranteed number of digits")
     pe.add_argument("expr")
     pe.add_argument("--digits", type=int, default=15)
-    pe.add_argument("--start-prec", type=int, default=64)
     pe.add_argument("--max-prec", type=int, default=1 << 24)
     pe.add_argument("--var", action="append", default=[], metavar="NAME=VALUE",
                     help="bind a variable (decimal or ball literal); repeatable")
@@ -45,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("expr")
     pr.add_argument("--bits", type=int, default=53)
     pr.add_argument("--mode", choices=sorted(_MODES), default="nearest")
-    pr.add_argument("--start-prec", type=int, default=64)
     pr.add_argument("--max-prec", type=int, default=1 << 24)
     pr.add_argument("--var", action="append", default=[], metavar="NAME=VALUE")
 
@@ -71,8 +69,7 @@ def _parse_bindings(pairs) -> dict:
 def _cmd_eval(args) -> int:
     expr = expreval.parse_expr(args.expr)
     bindings = _parse_bindings(args.var)
-    cfg = expreval.EvalConfig.for_digits(args.digits, start_prec=args.start_prec,
-                                         max_prec=args.max_prec)
+    cfg = expreval.EvalConfig.for_digits(args.digits, max_prec=args.max_prec)
     res = expreval.eval_adaptive(expr, bindings, cfg)
     print(decimal_io.to_decimal(res.value, args.digits))
     if res.converged or res.value.is_indeterminate():
@@ -84,7 +81,7 @@ def _cmd_eval(args) -> int:
 def _cmd_round(args) -> int:
     expr = expreval.parse_expr(args.expr)
     bindings = _parse_bindings(args.var)
-    cfg = expreval.EvalConfig(start_prec=args.start_prec, max_prec=args.max_prec)
+    cfg = expreval.EvalConfig(max_prec=args.max_prec)
     try:
         value = expreval.eval_correctly_rounded(expr, bindings, args.bits,
                                                 _MODES[args.mode], cfg)

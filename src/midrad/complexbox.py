@@ -1,5 +1,8 @@
 """Complex intervals in Cartesian form: a rectangle re x im of two balls.
 
+mul, fma and div (through mul) are one ``ball.dot`` per part, so each part
+is rounded once.
+
 Functions follow the principal branch with -pi < im(log z) <= pi and the
 phase of a negative real equal to +pi.  When a box crosses the cut, the
 returned enclosure includes both one-sided limits (the jump is absorbed
@@ -93,16 +96,14 @@ def conj(x: ComplexBox) -> ComplexBox:
 
 
 def mul(x: ComplexBox, y: ComplexBox, prec: int) -> ComplexBox:
-    # four real multiplications; the three-multiply trick doubles error terms
-    re = ball.sub(ball.mul(x.re, y.re, prec), ball.mul(x.im, y.im, prec), prec)
-    im = ball.add(ball.mul(x.re, y.im, prec), ball.mul(x.im, y.re, prec), prec)
-    return ComplexBox(re, im)
+    return fma(ComplexBox(ball.ZERO), x, y, prec)
 
 
 def fma(z: ComplexBox, x: ComplexBox, y: ComplexBox, prec: int) -> ComplexBox:
-    re = ball.fma(ball.fma(z.re, x.re, y.re, prec), ball.neg(x.im), y.im, prec)
-    im = ball.fma(ball.fma(z.im, x.re, y.im, prec), x.im, y.re, prec)
-    return ComplexBox(re, im)
+    """z + x*y: re = z.re + ac - bd and im = z.im + ad + bc, one ball.dot each."""
+    xs = [x.re, x.im]
+    return ComplexBox(ball.dot(xs, [y.re, ball.neg(y.im)], prec, z.re),
+                      ball.dot(xs, [y.im, y.re], prec, z.im))
 
 
 def _abs_sq(x: ComplexBox, prec: int) -> Ball:

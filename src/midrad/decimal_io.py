@@ -56,8 +56,10 @@ def _beyond_cap(man: int, e2: int) -> bool:
 
 
 def _pow10_upper(e: int) -> int:
-    """k with 2^e <= 10^k (a couple of decades above the least such k)."""
-    return (e * 30103) // 100000 + (abs(e) >> 27) + 2
+    """k with 2^e <= 10^k, near the least such k."""
+    # c / 10^10 brackets log10(2): above it for e > 0, below it for e < 0
+    c = 3010299957 if e >= 0 else 3010299956
+    return (e * c) // 10 ** 10 + 1
 
 
 def _scaled_parts(man: int, e2: int, k: int) -> tuple[int, int]:
@@ -257,11 +259,10 @@ _POW_CAP = 3_000_000  # cap on |decimal exponent| for exact 5^k materialization
 
 
 def _crude_pow2_upper_exp(bits: int, e10: int) -> int:
-    """Exponent b with value < 2^b for value < 2^bits * 10^e10."""
-    # e10 log2(10) <= e10 c / 10^5 for c = 3.32193 above log2(10) when e10 >= 0,
-    # and for c = 3.32192 below it when e10 < 0
-    c = 332193 if e10 >= 0 else 332192
-    return bits + (e10 * c) // 100000 + 2
+    """Exponent b with value < 2^b for value < 2^bits * 10^e10, near the least."""
+    # c / 10^9 brackets log2(10): above it for e10 > 0, below it for e10 < 0
+    c = 3321928095 if e10 >= 0 else 3321928094
+    return bits + (e10 * c) // 10 ** 9 + 1
 
 
 def _number_to_ball(d: int, e10: int, wp: int = 0) -> Ball:

@@ -103,27 +103,25 @@ def _bucket(wp: int) -> int:
     return b
 
 
-def _pi_ball(wp: int) -> Ball:
-    """pi at (at least) wp bits; deterministic in the bucketed precision."""
+def _cached(cache: dict, compute, wp: int) -> Ball:
+    """compute(key) from cache, at (at least) wp bits; deterministic in the
+    bucketed precision key."""
     key = _bucket(wp + 16)
     with _cache_lock:
-        cached = _pi_cache.get(key)
+        cached = cache.get(key)
     if cached is None:
-        cached = _compute_pi(key)
+        cached = compute(key)
         with _cache_lock:
-            _pi_cache.setdefault(key, cached)
+            cache.setdefault(key, cached)
     return cached
+
+
+def _pi_ball(wp: int) -> Ball:
+    return _cached(_pi_cache, _compute_pi, wp)
 
 
 def _log2_ball(wp: int) -> Ball:
-    key = _bucket(wp + 16)
-    with _cache_lock:
-        cached = _log2_cache.get(key)
-    if cached is None:
-        cached = _compute_log2(key)
-        with _cache_lock:
-            _log2_cache.setdefault(key, cached)
-    return cached
+    return _cached(_log2_cache, _compute_log2, wp)
 
 
 def const_pi(prec: int) -> Ball:

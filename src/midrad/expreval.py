@@ -51,6 +51,7 @@ __all__ = [
 
 _FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "atan": 1, "sqrt": 1, "pow": 2}
 _CONSTANTS = {"pi"}
+_START_PREC = 64  # the first precision of both adaptive loops
 
 
 class UnboundVariableError(ValueError):
@@ -315,14 +316,13 @@ def digits_to_bits(digits: int) -> int:
 @dataclass
 class EvalConfig:
     target_bits: int = 53
-    start_prec: int = 64
     max_prec: int = 1 << 24
 
     def __post_init__(self):
-        if self.start_prec < 2 or self.target_bits < 1:
+        if self.target_bits < 1:
             raise ValueError("bad configuration")
-        if self.start_prec > self.max_prec:
-            raise ValueError("starting precision above the cap")
+        if _START_PREC > self.max_prec:
+            raise ValueError(f"precision cap below the starting precision {_START_PREC}")
 
     @classmethod
     def for_digits(cls, digits: int, **kw) -> "EvalConfig":
@@ -336,21 +336,25 @@ class AdaptiveResult:
     converged: bool
 
 
+def _precisions(start: int, cap: int):
+    """start, then doublings up to cap; the last one is cap (or start)."""
+    yield start
+    while start < cap:
+        start = min(start * 2, cap)
+        yield start
+
+
 def eval_adaptive(e, bindings: dict, cfg: EvalConfig) -> AdaptiveResult:
     """Double the precision until the target relative accuracy is certified.
 
     Reaching the cap is a graceful failure: the widest-known enclosure comes
     back flagged unconverged rather than raising.
     """
-    prec = cfg.start_prec
-    value = None
-    while True:
+    for prec in _precisions(_START_PREC, cfg.max_prec):
         value = eval_ball(e, bindings, prec)
         if ball.rel_accuracy_bits(value) >= cfg.target_bits:
             return AdaptiveResult(value, prec, True)
-        if prec >= cfg.max_prec:
-            return AdaptiveResult(value, prec, False)
-        prec = min(prec * 2, cfg.max_prec)
+    return AdaptiveResult(value, prec, False)
 
 
 def eval_correctly_rounded(e, bindings: dict, prec: int, rnd: Rounding,
@@ -364,12 +368,9 @@ def eval_correctly_rounded(e, bindings: dict, prec: int, rnd: Rounding,
     """
     if cfg is None:
         cfg = EvalConfig()
-    wp = max(cfg.start_prec, prec + 8)
-    while True:
+    for wp in _precisions(max(_START_PREC, prec + 8), cfg.max_prec):
         v = eval_ball(e, bindings, wp)
         if ball.can_round(v, prec, rnd):
             r, _ = bf.round_to(v.mid, prec, rnd)
             return r
-        if wp >= cfg.max_prec:
-            raise UnconvergedError("possible exact/near-exact case")
-        wp = min(wp * 2, cfg.max_prec)
+    raise UnconvergedError("possible exact/near-exact case")

@@ -6,6 +6,9 @@ Every operation rounds upward: results are always >= the exact value and at
 most a factor ``1 + 2**-28`` above it (a couple of ulps of the 30-bit
 mantissa).  There is no NaN; bounds are nonnegative by construction and
 ``+inf`` absorbs.
+
+``dot_upper`` is the one exact upward product-sum; ``mul``, ``addmul`` and
+the radius of every ball product and dot product go through it.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "add",
     "mul",
     "addmul",
+    "dot_upper",
     "compare",
     "from_bigfloat_upper",
     "to_bigfloat",
@@ -175,35 +179,44 @@ def add(x: Magnitude, y: Magnitude) -> Magnitude:
 
 
 def mul(x: Magnitude, y: Magnitude) -> Magnitude:
-    if x.kind != _REGULAR or y.kind != _REGULAR:
-        if x.kind == _ZERO or y.kind == _ZERO:
-            return ZERO
-        return INF
-    return _norm_up(x.man * y.man, x.exp + y.exp - 2 * _MBITS)
+    return dot_upper([(x, y)])
 
 
 def addmul(z: Magnitude, x: Magnitude, y: Magnitude) -> Magnitude:
     """Upper bound of z + x*y with a single rounding of the combined sum."""
-    if x.kind != _REGULAR or y.kind != _REGULAR:
-        if x.kind == _POS_INF or y.kind == _POS_INF:
+    return dot_upper([(z, ONE), (x, y)])
+
+
+def dot_upper(pairs) -> Magnitude:
+    """The least magnitude >= sum x*y over the (x, y) pairs: the exact sum,
+    rounded up once.  A zero factor adds nothing (0 * inf too); any other
+    infinite factor gives INF.
+    """
+    terms = []
+    for x, y in pairs:
+        if x.kind != _REGULAR or y.kind != _REGULAR:
             if x.kind == _ZERO or y.kind == _ZERO:
-                return INF if z.kind == _POS_INF else z  # 0 * inf bounds nothing extra
+                continue
             return INF
-        return z
-    if z.kind == _ZERO:
-        return mul(x, y)
-    if z.kind == _POS_INF:
-        return INF
-    p = x.man * y.man
-    lp = x.exp + y.exp - 2 * _MBITS  # value p * 2**lp
-    lz = z.exp - _MBITS
-    top_p = lp + p.bit_length()
-    if top_p < lz - 2 * _MBITS:
-        return _norm_up((z.man << 1) | 1, lz - 1)  # x*y below one ulp of z
-    if z.exp < top_p - 3 * _MBITS:
-        return _norm_up(p + 1, lp)  # z below one ulp of the product
-    l = lp if lp < lz else lz
-    return _norm_up((p << (lp - l)) + (z.man << (lz - l)), l)
+        terms.append((x.exp + y.exp, x.man * y.man))  # value in [2^(e-2), 2^e)
+    if not terms:
+        return ZERO
+    top = max(terms)[0]
+    pos = top - 2 * _MBITS - 6  # far below the sum's last kept bit, >= 2^(top-31)
+    far = pos - len(terms).bit_length()  # terms below 2^far total < 2^pos
+    s, lo, sticky = 0, top, False
+    for e, p in terms:
+        if e <= far:
+            sticky = True
+        elif e < lo:
+            s, lo = (s << (lo - e)) + p, e
+        else:
+            s += p << (e - lo)
+    lo -= 2 * _MBITS  # the near terms sum to s * 2^lo exactly
+    if sticky:  # the least magnitude above s 2^lo also bounds the far terms
+        pos = min(pos, lo)
+        s, lo = (s << (lo - pos + 1)) | 1, pos - 1
+    return _norm_up(s, lo)
 
 
 def compare(x: Magnitude, y: Magnitude) -> int:

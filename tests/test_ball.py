@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from conftest import (ALL_MODES, ball_bounds, contains_fraction, mpf_fraction, rand_ball,
-                      sample_in_ball)
+                      round_fraction_oracle, sample_in_ball)
 from midrad import ball, bigfloat as bf, elementary as el, magnitude as mag
 from midrad.ball import Ball
 from midrad.bigfloat import BigFloat, Rounding
@@ -108,6 +108,92 @@ class TestFma:
             r = ball.fma(z, x, y, rng.choice([16, 32, 53]))
             pt = sample_in_ball(z, rng) + sample_in_ball(x, rng) * sample_in_ball(y, rng)
             assert contains_fraction(r, pt)
+
+
+class TestDot:
+    """initial + sum x*y: the midpoint rounded once, the radius bounded once."""
+
+    @staticmethod
+    def rand_terms(rng):
+        n = rng.randrange(1, 20)
+        xs = [rand_ball(rng, 80, 30, 0.6) for _ in range(n)]
+        ys = [rand_ball(rng, 80, 30, 0.6) for _ in range(n)]
+        return xs, ys, rng.choice([None, rand_ball(rng, 80, 30, 0.6)])
+
+    def test_midpoint_is_the_rounded_exact_sum(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            xs, ys, z = self.rand_terms(rng)
+            prec = rng.choice([2, 10, 53, 200])
+            d = ball.dot(xs, ys, prec, z)
+            exact = sum((x.mid.to_fraction() * y.mid.to_fraction() for x, y in zip(xs, ys)),
+                        z.mid.to_fraction() if z else Fraction(0))
+            assert d.mid.to_fraction() == round_fraction_oracle(exact, prec, Rounding.NEAREST_EVEN)
+            # the propagated error, from 30-bit upper bounds of the |midpoints|,
+            # is rounded up once; an inexact midpoint adds its ulp after that
+            up = lambda m: round_fraction_oracle(abs(m.to_fraction()), 30, Rounding.UP)
+            err = sum((up(x.mid) * y.rad.to_fraction() + up(y.mid) * x.rad.to_fraction()
+                       + x.rad.to_fraction() * y.rad.to_fraction() for x, y in zip(xs, ys)),
+                      z.rad.to_fraction() if z else Fraction(0))
+            if d.mid.to_fraction() == exact:
+                assert d.rad.to_fraction() == round_fraction_oracle(err, 30, Rounding.UP)
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            ball.dot([B(1), B(2)], [B(3)], 53)
+
+    def test_sampled_points_contained(self):
+        rng = random.Random(72)
+        for _ in range(200):
+            xs, ys, z = self.rand_terms(rng)
+            d = ball.dot(xs, ys, rng.choice([10, 53]), z)
+            for _ in range(3):
+                pt = sum((sample_in_ball(x, rng) * sample_in_ball(y, rng) for x, y in zip(xs, ys)),
+                         sample_in_ball(z, rng) if z else Fraction(0))
+                assert contains_fraction(d, pt)
+
+    # x*y and x*y + 3*[1 +/- 1] over these balls, as mul_schoolbook gave them
+    # when it folded its radii with addmul
+    SPECIALS = [ball.indeterminate(), Ball(bf.POS_INF), Ball(bf.NEG_INF), ball.whole_line(),
+                Ball(bf.ONE, mag.INF), Ball(bf.ZERO), B(3), Ball(bf.ONE, mag.ONE)]
+    ONE_TERM = """
+        nan nan nan nan nan nan nan nan
+        nan inf;0 -inf;0 nan inf;inf nan inf;0 inf;inf
+        nan -inf;0 inf;0 nan -inf;inf nan -inf;0 -inf;inf
+        nan nan nan 0;inf 0;inf 0;0 0;inf 0;inf
+        nan inf;inf -inf;inf 0;inf 1;inf 0;0 3;inf 1;inf
+        nan nan nan 0;0 0;0 0;0 0;0 0;0
+        nan inf;0 -inf;0 0;inf 3;inf 0;0 9;0 3;3
+        nan inf;inf -inf;inf 0;inf 1;inf 0;0 3;3 1;3"""
+    TWO_TERMS = """
+        nan nan nan nan nan nan nan nan
+        nan inf;3 -inf;3 nan inf;inf nan inf;3 inf;inf
+        nan -inf;3 inf;3 nan -inf;inf nan -inf;3 -inf;inf
+        nan nan nan 3;inf 3;inf 3;3 3;inf 3;inf
+        nan inf;inf -inf;inf 3;inf 4;inf 3;3 6;inf 4;inf
+        nan nan nan 3;3 3;3 3;3 3;3 3;3
+        nan inf;3 -inf;3 3;inf 6;inf 3;3 12;3 6;6
+        nan inf;inf -inf;inf 3;inf 4;inf 3;3 6;6 4;6"""
+
+    @staticmethod
+    def expected(table):
+        def ball_of(cell):
+            if cell == "nan":
+                return ball.indeterminate()
+            m, r = cell.split(";")
+            mid = {"inf": bf.POS_INF, "-inf": bf.NEG_INF}.get(m) or BigFloat.from_int(int(m))
+            return Ball(mid, mag.INF if r == "inf" else mag.from_int_upper(int(r)))
+        return [[ball_of(c) for c in row.split()] for row in table.strip().splitlines()]
+
+    def test_nan_and_infinite_inputs(self):
+        s, three, wide = self.SPECIALS, B(3), Ball(bf.ONE, mag.ONE)
+        initial = B(3, mag.from_int_upper(3))  # 3 * [1 +/- 1]
+        one, two = self.expected(self.ONE_TERM), self.expected(self.TWO_TERMS)
+        for i, x in enumerate(s):
+            for j, y in enumerate(s):
+                assert ball.dot([x], [y], 53) == ball.mul(x, y, 53) == one[i][j], (i, j)
+                assert ball.dot([x, three], [y, wide], 53) == two[i][j], (i, j)
+                assert ball.dot([x], [y], 53, initial) == two[i][j], (i, j)
 
 
 class TestDivSqrt:

@@ -240,7 +240,7 @@ class TestBlockRadius:
 
     def test_figure_product_makes_no_addmul_calls(self, monkeypatch):
         # the radii of the n = 1000 figure-regime product need no O(n^2)
-        # magnitude arithmetic
+        # magnitude arithmetic: neither addmul nor the product-sum under it
         n, prec = 1000, 333
         fact = 1
         cs = [Ball.from_int(1)]
@@ -249,10 +249,13 @@ class TestBlockRadius:
             cs.append(ball.div(Ball.from_int(1), Ball.from_int(fact), prec))
         f = BallPoly(cs)
         calls = []
-        addmul = mag.addmul
-        monkeypatch.setattr(mag, "addmul", lambda *a: calls.append(1) or addmul(*a))
+        for name in ("addmul", "dot_upper"):
+            fn = getattr(mag, name)
+            monkeypatch.setattr(mag, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
         bp.mul_block(f, f, prec)
         assert not calls
+        bp.mul_schoolbook(BallPoly(cs[2:5]), BallPoly(cs[2:5]), prec)
+        assert calls  # the spies do see the schoolbook's radii
 
 class TestMullow:
     def test_zero_length(self):

@@ -209,28 +209,6 @@ class TestVectorSum:
             exact = sum((F(x) for x in xs), Fraction(0))
             assert F(got) == round_fraction_oracle(exact, 53, rnd) and inexact
 
-class TestComplexMul:
-    def test_small(self):
-        e, f, ie, if_ = bf.complex_mul(*map(BigFloat.from_int, (1, 2, 3, 4)), 53, NE)
-        assert F(e) == -5 and F(f) == 10 and not ie and not if_
-
-    def test_norm(self):
-        e, f, ie, if_ = bf.complex_mul(*map(BigFloat.from_int, (3, 4, 3, -4)), 53, NE)
-        assert F(e) == 25 and f.is_zero() and not ie and not if_
-
-    def test_oracle_low_precision(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            a, b, c, d = (BigFloat.from_man_exp(rng.randrange(1, 1 << 24) * rng.choice([1, -1]),
-                                                rng.randrange(-12, 12)) for _ in range(4))
-            e, f, ie, if_ = bf.complex_mul(a, b, c, d, 8, NE)
-            ee = F(a) * F(c) - F(b) * F(d)
-            ff = F(a) * F(d) + F(b) * F(c)
-            assert F(e) == round_fraction_oracle(ee, 8, NE) if ee else e.is_zero()
-            assert F(f) == round_fraction_oracle(ff, 8, NE) if ff else f.is_zero()
-            assert ie == (F(e) != ee) and if_ == (F(f) != ff)
-
-
 class TestCompare:
     def test_exact_across_lengths(self):
         a = BigFloat.from_man_exp(1, 100)

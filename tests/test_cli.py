@@ -53,7 +53,7 @@ class TestEval:
         assert code == 2 and "unconverged" in err
         head, _, exponent = out.strip().partition("[+/- 1.00e")
         assert not head and exponent.endswith("]")
-        assert int(exponent[:-1]) >= 400000000  # [+/- 10^K] holds 10^400000000
+        assert 400000000 <= int(exponent[:-1]) <= 400000005  # [+/- 10^K] holds 10^400000000
 
     def test_parse_error_exit_1(self, capsys):
         code, _, err = run(capsys, "eval", "sin(")
@@ -70,6 +70,17 @@ class TestEval:
     def test_bad_binding_exit_1(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--var", "x")
         assert code == 1
+
+
+class TestPrecisionOptions:
+    def test_start_prec_is_gone(self, capsys):
+        for cmd in ("eval", "round"):
+            assert run(capsys, cmd, "pi", "--start-prec", "64")[0] == 1
+
+    def test_max_prec_below_the_start_exit_1(self, capsys):
+        for cmd in ("eval", "round"):
+            code, _, err = run(capsys, cmd, "pi", "--max-prec", "32")
+            assert code == 1 and err.startswith("error:")
 
 
 class TestRound:

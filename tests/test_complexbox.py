@@ -4,17 +4,54 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import ball_bounds, contains_fraction, mpf_fraction, sample_in_ball
+from conftest import (ball_bounds, contains_fraction, mpf_fraction, round_fraction_oracle,
+                      sample_in_ball)
 from midrad import ball, bigfloat as bf, complexbox as cb, decimal_io as dio
 from midrad import elementary as el, magnitude as mag
 from midrad.ball import Ball
-from midrad.bigfloat import BigFloat
+from midrad.bigfloat import BigFloat, Rounding
 from midrad.complexbox import ComplexBox
 
 
 def box_contains(box: ComplexBox, z) -> bool:
     return (contains_fraction(box.re, mpf_fraction(z.real))
             and contains_fraction(box.im, mpf_fraction(z.imag)))
+
+
+class TestComplexMul:
+    """With exact inputs each part of a product is rounded exactly once: it is
+    the correctly rounded value, exact iff its radius is 0, and otherwise
+    carries one ulp of radius."""
+
+    @staticmethod
+    def check_part(part: Ball, exact: Fraction, prec: int):
+        f = part.mid.to_fraction()
+        assert f == round_fraction_oracle(exact, prec, Rounding.NEAREST_EVEN)
+        assert part.rad.is_zero() == (f == exact)
+        if f != exact:
+            assert part.rad == mag.pow2(part.mid.exp - prec)
+
+    def test_small(self):
+        z = cb.mul(ComplexBox.from_int(1, 2), ComplexBox.from_int(3, 4), 53)
+        assert z.re.mid.to_fraction() == -5 and z.im.mid.to_fraction() == 10 and z.is_exact()
+
+    def test_norm(self):
+        z = cb.mul(ComplexBox.from_int(3, 4), ComplexBox.from_int(3, -4), 53)
+        assert z.re.mid.to_fraction() == 25 and z.im.mid.is_zero() and z.is_exact()
+
+    def test_oracle_low_precision(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            a, b, c, d = (BigFloat.from_man_exp(rng.randrange(1, 1 << 24) * rng.choice([1, -1]),
+                                                rng.randrange(-12, 12)) for _ in range(4))
+            fa, fb, fc, fd = (t.to_fraction() for t in (a, b, c, d))
+            z = cb.mul(ComplexBox(Ball(a), Ball(b)), ComplexBox(Ball(c), Ball(d)), 8)
+            self.check_part(z.re, fa * fc - fb * fd, 8)
+            self.check_part(z.im, fa * fd + fb * fc, 8)
+            w = ComplexBox(Ball(b), Ball(c))
+            z = cb.fma(w, ComplexBox(Ball(a), Ball(b)), ComplexBox(Ball(c), Ball(d)), 8)
+            self.check_part(z.re, fb + fa * fc - fb * fd, 8)
+            self.check_part(z.im, fc + fa * fd + fb * fc, 8)
 
 
 class TestArithmetic:

@@ -106,6 +106,30 @@ class TestFormatting:
                 assert len(head.replace(".", "")) == 3, s
 
 
+class TestCrudeBounds:
+    """The crude powers used beyond the caps bound the value, and exceed the
+    least bound by at most 1 plus what the 10-digit logarithm brackets lose
+    (|e| 10^-10 decades or |e10| 10^-9 bits); checked against 50-digit
+    logarithms, without building any 10^k."""
+
+    EXPONENTS = ([s * e for e in (1, 2, 3, 9, 10, 99, 1000, 12345, 10 ** 6, 3 * 10 ** 6 + 1,
+                                  4 * 10 ** 8, 1328771240, 10 ** 9 + 7, 10 ** 10) for s in (1, -1)]
+                 + random.Random(31).sample(range(-10 ** 10, 10 ** 10), 200))
+
+    def test_pow10_upper(self):
+        with mpmath.workdps(50):
+            for e in self.EXPONENTS:
+                k, t = dio._pow10_upper(e), e * mpmath.log10(2)  # 2^e = 10^t
+                assert t <= k <= t + 1 + abs(e) * mpmath.mpf(10) ** -10, e
+
+    def test_crude_pow2_upper_exp(self):
+        with mpmath.workdps(50):
+            for e10 in self.EXPONENTS:
+                for bits in (1, 7, 64):
+                    b, t = dio._crude_pow2_upper_exp(bits, e10), e10 * mpmath.log(10, 2)
+                    assert bits + t <= b <= bits + t + 1 + abs(e10) * mpmath.mpf(10) ** -9, (bits, e10)
+
+
 class TestContract:
     def test_midpoint_within_one_ulp_and_contained(self):
         rng = random.Random(77)

@@ -188,6 +188,39 @@ class TestCorrectRounding:
         assert v.to_fraction() == 2
 
 
+class TestPrecisionSchedule:
+    """Both adaptive loops start at 64 bits (or prec + 8) and double up to the cap."""
+
+    @staticmethod
+    def precisions(monkeypatch, run):
+        seen = []
+        eval_ball = ev.eval_ball
+        monkeypatch.setattr(ev, "eval_ball", lambda e, b, p: seen.append(p) or eval_ball(e, b, p))
+        try:
+            run()
+        except ev.UnconvergedError:
+            pass
+        # eval_ball recurses through the same name: one run per precision
+        return [p for i, p in enumerate(seen) if not i or seen[i - 1] != p]
+
+    def test_both_loops(self, monkeypatch):
+        e = ev.parse_expr("log(2) + log(3) - log(6)")  # never certifies
+        assert self.precisions(monkeypatch, lambda: ev.eval_adaptive(
+            e, {}, ev.EvalConfig(target_bits=53, max_prec=1000))) == [64, 128, 256, 512, 1000]
+        assert self.precisions(monkeypatch, lambda: ev.eval_correctly_rounded(
+            e, {}, 100, Rounding.NEAREST_EVEN, ev.EvalConfig(max_prec=900))) == [108, 216, 432, 864, 900]
+        assert self.precisions(monkeypatch, lambda: ev.eval_correctly_rounded(
+            e, {}, 100, Rounding.NEAREST_EVEN, ev.EvalConfig(max_prec=64))) == [108]
+        assert self.precisions(monkeypatch, lambda: ev.eval_adaptive(
+            ev.parse_expr("exp(1)"), {}, ev.EvalConfig(max_prec=64))) == [64]
+
+    def test_start_is_not_configurable(self):
+        with pytest.raises(TypeError):
+            ev.EvalConfig(start_prec=128)
+        with pytest.raises(ValueError):
+            ev.EvalConfig(max_prec=63)  # below the first precision
+
+
 class TestDeterminism:
     def test_identical_invocations(self):
         e = ev.parse_expr("exp(atan(1) * 4)")

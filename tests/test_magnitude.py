@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_magnitude
+from conftest import rand_magnitude, round_fraction_oracle
 from midrad import bigfloat as bf
 from midrad import magnitude as mag
-from midrad.bigfloat import BigFloat
+from midrad.bigfloat import BigFloat, Rounding
 
 TIGHT = 1 + Fraction(1, 2 ** 28)
 
@@ -76,6 +76,74 @@ class TestCarry:
         for bits in (31, 32, 90):  # 2^bits - 1 rounds up to exactly 2^bits
             y = BigFloat.from_man_exp(-((1 << bits) - 1), e - bits)
             assert mag.from_bigfloat_upper(y) == mag.pow2(e)
+
+
+class TestDotUpper:
+    """dot_upper is the least magnitude >= the exact sum of the products."""
+
+    TOP = (1 << 30) - 1
+
+    @staticmethod
+    def check(pairs):
+        exact = sum((F(x) * F(y) for x, y in pairs if not (x.is_zero() or y.is_zero())),
+                    Fraction(0))
+        # magnitudes are the 30-bit floats, so this is the least one >= exact
+        assert F(mag.dot_upper(pairs)) == round_fraction_oracle(exact, 30, Rounding.UP)
+
+    def test_one_pair_and_mul(self):
+        rng = random.Random(21)
+        for _ in range(500):
+            x, y = rand_magnitude(rng), rand_magnitude(rng)
+            self.check([(x, y)])
+            assert F(mag.mul(x, y)) == round_fraction_oracle(F(x) * F(y), 30, Rounding.UP)
+
+    def test_many_pairs(self):
+        rng = random.Random(22)
+        for n in (2, 3, 17, 500):
+            self.check([(rand_magnitude(rng), rand_magnitude(rng)) for _ in range(n)])
+
+    def test_zeros_and_infinities(self):
+        x, y = mag.from_int_upper(3), mag.from_int_upper(5)
+        assert mag.dot_upper([]).is_zero()
+        assert mag.dot_upper([(mag.ZERO, x), (y, mag.ZERO)]).is_zero()
+        # 0 * inf adds nothing; inf times anything else is inf
+        assert mag.dot_upper([(mag.ZERO, mag.INF), (x, y), (mag.INF, mag.ZERO)]) == mag.mul(x, y)
+        assert mag.dot_upper([(x, y), (mag.INF, x)]).is_inf()
+        assert mag.dot_upper([(mag.INF, mag.INF)]).is_inf()
+
+    @pytest.mark.parametrize("e", [-100, 0, 77])
+    def test_top_mantissas_carry(self, e):
+        t = mag.from_man_exp_upper(self.TOP, e - 30)  # just below 2^e
+        tiny = mag.pow2(e - 200)
+        for pairs in ([(t, t)], [(t, t), (t, t)], [(t, mag.ONE), (tiny, tiny)],
+                      [(t, t)] * 7 + [(tiny, t)], [(t, mag.pow2(-k)) for k in range(40)]):
+            self.check(pairs)
+        # one ulp below the next binade, bumped by a far term: exactly 2^e
+        assert mag.dot_upper([(t, mag.ONE), (tiny, mag.ONE)]) == mag.pow2(e)
+
+    def test_terms_far_apart(self):
+        rng = random.Random(23)
+        near = [(rand_magnitude(rng, 30), rand_magnitude(rng, 30)) for _ in range(8)]
+        big = (mag.from_man_exp_upper(self.TOP, 10 ** 4), mag.ONE)
+        small = (mag.pow2(-10 ** 4), mag.from_man_exp_upper(self.TOP, -30))
+        for pairs in ([big] + near, near + [big], near + [small], [small] + near,
+                      [small, big], [big, small], [small] * 499 + near[:1],
+                      [big] + [small] * 499, [small, big, small] + near):
+            self.check(pairs)
+            self.check(pairs[::-1])
+        # 500 scattered terms, some 10^4 bits apart
+        pairs = [(mag.from_man_exp_upper(rng.getrandbits(30) | 1 << 29,
+                                         rng.choice((-10 ** 4, -60, 0, 60, 10 ** 4))
+                                         + rng.randrange(-40, 40)),
+                  rand_magnitude(rng, 30)) for _ in range(500)]
+        self.check(pairs)
+
+    def test_addmul_is_a_two_term_dot(self):
+        rng = random.Random(24)
+        for _ in range(500):
+            x, y, z = (rand_magnitude(rng) for _ in range(3))
+            assert mag.addmul(z, x, y) == mag.dot_upper([(z, mag.ONE), (x, y)])
+            self.check([(z, mag.ONE), (x, y)])
 
 
 class TestConversions:

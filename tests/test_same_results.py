@@ -39,3 +39,42 @@ def test_digest_is_deterministic():
     assert out.strip() == here
     # the digest does see the results: another seed gives another one
     assert tool.digest([tool._magnitude], seed=2) != tool.digest([tool._magnitude])
+
+
+def test_compare_counts_each_class(tmp_path):
+    old = ["ball (3*2^0; 1*2^-10)",
+           "ball (3*2^0; 1*2^-10)",
+           "ball (3*2^0; 1*2^-10)",
+           "ball (3*2^0; 1*2^-10)",
+           "ball ((1*2^0; 0), (5*2^3; 7*2^-3))",
+           "ball (nan; inf)",
+           "complex '([1.5 +/- 2.00e-5]; [+/- 3.00e400000247])'",
+           "complex '([1.5 +/- 2.00e-5]; [+/- 3.00e400000247])'",
+           "decimal '0.1'",
+           "expreval True",
+           "sha256 0123"]
+    new = ["ball (3*2^0; 1*2^-10)",               # identical
+           "ball (3*2^0; 1*2^-11)",               # narrower
+           "ball (3*2^0; 3*2^-11)",               # wider
+           "ball (5*2^0; 1*2^-10)",               # midpoint changed
+           "ball ((1*2^0; 0), (5*2^3; 13*2^-4))",  # narrower: 13/16 < 7/8
+           "ball (0; inf)",                       # midpoint changed
+           "complex '([1.5 +/- 1.99e-5]; [+/- 1.00e400000003])'",  # narrower
+           "complex '([1.5 +/- 2.00e-5]; [+/- 3.01e400000247])'",  # wider
+           "decimal '0.2'",                       # changed
+           "expreval True",                       # identical
+           "expreval False",                      # only on one side: changed
+           "sha256 4567"]
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("\n".join(old) + "\n")
+    b.write_text("\n".join(new) + "\n")
+    proc = subprocess.run([sys.executable, str(TOOL), "--compare", str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()}
+    assert rows["section"] == ["identical", "narrower", "wider", "changed"]
+    assert rows["ball"] == ["1", "2", "1", "2"]
+    assert rows["complex"] == ["0", "1", "1", "0"]
+    assert rows["decimal"] == ["0", "0", "0", "1"]
+    assert rows["expreval"] == ["1", "0", "0", "1"]
+    assert "sha256" not in rows

@@ -1,6 +1,7 @@
 """Print the exact results of a fixed-seed suite over every midrad layer.
 
 Usage: python tools/same_results.py SRC_DIR
+       python tools/same_results.py --compare A.txt B.txt
 
 SRC_DIR is the directory that holds the ``midrad`` package (``src`` in a
 checkout).  Each line is one result in exact text (``M*2^E`` midpoints and
@@ -9,13 +10,20 @@ last line is the SHA-256 of all the others.  Running it on two checkouts and
 comparing the outputs (or just the hashes) shows whether a change kept every
 result bit-identical.  It calls only public functions, none of them new, so
 it runs on older checkouts too.
+
+``--compare`` reads two such outputs and prints, per section, how many
+results are identical, keep their midpoints with a narrower or a wider
+radius, or changed otherwise (a midpoint, a printed digit, an answer).  It
+parses only the text, so it compares outputs of any checkout.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import re
 import sys
+from decimal import Decimal
 
 
 def _rand_bigfloat(rng, BigFloat, max_bits=64, exp_range=60):
@@ -236,9 +244,67 @@ def digest(sections=SECTIONS, seed: int = 1611, echo=None) -> str:
     return h.hexdigest()
 
 
+# (mid; rad) in exact text, and [mid +/- rad] printed in decimal
+_BALL = re.compile(r"\(([^()\[\];]+); ([^()\[\];]+)\)|\[([^\[\]]*?) ?\+/- ([^\[\]]+)\]")
+CLASSES = ("identical", "narrower", "wider", "changed")
+
+
+def _rad_key(text: str) -> tuple:
+    """A sort key with the order of the radius values, exact and cheap for
+    any exponent: M*2^E, 0 and inf, or a decimal such as 1.23e-5."""
+    if text in ("0", "inf"):
+        return (text == "inf") * 2,
+    if "*2^" not in text:
+        return 1, Decimal(text)
+    m, _, e = text.partition("*2^")
+    m = int(m)
+    return 1, int(e) + m.bit_length(), m << (64 - m.bit_length())
+
+
+def classify(a: str, b: str) -> str:
+    """One of CLASSES for the same result in two outputs: narrower or wider
+    when only radii differ (wider if any radius grew), changed otherwise."""
+    if a == b:
+        return "identical"
+    balls_a, balls_b = _BALL.findall(a), _BALL.findall(b)
+    if (not balls_a or _BALL.sub("", a) != _BALL.sub("", b) or len(balls_a) != len(balls_b)
+            or any(x[0::2] != y[0::2] for x, y in zip(balls_a, balls_b))):
+        return "changed"
+    keys = [(_rad_key(x[1] or x[3]), _rad_key(y[1] or y[3])) for x, y in zip(balls_a, balls_b)]
+    return "wider" if any(kb > ka for ka, kb in keys) else "narrower"
+
+
+def compare(lines_a, lines_b) -> dict:
+    """{section: {class: count}}, pairing the results of a section in order;
+    a result present on one side only counts as changed."""
+    def by_section(lines):
+        out = {}
+        for line in lines:
+            section, _, text = line.rstrip("\n").partition(" ")
+            if section != "sha256":
+                out.setdefault(section, []).append(text)
+        return out
+    sa, sb = by_section(lines_a), by_section(lines_b)
+    counts = {}
+    for section in list(sa) + [s for s in sb if s not in sa]:
+        ra, rb = sa.get(section, []), sb.get(section, [])
+        c = counts[section] = dict.fromkeys(CLASSES, 0)
+        for x, y in zip(ra, rb):
+            c[classify(x, y)] += 1
+        c["changed"] += abs(len(ra) - len(rb))
+    return counts
+
+
 def main(argv) -> int:
+    if len(argv) == 4 and argv[1] == "--compare":
+        with open(argv[2]) as fa, open(argv[3]) as fb:
+            counts = compare(fa, fb)
+        print(f"{'section':<12}" + "".join(f"{c:>11}" for c in CLASSES))
+        for section, c in counts.items():
+            print(f"{section:<12}" + "".join(f"{c[k]:>11}" for k in CLASSES))
+        return 0
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 1
     sys.path.insert(0, argv[1])
     sys.set_int_max_str_digits(0)
