@@ -180,9 +180,7 @@ def _rad_pairs(x: Ball, y: Ball) -> list:
 
 
 def mul(x: Ball, y: Ball, prec: int) -> Ball:
-    pairs = _rad_pairs(x, y)
-    rad = mag.dot_upper(pairs) if pairs else mag.ZERO
-    return rounded(bf.mul(x.mid, y.mid, prec, _NE), rad, prec)
+    return rounded(bf.mul(x.mid, y.mid, prec, _NE), mag.dot_upper(_rad_pairs(x, y)), prec)
 
 
 def dot(xs, ys, prec: int, initial: Ball | None = None) -> Ball:
@@ -192,8 +190,7 @@ def dot(xs, ys, prec: int, initial: Ball | None = None) -> Ball:
     mids, pairs = [], []
     for x, y in zip(xs, ys, strict=True):
         mids.append(bf.mul_exact(x.mid, y.mid))
-        if not (x.rad.is_zero() and y.rad.is_zero()):
-            pairs += _rad_pairs(x, y)
+        pairs += _rad_pairs(x, y)
     return rounded(bf.vector_sum(mids, prec, _NE), mag.dot_upper(pairs), prec)
 
 

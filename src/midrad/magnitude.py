@@ -198,25 +198,20 @@ def dot_upper(pairs) -> Magnitude:
             if x.kind == _ZERO or y.kind == _ZERO:
                 continue
             return INF
-        terms.append((x.exp + y.exp, x.man * y.man))  # value in [2^(e-2), 2^e)
+        terms.append((x.exp + y.exp, x.man * y.man))  # p * 2^(e-60) in [2^(e-2), 2^e)
     if not terms:
         return ZERO
-    top = max(terms)[0]
-    pos = top - 2 * _MBITS - 6  # far below the sum's last kept bit, >= 2^(top-31)
-    far = pos - len(terms).bit_length()  # terms below 2^far total < 2^pos
-    s, lo, sticky = 0, top, False
-    for e, p in terms:
-        if e <= far:
-            sticky = True
-        elif e < lo:
-            s, lo = (s << (lo - e)) + p, e
-        else:
-            s += p << (e - lo)
-    lo -= 2 * _MBITS  # the near terms sum to s * 2^lo exactly
-    if sticky:  # the least magnitude above s 2^lo also bounds the far terms
-        pos = min(pos, lo)
-        s, lo = (s << (lo - pos + 1)) | 1, pos - 1
-    return _norm_up(s, lo)
+    terms.sort(reverse=True)
+    n = len(terms)
+    lo, s = terms[0]  # the terms so far sum to s * 2^(lo-60) exactly
+    for i in range(1, n):
+        e, p = terms[i]
+        if e + (n - i).bit_length() <= lo - 2 * _MBITS:
+            # The rest total less than the sum's last bit, which lies far below
+            # its rounding point: one sticky bit rounds up the same way.
+            return _norm_up((s << 1) | 1, lo - 2 * _MBITS - 1)
+        s, lo = (s << (lo - e)) + p, e
+    return _norm_up(s, lo - 2 * _MBITS)
 
 
 def compare(x: Magnitude, y: Magnitude) -> int:

@@ -90,6 +90,19 @@ class TestMul:
             assert contains_fraction(p, pt)
 
 
+    def test_radius_sum_just_below_a_grid_point(self):
+        # |mx| ry + |my| rx lies just below a 30-bit grid point and rx ry,
+        # far below the rounding point, lifts the radius sum above it.
+        x = Ball(BigFloat.from_int(805306369), mag.from_man_exp_upper(805306367, -55))
+        y = Ball(BigFloat.from_int(1 << 60), mag.from_man_exp_upper(805306367, -49))
+        mx, rx = x.mid.to_fraction(), x.rad.to_fraction()
+        my, ry = y.mid.to_fraction(), y.rad.to_fraction()
+        p = ball.mul(x, y, 128)
+        assert p.mid.to_fraction() == mx * my
+        assert p.rad.to_fraction() >= mx * ry + my * rx + rx * ry
+        assert ball.contains_point(p, (mx + rx) * (my + ry))
+
+
 class TestFma:
     def test_exact(self):
         r = ball.fma(B(0), B(2), B(3), 53)

@@ -138,6 +138,28 @@ class TestDotUpper:
                   rand_magnitude(rng, 30)) for _ in range(500)]
         self.check(pairs)
 
+    def test_near_sum_just_below_a_grid_point(self):
+        # The first three terms sum to 2^98 + 2^69 - 2^9, 2^9 below the 30-bit
+        # grid point 2^98 + 2^69; the last term, far below the rounding point,
+        # still lifts the exact sum above it.
+        top = (1 << 30) - 1
+        pairs = [(mag.ONE, mag.pow2(98)), (mag.from_man_exp_upper(top, 39), mag.ONE),
+                 (mag.from_man_exp_upper(top, 9), mag.ONE), (mag.pow2(29), mag.ONE)]
+        for order in (pairs, pairs[::-1], pairs[2:] + pairs[:2]):
+            self.check(order)
+        assert mag.dot_upper(pairs) == mag.from_man_exp_upper((1 << 29) + 2, 69)
+
+    def test_small_terms_that_carry_only_together(self):
+        # The first two pairs sum to 2^60 - 1, one unit below a grid point; each
+        # of the last three is below half a unit, but together they pass it.
+        top = (1 << 30) - 1
+        half = (mag.from_man_exp_upper(top, -30), mag.from_man_exp_upper(top, -31))
+        pairs = [(mag.from_man_exp_upper(top, 0), mag.from_man_exp_upper((1 << 29) + 1, 0)),
+                 (mag.from_man_exp_upper(top, 29), mag.ONE)] + [half] * 3
+        self.check(pairs)
+        assert mag.dot_upper(pairs) == mag.from_man_exp_upper((1 << 29) + 1, 31)
+        assert mag.dot_upper(pairs[:3]) == mag.pow2(60)
+
     def test_addmul_is_a_two_term_dot(self):
         rng = random.Random(24)
         for _ in range(500):
