@@ -8,8 +8,8 @@ Submodules:
 - ``elementary`` exp, log, sin/cos, atan, pow, and cached constants
 - ``decimal_io`` guaranteed decimal printing/parsing of balls
 - ``complexbox`` rectangular complex intervals, principal branches
-- ``ballpoly``   interval polynomials; block multiplication of midpoints and
-                 radii over one exact integer convolution
+- ``ballpoly``   interval polynomials; every product is one dot of midpoints
+                 and radii over exact integer convolutions, rounded once
 - ``intpoly``    exact integer polynomial products (schoolbook, or Kronecker
                  substitution with a single big multiplication)
 - ``expreval``   expression parser and adaptive-precision evaluation

@@ -1,14 +1,15 @@
 """Dense polynomials with ball coefficients.
 
-``mul_schoolbook`` is one ``ball.dot`` per output coefficient: an exact sum
-of every pairwise product, rounded once, which is essentially the best
-bound a coefficient can get.  ``mul_block`` keeps that bound quality at
-high degree: it splits midpoints from radii, rescales x -> 2^c x so
-coefficient magnitudes vary slowly, cuts the scaled coefficients into
-blocks of bounded exponent spread, multiplies block pairs exactly over the
-integers (``intpoly.mul``), and rounds each output's exact sum once.  The midpoints and the radius
-polynomial |A| b + a (|B| + b) share this one exact convolution: midpoints
-round to nearest at the working precision, radius sums round up to a
+Every product is one ``dot``: the sum of products sum f_i g_i, each output
+coefficient an exact sum rounded once.  Short or non-finite input takes one
+``ball.dot`` per output coefficient, which is essentially the best bound a
+coefficient can get.  Otherwise ``dot`` keeps that bound quality at high
+degree: it splits midpoints from radii, rescales each product x -> 2^c x so
+coefficient magnitudes vary slowly, cuts the scaled coefficients into blocks
+of bounded exponent spread, multiplies block pairs exactly over the integers
+(``intpoly.mul``), and folds every product into one exact sum per output.
+Midpoints round to nearest at the working precision; the radius sum
+|A| b + a (|B| + b) over the pairs is one more such sum, rounded up to a
 30-bit magnitude.
 
 The scale c is a heuristic: slopes of the coefficient exponents are sampled
@@ -37,6 +38,7 @@ __all__ = [
     "mul",
     "mul_schoolbook",
     "mul_block",
+    "dot",
     "mullow",
     "mul_complex",
     "plan_blocks",
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 _NE = Rounding.NEAREST_EVEN
-_SCHOOLBOOK_DEGREE = 16   # strictly below this degree, mul_block delegates
+_SCHOOLBOOK_DEGREE = 16   # strictly below this degree, dot goes schoolbook
 _UP = Rounding.UP
 _RADIUS_SPAN = 128        # exponent spread of one radius block
 _FOLD_GAP = 64            # widest gap an exact output sum bridges
@@ -100,11 +102,13 @@ class BallPoly:
 
 @dataclass
 class BlockPlan:
-    """Scaling and per-input block boundaries for the exact midpoint stage."""
+    """Scaling, block boundaries and (man, lsb) terms of the exact midpoint stage."""
     scale: int
     blocks_f: list
     blocks_g: list
     height_cap: int
+    terms_f: list
+    terms_g: list
 
 
 def _zip_with(op, f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
@@ -122,30 +126,31 @@ def sub(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
 
 # -- schoolbook ------------------------------------------------------------------
 
-def mul_schoolbook(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
-    """One ball.dot per output coefficient."""
-    if not len(f) or not len(g):
-        return BallPoly([])
-    fc, gc = f.coeffs, g.coeffs
+def _pairs(fs: list, gs: list) -> tuple[list, int]:
+    """The nonempty (f, g) pairs and the length of their sum of products."""
+    pairs = [(f, g) for f, g in zip(fs, gs, strict=True) if len(f) and len(g)]
+    return pairs, max((len(f) + len(g) - 1 for f, g in pairs), default=0)
+
+
+def _dot_schoolbook(pairs: list, n: int, prec: int) -> BallPoly:
+    """One ball.dot per output coefficient, over the slices of every pair."""
     out = []
-    for k in range(len(fc) + len(gc) - 1):
-        lo, hi = max(0, k - len(gc) + 1), min(k, len(fc) - 1)
-        out.append(ball.dot(fc[lo:hi + 1], gc[k - hi:k - lo + 1][::-1], prec))
+    for k in range(n):
+        xs, ys = [], []
+        for f, g in pairs:
+            lo, hi = max(0, k - len(g) + 1), min(k, len(f) - 1)
+            xs += f[lo:hi + 1]
+            ys += g[k - hi:k - lo + 1][::-1]
+        out.append(ball.dot(xs, ys, prec))
     return BallPoly(out)
 
 
+def mul_schoolbook(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
+    """One ball.dot per output coefficient."""
+    return _dot_schoolbook(*_pairs([f], [g]), prec)
+
+
 # -- block plan --------------------------------------------------------------------
-
-def _round_ties_to_zero(x: Fraction) -> int:
-    fl = math.floor(x)
-    fr = x - fl
-    half = Fraction(1, 2)
-    if fr > half:
-        return fl + 1
-    if fr < half:
-        return fl
-    return fl if x > 0 else fl + 1
-
 
 def _slope_samples(p: BallPoly):
     idx = [i for i, c in enumerate(p.coeffs) if c.mid.is_regular()]
@@ -176,7 +181,8 @@ def _scale_heuristic(f: BallPoly, g: BallPoly) -> int:
         st = Fraction(sum(de for de, _ in tails), sum(di for _, di in tails))
         if abs(st) > abs(s):
             s = st
-    return -_round_ties_to_zero(s)
+    half = Fraction(1, 2)  # round s to the nearest int, ties toward zero
+    return -(math.ceil(s - half) if s > 0 else math.floor(s + half))
 
 
 def _mid_terms(mids: list) -> list:
@@ -217,8 +223,8 @@ def plan_blocks(f: BallPoly, g: BallPoly, prec: int) -> BlockPlan:
     """Choose the scaling c and greedy block boundaries (height <= 3*prec+512)."""
     cap = 3 * prec + 512
     c = _scale_heuristic(f, g)
-    return BlockPlan(c, _partition(_mid_terms([x.mid for x in f]), c, cap),
-                     _partition(_mid_terms([x.mid for x in g]), c, cap), cap)
+    tf, tg = _mid_terms([x.mid for x in f]), _mid_terms([x.mid for x in g])
+    return BlockPlan(c, _partition(tf, c, cap), _partition(tg, c, cap), cap, tf, tg)
 
 
 # -- exact block convolution -------------------------------------------------------------
@@ -230,88 +236,87 @@ def _block_ints(terms: list, c: int, start: int, end: int) -> tuple[list, int]:
             for i, (m, l) in enumerate(terms[start:end], start)], base
 
 
-def _conv_rounded(fterms: list, fblocks: list, gterms: list, gblocks: list,
-                  c: int, n: int, prec: int, rnd: int) -> list:
-    """(sum, inexact) for each k < n: sum_{i+j=k} f_i g_j rounded once to prec.
+def _conv_rounded(products: list, n: int, prec: int, rnd: int) -> list:
+    """(sum, inexact) for each k < n: the sum over the products of
+    sum_{i+j=k} f_i g_j, rounded once to prec.
 
-    The terms are (man, lsb) pairs and the blocks index runs over them; the
-    inputs are scaled by 2^(c*i).  Each block pair is one exact integer
-    product.  Its coefficients are folded into an exact (man, lsb) sum per
-    output as they are produced; one lying more than _FOLD_GAP bits away from
-    that sum is kept as a separate term instead, so that far-apart exponents
-    never widen an integer.  The exact total is then rounded once.
+    A product is (fterms, fblocks, gterms, gblocks, c): (man, lsb) terms,
+    index runs over them, and the scale 2^(c*i) of the blocks.  Each block
+    pair is one exact integer product.  Its coefficients are folded, at their
+    true exponents, into an exact (man, lsb) sum per output as they are
+    produced; one lying more than _FOLD_GAP bits away from that sum is kept
+    as a separate term instead, so that far-apart exponents never widen an
+    integer.  The exact total is then rounded once.
     """
     mans = [0] * n
     lsbs = [0] * n
     apart = {}
-    gints = [(s, *_block_ints(gterms, c, s, e)) for s, e in gblocks]
-    for sa, ea in fblocks:
-        fa, ba = _block_ints(fterms, c, sa, ea)
-        for sb, fb, bb in gints:
-            e = ba + bb
-            k = sa + sb
-            for v in intpoly.mul(fa, fb):
-                if v:
-                    m = mans[k]
-                    l = lsbs[k]
-                    if not m:
-                        mans[k], lsbs[k] = v, e
-                    elif e >= l:
-                        if e - l > abs(m).bit_length() + _FOLD_GAP:
+    for fterms, fblocks, gterms, gblocks, c in products:
+        gints = [(s, *_block_ints(gterms, c, s, e)) for s, e in gblocks]
+        for sa, ea in fblocks:
+            fa, ba = _block_ints(fterms, c, sa, ea)
+            for sb, fb, bb in gints:
+                k = sa + sb
+                e = ba + bb - c * k
+                for v in intpoly.mul(fa, fb):
+                    if v:
+                        m = mans[k]
+                        l = lsbs[k]
+                        if not m:
+                            mans[k], lsbs[k] = v, e
+                        elif e >= l:
+                            if e - l > abs(m).bit_length() + _FOLD_GAP:
+                                apart.setdefault(k, []).append((v, e))
+                            else:
+                                mans[k] = m + (v << (e - l))
+                        elif l - e > abs(v).bit_length() + _FOLD_GAP:
                             apart.setdefault(k, []).append((v, e))
                         else:
-                            mans[k] = m + (v << (e - l))
-                    elif l - e > abs(v).bit_length() + _FOLD_GAP:
-                        apart.setdefault(k, []).append((v, e))
-                    else:
-                        mans[k], lsbs[k] = (m << (l - e)) + v, e
-                k += 1
+                            mans[k], lsbs[k] = (m << (l - e)) + v, e
+                    k += 1
+                    e -= c
     out = []
     for k in range(n):
-        x = BigFloat.from_man_exp(mans[k], lsbs[k] - c * k)
+        x = BigFloat.from_man_exp(mans[k], lsbs[k])
         if k in apart:
-            xs = [x] + [BigFloat.from_man_exp(v, e - c * k) for v, e in apart[k]]
+            xs = [x] + [BigFloat.from_man_exp(v, e) for v, e in apart[k]]
             out.append(bf.vector_sum(xs, prec, rnd))
         else:
             out.append(bf.round_to(x, prec, rnd))
     return out
 
 
-def _conv_radius(x: list, y: list, c: int) -> list:
-    """Upper bounds of the convolution of finite magnitude lists x and y.
+# -- the polynomial dot product ------------------------------------------------------------
 
-    Each output is the exact sum rounded up once, so it is the smallest
-    magnitude above the true value.
-    """
-    n = len(x) + len(y) - 1
-    xt, yt = _mag_terms(x), _mag_terms(y)
-    xblocks, yblocks = _partition(xt, c, _RADIUS_SPAN), _partition(yt, c, _RADIUS_SPAN)
-    if not (xblocks and yblocks):
-        return [mag.ZERO] * n
-    sums = _conv_rounded(xt, xblocks, yt, yblocks, c, n, _MAG_BITS, _UP)
-    return [mag.from_bigfloat_upper(s) for s, _ in sums]
+def dot(fs: list, gs: list, prec: int) -> BallPoly:
+    """sum f_i g_i over two equally long lists of polynomials, each output
+    coefficient one exact sum: its midpoint is rounded to nearest once, its
+    radius up once.  A pair of degree below _SCHOOLBOOK_DEGREE, or a
+    coefficient that is not finite, makes it one ball.dot per coefficient."""
+    pairs, n = _pairs(fs, gs)
+    if any(min(len(f), len(g)) - 1 < _SCHOOLBOOK_DEGREE
+           or not all(x.is_finite() for x in f.coeffs + g.coeffs) for f, g in pairs):
+        return _dot_schoolbook(pairs, n, prec)
+    mids, rads = [], []
+    for f, g in pairs:
+        plan = plan_blocks(f, g, prec)
+        c = plan.scale
+        mids.append((plan.terms_f, plan.blocks_f, plan.terms_g, plan.blocks_g, c))
+        # radius polynomial |A| b + a (|B| + b) for f = A +/- a, g = B +/- b
+        for x, y in (([mag.from_bigfloat_upper(x.mid) for x in f], [x.rad for x in g]),
+                     ([x.rad for x in f], [ball.upper_mag(x) for x in g])):
+            xt, yt = _mag_terms(x), _mag_terms(y)
+            xb, yb = _partition(xt, c, _RADIUS_SPAN), _partition(yt, c, _RADIUS_SPAN)
+            if xb and yb:  # a zero radius product adds nothing
+                rads.append((xt, xb, yt, yb, c))
+    rads = ([mag.from_bigfloat_upper(r) for r, _ in _conv_rounded(rads, n, _MAG_BITS, _UP)]
+            if rads else [mag.ZERO] * n)
+    return BallPoly([ball.rounded(m, r, prec)
+                     for m, r in zip(_conv_rounded(mids, n, prec, _NE), rads)])
 
-
-# -- block multiplication ----------------------------------------------------------------
 
 def mul_block(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
-    if not len(f) or not len(g):
-        return BallPoly([])
-    if min(len(f), len(g)) - 1 < _SCHOOLBOOK_DEGREE:
-        return mul_schoolbook(f, g, prec)
-    if any(not (x.mid.is_regular() or x.mid.is_zero()) or x.rad.is_inf()
-           for x in f.coeffs + g.coeffs):
-        return mul_schoolbook(f, g, prec)
-    plan = plan_blocks(f, g, prec)
-    c = plan.scale
-    mids = _conv_rounded(_mid_terms([x.mid for x in f]), plan.blocks_f,
-                         _mid_terms([x.mid for x in g]), plan.blocks_g,
-                         c, len(f) + len(g) - 1, prec, _NE)
-    # radius polynomial |A| b + a (|B| + b) for f = A +/- a, g = B +/- b
-    rad1 = _conv_radius([mag.from_bigfloat_upper(x.mid) for x in f], [x.rad for x in g], c)
-    rad2 = _conv_radius([x.rad for x in f], [ball.upper_mag(x) for x in g], c)
-    return BallPoly([ball.rounded(m, mag.add(r1, r2), prec)
-                     for m, r1, r2 in zip(mids, rad1, rad2)])
+    return dot([f], [g], prec)
 
 
 def mul(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
@@ -322,18 +327,14 @@ def mullow(f: BallPoly, g: BallPoly, n: int, prec: int) -> BallPoly:
     """First n coefficients of f*g (truncated power-series product)."""
     if n < 0:
         raise ValueError("negative truncation length")
-    if n == 0 or not len(f) or not len(g):
-        return BallPoly([])
-    full = mul(f, g, prec)
-    return BallPoly(full.coeffs[:n])
+    return BallPoly(mul(f, g, prec).coeffs[:n])
 
 
 def mul_complex(fr: BallPoly, fi: BallPoly, gr: BallPoly, gi: BallPoly,
                 prec: int) -> tuple[BallPoly, BallPoly]:
-    """Complex polynomial product via four real block multiplications."""
-    hr = sub(mul(fr, gr, prec), mul(fi, gi, prec), prec)
-    hi = add(mul(fr, gi, prec), mul(fi, gr, prec), prec)
-    return hr, hi
+    """Complex polynomial product; each part is one dot, rounded once."""
+    neg_gi = BallPoly([ball.neg(x) for x in gi])
+    return dot([fr, fi], [gr, neg_gi], prec), dot([fr, fi], [gi, gr], prec)
 
 
 # -- evaluation, derivative, product trees -------------------------------------------------

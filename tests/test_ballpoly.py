@@ -184,39 +184,41 @@ def up30(q):
     return round_fraction_oracle(q, 30, Rounding.UP)
 
 
-class TestBlockRadius:
-    def test_radius_sums_round_up_once(self, monkeypatch):
-        # |A| b and a (|B| + b) are each the exact convolution rounded up once
-        calls = []
-        conv = bp._conv_radius
+def mag_of(q):
+    """The magnitude of a dyadic rational of at most 30 bits."""
+    return mag.from_man_exp_upper(q.numerator, 1 - q.denominator.bit_length())
 
-        def spy(x, y, c):
-            out = conv(x, y, c)
-            calls.append((x, y, out))
-            return out
-        monkeypatch.setattr(bp, "_conv_radius", spy)
+
+class TestBlockRadius:
+    def test_radius_sums_round_up_once(self):
+        # each radius is the exact sum |A| b + a (|B| + b) rounded up once,
+        # plus the midpoint's own rounding error
         rng = random.Random(41)
         for _ in range(25):
             f, g = wide_poly(rng, rng.randrange(17, 60)), wide_poly(rng, rng.randrange(17, 60))
-            del calls[:]
-            h = bp.mul_block(f, g, rng.choice([32, 64, 200]))
-            (x1, y1, rad1), (x2, y2, rad2) = calls
-            assert x1 == [mag.from_bigfloat_upper(c.mid) for c in f] and y1 == [c.rad for c in g]
-            assert x2 == [c.rad for c in f]
-            assert y2 == [mag.add(mag.from_bigfloat_upper(c.mid), c.rad) for c in g]
-            for x, y, out in calls:
-                exact = exact_conv([m.to_fraction() for m in x], [m.to_fraction() for m in y])
-                assert [r.to_fraction() for r in out] == [up30(q) for q in exact]
+            prec = rng.choice([32, 64, 200])
+            h = bp.mul_block(f, g, prec)
+            mids = exact_conv([c.mid.to_fraction() for c in f], [c.mid.to_fraction() for c in g])
+            rad1 = exact_conv([mag.from_bigfloat_upper(c.mid).to_fraction() for c in f],
+                              [c.rad.to_fraction() for c in g])
+            rad2 = exact_conv([c.rad.to_fraction() for c in f],
+                              [ball.upper_mag(c).to_fraction() for c in g])
             for k, c in enumerate(h):
-                assert c.rad.to_fraction() >= rad1[k].to_fraction() + rad2[k].to_fraction()
+                want = ball.rounded((c.mid, c.mid.to_fraction() != mids[k]),
+                                    mag_of(up30(rad1[k] + rad2[k])), prec)
+                assert c.rad == want.rad, k
 
     def test_far_apart_terms_still_round_up(self):
-        # the two terms of coefficient 1 are 1000 bits apart, in either order
+        # the two radius terms of coefficients 1..16 are 1000 bits apart, in
+        # either order, and their exact sum rounds up once
         one, tiny = mag.ONE, mag.pow2(-1000)
+        g = BallPoly.from_ints([1] * 17)
         for x in ([one, tiny], [tiny, one]):
-            out = bp._conv_radius(x, [one, one], 0)
-            assert out[1].to_fraction() == 1 + Fraction(1, 2 ** 29)
-            assert out[0] == x[0] and out[2] == x[1]
+            f = BallPoly([Ball(bf.ZERO, r) for r in x] + [Ball(bf.ZERO)] * 15)
+            h = bp.mul_block(f, g, 64)
+            assert all(c.mid.is_zero() for c in h)
+            assert [c.rad for c in h] == [x[0]] + [mag.add(one, tiny)] * 16 + [x[1]] + [mag.ZERO] * 15
+            assert h[1].rad.to_fraction() == 1 + Fraction(1, 2 ** 29)
 
     def test_midpoints_round_once_with_far_apart_terms(self):
         rng = random.Random(42)
@@ -357,6 +359,77 @@ class TestComplexPolyMul:
         for k in range(len(hr)):
             assert ball.contains_point(hr[k], re[k])
             assert ball.contains_point(hi[k], im[k])
+
+
+    @staticmethod
+    def exact_poly(rng, n):
+        return BallPoly([Ball(BigFloat.from_man_exp(rng.randrange(1, 1 << 24) * rng.choice([1, -1]),
+                                                    rng.randrange(-12, 12))) for _ in range(n)])
+
+    def test_parts_round_once(self):
+        # exact inputs: every part is the correctly rounded exact value, exact
+        # iff its radius is 0, and otherwise carries one rounding error
+        rng = random.Random(14)
+        for n, prec in [(1, 8)] * 50 + [(rng.randrange(17, 40), 53) for _ in range(10)]:
+            fr, fi, gr, gi = (self.exact_poly(rng, n) for _ in range(4))
+            a, b, c_, d = ([x.mid.to_fraction() for x in p] for p in (fr, fi, gr, gi))
+            re = [x - y for x, y in zip(exact_conv(a, c_), exact_conv(b, d))]
+            im = [x + y for x, y in zip(exact_conv(a, d), exact_conv(b, c_))]
+            for part, want in zip(bp.mul_complex(fr, fi, gr, gi, prec), (re, im)):
+                assert len(part) == len(want)
+                for x, q in zip(part, want):
+                    m = x.mid.to_fraction()
+                    assert m == round_fraction_oracle(q, prec, Rounding.NEAREST_EVEN)
+                    assert x.is_exact() == (m == q)
+                    if m != q:
+                        assert x.rad == mag.pow2(x.mid.exp - prec)
+
+
+class TestDot:
+    def test_non_finite_coefficients_match_ball_dot(self):
+        rng = random.Random(15)
+        for bad in (Ball(bf.NAN), Ball(bf.POS_INF), Ball(bf.ONE, mag.INF)):
+            fs = [rand_poly(rng, rng.randrange(17, 30)) for _ in range(3)]
+            gs = [rand_poly(rng, rng.randrange(17, 30)) for _ in range(3)]
+            fs[1].coeffs[rng.randrange(len(fs[1]))] = bad
+            h = bp.dot(fs, gs, 64)
+            for k, c in enumerate(h):
+                xs, ys = [], []
+                for f, g in zip(fs, gs):
+                    for i in range(len(f)):
+                        if 0 <= k - i < len(g):
+                            xs.append(f[i])
+                            ys.append(g[k - i])
+                assert c == ball.dot(xs, ys, 64), k
+
+    def test_sum_of_two_products(self):
+        rng = random.Random(16)
+        f1, g1, f2, g2 = (rand_poly(rng, rng.randrange(17, 40), rad=False) for _ in range(4))
+        h = bp.dot([f1, f2], [g1, g2], 64)
+        assert len(h) == max(len(f1) + len(g1), len(f2) + len(g2)) - 1
+        full = [Fraction(0)] * len(h)
+        for f, g in ((f1, g1), (f2, g2)):
+            for k, q in enumerate(exact_conv([c.mid.to_fraction() for c in f],
+                                             [c.mid.to_fraction() for c in g])):
+                full[k] += q
+        for c, q in zip(h, full):
+            assert c.mid.to_fraction() == round_fraction_oracle(q, 64, Rounding.NEAREST_EVEN)
+            assert contains_fraction(c, q)
+
+    def test_mismatched_lengths_raise(self):
+        f = BallPoly.from_ints([1, 2])
+        with pytest.raises(ValueError):
+            bp.dot([f, f], [f], 53)
+        with pytest.raises(ValueError):
+            bp.dot([], [f], 53)
+
+    def test_empty_polynomials(self):
+        rng = random.Random(17)
+        f, g = rand_poly(rng, 20), rand_poly(rng, 25)
+        empty = BallPoly([])
+        assert len(bp.dot([], [], 53)) == 0
+        assert len(bp.dot([empty, f], [g, empty], 53)) == 0
+        assert bp.dot([empty, f], [f, g], 53).coeffs == bp.mul_block(f, g, 53).coeffs
 
 
 class TestText:

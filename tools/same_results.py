@@ -157,6 +157,12 @@ def _poly(rng, m, out):
             out(*bp.mul_schoolbook(f, g, p).coeffs, *bp.add(f, g, p).coeffs,
                 *bp.sub(f, g, p).coeffs, bp.evaluate(f, _rand_ball(rng, m, 30, 2), p))
     out(*bp.product_tree([(m.Ball.from_int(-k), m.Ball.from_int(1)) for k in range(60)], 64).coeffs)
+    for i in range(40):  # last, so that every line above keeps its random draws
+        p = rng.choice((20, 53, 128))
+        fr, fi, gr, gi = (rand_poly(rng.randrange(1, 8) if i % 2 else rng.randrange(17, 50))
+                          for _ in range(4))
+        hr, hi = bp.mul_complex(fr, fi, gr, gi, p)
+        out(*hr.coeffs, *hi.coeffs)
 
 
 def _complex(rng, m, out):
