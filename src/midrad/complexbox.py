@@ -143,8 +143,7 @@ def sqrt(x: ComplexBox, prec: int) -> ComplexBox:
         u = ball.div(b, ball.scale_2exp(v2, 1), wp)
         return ComplexBox(ball.round_to(u, prec), ball.round_to(v2, prec))
     if ball.upper_bound(b, 32).signum() < 0:
-        u = ball.div(ball.neg(b), ball.scale_2exp(v2, 1), wp)
-        return ComplexBox(ball.round_to(u, prec), ball.round_to(ball.neg(v2), prec))
+        return conj(sqrt(conj(x), prec))  # below the cut: the mirror image
     if b.mid.is_zero() and b.rad.is_zero():
         # exactly the negative real axis: phase +pi, root on +i side
         u = ball.div(b, ball.scale_2exp(v2, 1), wp)
@@ -225,17 +224,12 @@ def tan(x: ComplexBox, prec: int) -> ComplexBox:
     if not big:
         s, c = sin_cos(x, wp)
         return div(s, c, prec)
-    one = ComplexBox(ball.ONE)
-    if bm.signum() > 0:
-        w = exp(_mul_2i(x), wp)               # e^(2iz), small: |w| = e^(-2 im z)
-        q = div(w, add(one, w, wp), wp)       # tan z = i - 2i w/(1+w)
-        re = ball.scale_2exp(q.im, 1)
-        im = ball.sub(ball.ONE, ball.scale_2exp(q.re, 1), prec)
-        return ComplexBox(ball.round_to(re, prec), im)
-    w = exp(neg(_mul_2i(x)), wp)              # e^(-2iz)
-    q = div(w, add(one, w, wp), wp)           # tan z = -i + 2i w/(1+w)
-    re = ball.neg(ball.scale_2exp(q.im, 1))
-    im = ball.sub(ball.scale_2exp(q.re, 1), ball.ONE, prec)
+    if bm.signum() < 0:
+        return conj(tan(conj(x), prec))       # tan(conj z) = conj(tan z)
+    w = exp(_mul_2i(x), wp)                   # e^(2iz), small: |w| = e^(-2 im z)
+    q = div(w, add(ComplexBox(ball.ONE), w, wp), wp)  # tan z = i - 2i w/(1+w)
+    re = ball.scale_2exp(q.im, 1)
+    im = ball.sub(ball.ONE, ball.scale_2exp(q.re, 1), prec)
     return ComplexBox(ball.round_to(re, prec), im)
 
 
