@@ -345,7 +345,7 @@ def stirling_row(n):
 
 
 class TestComplexPolyMul:
-    def test_four_real_multiplications(self):
+    def test_sampled_containment(self):
         rng = random.Random(12)
         fr, fi = rand_poly(rng, 8), rand_poly(rng, 8)
         gr, gi = rand_poly(rng, 9), rand_poly(rng, 9)
