@@ -4,7 +4,7 @@ The midpoint is a :class:`~midrad.bigfloat.BigFloat`, the radius a
 :class:`~midrad.magnitude.Magnitude`.  Every operation preserves containment:
 for any points chosen from the input balls, the exact result lies in the
 output ball.  Midpoints are rounded to the requested precision (nearest,
-ties to even) and a one-ulp bound on that rounding error is folded into the
+ties to even) and a half-ulp bound on that rounding error is folded into the
 radius whenever rounding was inexact; ``round_to`` adds the actual error.
 That fold is one function, ``rounded``: it takes the (mid, inexact) pair a
 bigfloat operation returns and a radius for everything else, and every ball
@@ -136,17 +136,19 @@ def whole_line() -> Ball:
 
 
 def rounded(result: tuple[BigFloat, bool], rad: Magnitude, prec: int) -> Ball:
-    """The ball of a midpoint rounded to prec bits, given as the (mid, inexact)
-    pair of a bigfloat operation, and a radius rad bounding everything else.
+    """The ball of a midpoint rounded to nearest at prec bits, given as the
+    (mid, inexact) pair of a bigfloat operation, and a radius rad bounding
+    everything else.
 
-    A NaN midpoint gives indeterminate(); an inexact one adds one ulp,
-    2^(mid.exp - prec), to rad.
+    A NaN midpoint gives indeterminate(); an inexact one adds half an ulp,
+    2^(mid.exp - prec - 1), to rad.  That bounds the rounding error only
+    because the midpoint was rounded to nearest.
     """
     mid, inexact = result
     if mid.is_nan():
         return indeterminate()
     if inexact:
-        rad = mag.add(rad, mag.pow2(mid.exp - prec))
+        rad = mag.add(rad, mag.pow2(mid.exp - prec - 1))
     return Ball(mid, rad)
 
 

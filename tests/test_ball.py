@@ -31,16 +31,28 @@ class TestRounded:
         assert ball.rounded((m, False), r, 53) == Ball(m, r)
         assert ball.rounded((m, False), mag.ZERO, 2) == Ball(m)
 
-    def test_inexact_midpoint_adds_one_ulp(self):
+    def test_inexact_midpoint_adds_half_an_ulp(self):
         for prec in (2, 53, 300):
             m, inexact = bf.div(BigFloat.from_int(1), BigFloat.from_int(3), prec, Rounding.NEAREST_EVEN)
             assert inexact
             b = ball.rounded((m, inexact), mag.ZERO, prec)
             # 1/3 lies in [1/4, 1/2), where one ulp of a prec-bit float is 2^(-1-prec)
-            assert b.mid == m and b.rad.to_fraction() == Fraction(1, 2 ** (prec + 1))
+            assert b.mid == m and b.rad.to_fraction() == Fraction(1, 2 ** (prec + 2))
             assert contains_fraction(b, Fraction(1, 3))
             r = mag.from_man_exp_upper(7, -prec - 9)
             assert ball.rounded((m, True), r, prec).rad == mag.add(r, b.rad)
+
+    def test_ties_stay_contained(self):
+        # 1 + k 2^-prec for odd k lies halfway between two prec-bit floats, as
+        # far from the rounded midpoint as rounding to nearest goes: half an ulp
+        for prec in (3, 53, 300):
+            for k in (1, 3):
+                x = 1 + Fraction(k, 2 ** prec)
+                for sign in (1, -1):
+                    b = ball.add(B(sign), B(BigFloat.from_man_exp(sign * k, -prec)), prec)
+                    assert b.mid.to_fraction() != sign * x
+                    assert abs(b.mid.to_fraction() - sign * x) == b.rad.to_fraction()
+                    assert contains_fraction(b, sign * x), (prec, k, sign)
 
 
 class TestAdd:

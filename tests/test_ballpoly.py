@@ -368,7 +368,7 @@ class TestComplexPolyMul:
 
     def test_parts_round_once(self):
         # exact inputs: every part is the correctly rounded exact value, exact
-        # iff its radius is 0, and otherwise carries one rounding error
+        # iff its radius is 0, and otherwise carries half an ulp
         rng = random.Random(14)
         for n, prec in [(1, 8)] * 50 + [(rng.randrange(17, 40), 53) for _ in range(10)]:
             fr, fi, gr, gi = (self.exact_poly(rng, n) for _ in range(4))
@@ -382,7 +382,7 @@ class TestComplexPolyMul:
                     assert m == round_fraction_oracle(q, prec, Rounding.NEAREST_EVEN)
                     assert x.is_exact() == (m == q)
                     if m != q:
-                        assert x.rad == mag.pow2(x.mid.exp - prec)
+                        assert x.rad == mag.pow2(x.mid.exp - prec - 1)
 
 
 class TestDot:

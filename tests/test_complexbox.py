@@ -21,7 +21,7 @@ def box_contains(box: ComplexBox, z) -> bool:
 class TestComplexMul:
     """With exact inputs each part of a product is rounded exactly once: it is
     the correctly rounded value, exact iff its radius is 0, and otherwise
-    carries one ulp of radius."""
+    carries half an ulp of radius."""
 
     @staticmethod
     def check_part(part: Ball, exact: Fraction, prec: int):
@@ -29,7 +29,7 @@ class TestComplexMul:
         assert f == round_fraction_oracle(exact, prec, Rounding.NEAREST_EVEN)
         assert part.rad.is_zero() == (f == exact)
         if f != exact:
-            assert part.rad == mag.pow2(part.mid.exp - prec)
+            assert part.rad == mag.pow2(part.mid.exp - prec - 1)
 
     def test_small(self):
         z = cb.mul(ComplexBox.from_int(1, 2), ComplexBox.from_int(3, 4), 53)
