@@ -137,12 +137,10 @@ def whole_line() -> Ball:
 
 def rounded(result: tuple[BigFloat, bool], rad: Magnitude, prec: int) -> Ball:
     """The ball of a midpoint rounded to nearest at prec bits, given as the
-    (mid, inexact) pair of a bigfloat operation, and a radius rad bounding
-    everything else.
+    (mid, inexact) pair of a bigfloat operation, and a radius rad for the rest.
 
     A NaN midpoint gives indeterminate(); an inexact one adds half an ulp,
-    2^(mid.exp - prec - 1), to rad.  That bounds the rounding error only
-    because the midpoint was rounded to nearest.
+    2^(mid.exp - prec - 1), to rad: the bound of a round-to-nearest error.
     """
     mid, inexact = result
     if mid.is_nan():

@@ -1,16 +1,15 @@
 """Dense polynomials with ball coefficients.
 
-Every product is one ``dot``: the sum of products sum f_i g_i, each output
-coefficient an exact sum rounded once.  Short or non-finite input takes one
-``ball.dot`` per output coefficient, which is essentially the best bound a
-coefficient can get.  Otherwise ``dot`` keeps that bound quality at high
+Every product is one ``dot``, a sum of products sum f_i g_i whose output
+coefficients are each one exact sum, rounded once.  Short or non-finite
+input takes one ``ball.dot`` per output coefficient, essentially the best
+bound a coefficient can get.  Otherwise ``dot`` keeps that quality at high
 degree: it splits midpoints from radii, rescales each product x -> 2^c x so
 coefficient magnitudes vary slowly, cuts the scaled coefficients into blocks
-of bounded exponent spread, multiplies block pairs exactly over the integers
-(``intpoly.mul``), and folds every product into one exact sum per output.
-Midpoints round to nearest at the working precision; the radius sum
-|A| b + a (|B| + b) over the pairs is one more such sum, rounded up to a
-30-bit magnitude.
+of bounded exponent spread, and multiplies block pairs exactly over the
+integers (``intpoly.mul``).  Midpoints round to nearest at the working
+precision; the radius sum |A| b + a (|B| + b) is one more exact sum, rounded
+up to a 30-bit magnitude.
 
 The scale c is a heuristic: slopes of the coefficient exponents are sampled
 over the whole index range and over the trailing half (series tails with
@@ -126,16 +125,10 @@ def sub(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
 
 # -- schoolbook ------------------------------------------------------------------
 
-def _pairs(fs: list, gs: list) -> tuple[list, int]:
-    """The nonempty (f, g) pairs and the length of their sum of products."""
-    pairs = [(f, g) for f, g in zip(fs, gs, strict=True) if len(f) and len(g)]
-    return pairs, max((len(f) + len(g) - 1 for f, g in pairs), default=0)
-
-
-def _dot_schoolbook(pairs: list, n: int, prec: int) -> BallPoly:
-    """One ball.dot per output coefficient, over the slices of every pair."""
+def _dot_schoolbook(pairs: list, prec: int) -> BallPoly:
+    """sum f g over the (f, g) pairs: one ball.dot per output coefficient."""
     out = []
-    for k in range(n):
+    for k in range(max((len(f) + len(g) - 1 for f, g in pairs if len(f) and len(g)), default=0)):
         xs, ys = [], []
         for f, g in pairs:
             lo, hi = max(0, k - len(g) + 1), min(k, len(f) - 1)
@@ -147,10 +140,21 @@ def _dot_schoolbook(pairs: list, n: int, prec: int) -> BallPoly:
 
 def mul_schoolbook(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
     """One ball.dot per output coefficient."""
-    return _dot_schoolbook(*_pairs([f], [g]), prec)
+    return _dot_schoolbook([(f, g)], prec)
 
 
 # -- block plan --------------------------------------------------------------------
+
+def _round_ties_to_zero(x: Fraction) -> int:
+    fl = math.floor(x)
+    fr = x - fl
+    half = Fraction(1, 2)
+    if fr > half:
+        return fl + 1
+    if fr < half:
+        return fl
+    return fl if x > 0 else fl + 1
+
 
 def _slope_samples(p: BallPoly):
     idx = [i for i, c in enumerate(p.coeffs) if c.mid.is_regular()]
@@ -181,8 +185,7 @@ def _scale_heuristic(f: BallPoly, g: BallPoly) -> int:
         st = Fraction(sum(de for de, _ in tails), sum(di for _, di in tails))
         if abs(st) > abs(s):
             s = st
-    half = Fraction(1, 2)  # round s to the nearest int, ties toward zero
-    return -(math.ceil(s - half) if s > 0 else math.floor(s + half))
+    return -_round_ties_to_zero(s)
 
 
 def _mid_terms(mids: list) -> list:
@@ -293,10 +296,11 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
     coefficient one exact sum: its midpoint is rounded to nearest once, its
     radius up once.  A pair of degree below _SCHOOLBOOK_DEGREE, or a
     coefficient that is not finite, makes it one ball.dot per coefficient."""
-    pairs, n = _pairs(fs, gs)
+    pairs = [(f, g) for f, g in zip(fs, gs, strict=True) if len(f) and len(g)]
     if any(min(len(f), len(g)) - 1 < _SCHOOLBOOK_DEGREE
            or not all(x.is_finite() for x in f.coeffs + g.coeffs) for f, g in pairs):
-        return _dot_schoolbook(pairs, n, prec)
+        return _dot_schoolbook(pairs, prec)
+    n = max((len(f) + len(g) - 1 for f, g in pairs), default=0)
     mids, rads = [], []
     for f, g in pairs:
         plan = plan_blocks(f, g, prec)
@@ -309,10 +313,10 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
             xb, yb = _partition(xt, c, _RADIUS_SPAN), _partition(yt, c, _RADIUS_SPAN)
             if xb and yb:  # a zero radius product adds nothing
                 rads.append((xt, xb, yt, yb, c))
-    rads = ([mag.from_bigfloat_upper(r) for r, _ in _conv_rounded(rads, n, _MAG_BITS, _UP)]
-            if rads else [mag.ZERO] * n)
+    radii = ([mag.from_bigfloat_upper(r) for r, _ in _conv_rounded(rads, n, _MAG_BITS, _UP)]
+             if rads else [mag.ZERO] * n)
     return BallPoly([ball.rounded(m, r, prec)
-                     for m, r in zip(_conv_rounded(mids, n, prec, _NE), rads)])
+                     for m, r in zip(_conv_rounded(mids, n, prec, _NE), radii)])
 
 
 def mul_block(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
@@ -327,7 +331,10 @@ def mullow(f: BallPoly, g: BallPoly, n: int, prec: int) -> BallPoly:
     """First n coefficients of f*g (truncated power-series product)."""
     if n < 0:
         raise ValueError("negative truncation length")
-    return BallPoly(mul(f, g, prec).coeffs[:n])
+    if n == 0 or not len(f) or not len(g):
+        return BallPoly([])
+    full = mul(f, g, prec)
+    return BallPoly(full.coeffs[:n])
 
 
 def mul_complex(fr: BallPoly, fi: BallPoly, gr: BallPoly, gi: BallPoly,

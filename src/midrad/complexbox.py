@@ -139,15 +139,13 @@ def sqrt(x: ComplexBox, prec: int) -> ComplexBox:
     v2 = ball.sqrt(ball.scale_2exp(ball.sub(r, a, wp), -1), wp)
     if v2.is_indeterminate():
         return indeterminate()
-    if ball.lower_bound(b, 32).signum() > 0:
+    if ball.lower_bound(b, 32).signum() > 0 or (b.mid.is_zero() and b.rad.is_zero()):
+        # upper half-plane, or exactly the negative real axis (phase +pi):
+        # the root is on the +i side
         u = ball.div(b, ball.scale_2exp(v2, 1), wp)
         return ComplexBox(ball.round_to(u, prec), ball.round_to(v2, prec))
     if ball.upper_bound(b, 32).signum() < 0:
         return conj(sqrt(conj(x), prec))  # below the cut: the mirror image
-    if b.mid.is_zero() and b.rad.is_zero():
-        # exactly the negative real axis: phase +pi, root on +i side
-        u = ball.div(b, ball.scale_2exp(v2, 1), wp)
-        return ComplexBox(ball.round_to(u, prec), ball.round_to(v2, prec))
     # box crosses the cut: include both one-sided limits
     vhi = ball.upper_mag(v2)
     v2lo, _ = bf.round_to(ball.lower_bound(v2, 32), 32, bf.Rounding.DOWN)

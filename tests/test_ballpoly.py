@@ -217,7 +217,8 @@ class TestBlockRadius:
             f = BallPoly([Ball(bf.ZERO, r) for r in x] + [Ball(bf.ZERO)] * 15)
             h = bp.mul_block(f, g, 64)
             assert all(c.mid.is_zero() for c in h)
-            assert [c.rad for c in h] == [x[0]] + [mag.add(one, tiny)] * 16 + [x[1]] + [mag.ZERO] * 15
+            want = [x[0]] + [mag.add(one, tiny)] * 16 + [x[1]] + [mag.ZERO] * 15
+            assert [c.rad for c in h] == want
             assert h[1].rad.to_fraction() == 1 + Fraction(1, 2 ** 29)
 
     def test_midpoints_round_once_with_far_apart_terms(self):
