@@ -128,6 +128,8 @@ def sqrt(x: ComplexBox, prec: int) -> ComplexBox:
         return indeterminate()
     if ball.contains_point(a, 0) and ball.contains_point(b, 0):
         return indeterminate()
+    if ball.upper_bound(b, 32).signum() < 0:
+        return conj(sqrt(conj(x), prec))  # below the real axis: the mirror image
     r = ball.sqrt(_abs_sq(x, wp), wp)  # |z|
     if r.is_indeterminate():
         return indeterminate()
@@ -144,8 +146,6 @@ def sqrt(x: ComplexBox, prec: int) -> ComplexBox:
         # the root is on the +i side
         u = ball.div(b, ball.scale_2exp(v2, 1), wp)
         return ComplexBox(ball.round_to(u, prec), ball.round_to(v2, prec))
-    if ball.upper_bound(b, 32).signum() < 0:
-        return conj(sqrt(conj(x), prec))  # below the cut: the mirror image
     # box crosses the cut: include both one-sided limits
     vhi = ball.upper_mag(v2)
     v2lo, _ = bf.round_to(ball.lower_bound(v2, 32), 32, bf.Rounding.DOWN)
