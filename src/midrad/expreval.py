@@ -9,9 +9,11 @@ every evaluation, so their representation error shrinks as the adaptive
 loop raises the precision (beyond decimal_io's exponent cap, they get its
 crude enclosure instead).
 
-``eval_adaptive`` doubles the precision until the result's relative
-accuracy reaches the target, returning the last (widest-known) enclosure
-flagged unconverged when the cap is reached -- never an exception.
+``eval_adaptive`` raises the precision until the result's relative
+accuracy reaches the target: the bits one evaluation lost predict the
+precision the next one needs, and it doubles when that loss is implausible.
+It returns the last (widest-known) enclosure flagged unconverged when the
+cap is reached -- never an exception.
 ``eval_correctly_rounded`` instead loops until the whole ball provably
 rounds to one value at the requested precision and mode; near-exact values
 that never certify (the classic rounding dilemma) raise after the cap.
@@ -52,6 +54,7 @@ __all__ = [
 _FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "atan": 1, "sqrt": 1, "pow": 2}
 _CONSTANTS = {"pi"}
 _START_PREC = 64  # the first precision of both adaptive loops
+_GUARD_BITS = 32  # added to eval_adaptive's predicted precision
 
 
 class UnboundVariableError(ValueError):
@@ -345,16 +348,29 @@ def _precisions(start: int, cap: int):
 
 
 def eval_adaptive(e, bindings: dict, cfg: EvalConfig) -> AdaptiveResult:
-    """Double the precision until the target relative accuracy is certified.
+    """Raise the precision until the target relative accuracy is certified.
 
+    An evaluation at prec that reaches acc bits lost prec - acc of them.
+    When acc >= prec // 2 that loss is taken to recur, and the next
+    precision is the target plus the loss plus _GUARD_BITS (at least prec
+    + _GUARD_BITS); a larger loss, a ball around zero or a non-finite one
+    doubles prec instead.  The precisions strictly increase up to the cap.
     Reaching the cap is a graceful failure: the widest-known enclosure comes
     back flagged unconverged rather than raising.
     """
-    for prec in _precisions(_START_PREC, cfg.max_prec):
+    prec = _START_PREC
+    while True:
         value = eval_ball(e, bindings, prec)
-        if ball.rel_accuracy_bits(value) >= cfg.target_bits:
+        acc = ball.rel_accuracy_bits(value)
+        if acc >= cfg.target_bits:
             return AdaptiveResult(value, prec, True)
-    return AdaptiveResult(value, prec, False)
+        if prec >= cfg.max_prec:
+            return AdaptiveResult(value, prec, False)
+        if acc >= prec // 2:
+            nxt = max(prec, cfg.target_bits + max(0, prec - acc)) + _GUARD_BITS
+        else:
+            nxt = 2 * prec
+        prec = min(nxt, cfg.max_prec)
 
 
 def eval_correctly_rounded(e, bindings: dict, prec: int, rnd: Rounding,

@@ -189,7 +189,10 @@ class TestCorrectRounding:
 
 
 class TestPrecisionSchedule:
-    """Both adaptive loops start at 64 bits (or prec + 8) and double up to the cap."""
+    """Both adaptive loops start at 64 bits (or prec + 8).  eval_correctly_rounded
+    doubles up to the cap; eval_adaptive jumps to the target plus the bits the
+    last evaluation lost plus a 32-bit guard, and doubles when that evaluation
+    lost more than half its precision (or certified no accuracy at all)."""
 
     @staticmethod
     def precisions(monkeypatch, run):
@@ -214,11 +217,82 @@ class TestPrecisionSchedule:
         assert self.precisions(monkeypatch, lambda: ev.eval_adaptive(
             ev.parse_expr("exp(1)"), {}, ev.EvalConfig(max_prec=64))) == [64]
 
+    def test_jump_to_target_plus_loss(self, monkeypatch):
+        e = ev.parse_expr("exp(1)")
+        cfg = ev.EvalConfig.for_digits(300)
+        loss = max(0, 64 - ball.rel_accuracy_bits(ev.eval_ball(e, {}, 64)))
+        ps = self.precisions(monkeypatch, lambda: ev.eval_adaptive(e, {}, cfg))
+        assert len(ps) == 2 and ps[0] == 64
+        assert ps[1] == cfg.target_bits + loss + 32
+
+    def test_accuracy_limited_input_doubles(self, monkeypatch):
+        # a 20-digit binding caps the accuracy near 66 bits at every precision,
+        # so after the first jump each loss is implausible and the loop doubles
+        cap = 1 << 14
+        cfg = ev.EvalConfig.for_digits(300, max_prec=cap)
+        x = dio.from_decimal("1.2345678901234567890")
+        ps = self.precisions(monkeypatch, lambda: ev.eval_adaptive(
+            ev.parse_expr("exp(x)"), {"x": x}, cfg))
+        assert len(ps) <= 2 + (cap // 64).bit_length() - 1
+        assert ps[-1] == cap
+        assert all(q == cap or q >= 2 * p for p, q in zip(ps[1:], ps[2:]))
+
     def test_start_is_not_configurable(self):
         with pytest.raises(TypeError):
             ev.EvalConfig(start_prec=128)
         with pytest.raises(ValueError):
             ev.EvalConfig(max_prec=63)  # below the first precision
+
+
+_LIT = "12.345678901234567891"  # a 20-digit literal
+_PREDICTED = {
+    f"exp({_LIT})": lambda: mpmath.exp(mpmath.mpf(_LIT)),
+    f"log({_LIT})": lambda: mpmath.log(mpmath.mpf(_LIT)),
+    f"sin({_LIT})": lambda: mpmath.sin(mpmath.mpf(_LIT)),
+    f"atan({_LIT})": lambda: mpmath.atan(mpmath.mpf(_LIT)),
+    "exp(pi*sqrt(163))": lambda: mpmath.exp(mpmath.pi * mpmath.sqrt(163)),
+    "sqrt(2)*pi": lambda: mpmath.sqrt(2) * mpmath.pi,
+}
+_HARD = {  # lose many bits at 64 bits, so the first jump is a doubling
+    "exp(pi*sqrt(163)) - 262537412640768744":
+        lambda: mpmath.exp(mpmath.pi * mpmath.sqrt(163)) - 262537412640768744,
+    "sin(pi + exp(-100))": lambda: mpmath.sin(mpmath.pi + mpmath.exp(-100)),
+    "log(1 + 1e-50)": lambda: mpmath.log(1 + mpmath.mpf(10) ** -50),
+}
+
+
+class TestPredictedPrecision:
+    """eval_adaptive's result at the precision it predicts contains the exact
+    value and reaches the target accuracy."""
+
+    @staticmethod
+    def check(monkeypatch, src, ref, digits):
+        cfg = ev.EvalConfig.for_digits(digits)
+        out = []
+        ps = TestPrecisionSchedule.precisions(
+            monkeypatch, lambda: out.append(ev.eval_adaptive(ev.parse_expr(src), {}, cfg)))
+        res = out[0]
+        assert res.converged and res.prec == ps[-1]
+        mid, rad = res.value.mid.to_fraction(), res.value.rad.to_fraction()
+        assert rad * 2 ** cfg.target_bits < abs(mid)
+        with mpmath.workprec(cfg.target_bits + 256):
+            v = mpf_fraction(ref())
+        tol = abs(v) / 2 ** (cfg.target_bits + 128)  # the reference's own error
+        assert mid - rad <= v + tol and v - tol <= mid + rad
+        return ps
+
+    @pytest.mark.parametrize("digits", [300, 1000])
+    @pytest.mark.parametrize("src", list(_PREDICTED))
+    def test_contains_at_predicted_precision(self, monkeypatch, src, digits):
+        assert len(self.check(monkeypatch, src, _PREDICTED[src], digits)) == 2
+
+    def test_3000_digit_atan(self, monkeypatch):
+        src = f"atan({_LIT})"
+        assert len(self.check(monkeypatch, src, _PREDICTED[src], 3000)) == 2
+
+    @pytest.mark.parametrize("src", list(_HARD))
+    def test_cancellation_converges_in_five(self, monkeypatch, src):
+        assert len(self.check(monkeypatch, src, _HARD[src], 300)) <= 5
 
 
 class TestDeterminism:
