@@ -306,10 +306,15 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
         plan = plan_blocks(f, g, prec)
         c = plan.scale
         mids.append((plan.terms_f, plan.blocks_f, plan.terms_g, plan.blocks_g, c))
-        # radius polynomial |A| b + a (|B| + b) for f = A +/- a, g = B +/- b
-        for x, y in (([mag.from_bigfloat_upper(x.mid) for x in f], [x.rad for x in g]),
-                     ([x.rad for x in f], [ball.upper_mag(x) for x in g])):
-            xt, yt = _mag_terms(x), _mag_terms(y)
+        # radius polynomial |A| b + a (|B| + b) for f = A +/- a, g = B +/- b;
+        # |A| and |B| + b are built only when b or a has a nonzero radius
+        a, b = _mag_terms([x.rad for x in f]), _mag_terms([x.rad for x in g])
+        factors = []
+        if any(m for m, _ in b):
+            factors.append((_mag_terms([mag.from_bigfloat_upper(x.mid) for x in f]), b))
+        if any(m for m, _ in a):
+            factors.append((a, _mag_terms([ball.upper_mag(x) for x in g])))
+        for xt, yt in factors:
             xb, yb = _partition(xt, c, _RADIUS_SPAN), _partition(yt, c, _RADIUS_SPAN)
             if xb and yb:  # a zero radius product adds nothing
                 rads.append((xt, xb, yt, yb, c))
