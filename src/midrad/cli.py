@@ -1,7 +1,7 @@
 """Command-line front end.
 
 ``midrad eval EXPR --digits N`` evaluates an expression with the
-precision-doubling loop and prints a guaranteed decimal enclosure.
+adaptive-precision loop and prints a guaranteed decimal enclosure.
 ``midrad round EXPR --bits N --mode M`` prints the correctly rounded
 dyadic value in exact ``M*2^E`` form.  ``midrad bench`` emits CSV timing
 grids.  Exit status: 0 on success, 2 when the precision cap was reached

@@ -350,11 +350,12 @@ def _precisions(start: int, cap: int):
 def eval_adaptive(e, bindings: dict, cfg: EvalConfig) -> AdaptiveResult:
     """Raise the precision until the target relative accuracy is certified.
 
-    An evaluation at prec that reaches acc bits lost prec - acc of them.
-    When acc >= prec // 2 that loss is taken to recur, and the next
-    precision is the target plus the loss plus _GUARD_BITS (at least prec
-    + _GUARD_BITS); a larger loss, a ball around zero or a non-finite one
-    doubles prec instead.  The precisions strictly increase up to the cap.
+    An evaluation at prec that reaches acc bits lost max(0, prec - acc).
+    When acc >= prec // 2, that loss is expected again, and the next
+    precision is the target plus the loss plus _GUARD_BITS (at least prec +
+    _GUARD_BITS).  A larger loss, typical of an accuracy its inputs limit,
+    and a ball that certifies no accuracy (around zero, or not finite)
+    double prec instead.  Precisions strictly increase up to the cap.
     Reaching the cap is a graceful failure: the widest-known enclosure comes
     back flagged unconverged rather than raising.
     """

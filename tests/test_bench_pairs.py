@@ -54,7 +54,7 @@ def test_summary_counts_wins_in_each_direction():
 
 
 def test_directions_read_benchmark_json():
-    d = bp.directions(TOOL.parents[1])
+    d = bp.directions(json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text()))
     assert d["ops_per_s"] == "higher" and d["op_p90_ms"] == "lower"
     assert d["expreval.evals_per_op"] == "lower"
 

@@ -226,7 +226,7 @@ class TestPrecisionSchedule:
         assert ps[1] == cfg.target_bits + loss + 32
 
     def test_accuracy_limited_input_doubles(self, monkeypatch):
-        # a 20-digit binding caps the accuracy near 66 bits at every precision,
+        # a 20-digit binding caps the accuracy near 95 bits at every precision,
         # so after the first jump each loss is implausible and the loop doubles
         cap = 1 << 14
         cfg = ev.EvalConfig.for_digits(300, max_prec=cap)
@@ -253,7 +253,7 @@ _PREDICTED = {
     "exp(pi*sqrt(163))": lambda: mpmath.exp(mpmath.pi * mpmath.sqrt(163)),
     "sqrt(2)*pi": lambda: mpmath.sqrt(2) * mpmath.pi,
 }
-_HARD = {  # lose many bits at 64 bits, so the first jump is a doubling
+_HARD = {  # certify nothing at 64 bits, so the first steps double
     "exp(pi*sqrt(163)) - 262537412640768744":
         lambda: mpmath.exp(mpmath.pi * mpmath.sqrt(163)) - 262537412640768744,
     "sin(pi + exp(-100))": lambda: mpmath.sin(mpmath.pi + mpmath.exp(-100)),

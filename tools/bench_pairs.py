@@ -1,13 +1,12 @@
 """Run the benchmark on two checkouts in alternating pairs and summarise it.
 
 Usage: python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N
-                                   --seed S --out BENCH.json
-                                   [--seconds 12] [--trace 0|1]
+                                   --seed S --out BENCH.json [--trace 0|1]
 
 PARENT and CHANGE are checkout directories.  Each pair runs
-``python3 perfbench/run.py`` once in each of them, the parent first in
-even pairs and the change first in odd ones, and reads the last JSON line
-of each run.  The output file records the commits, the Python version and,
+``python3 perfbench/run.py`` once in each of them for the ``run_seconds``
+of the change's BENCHMARK.json, the parent first in even pairs and the
+change first in odd ones, and reads the last JSON line of each run.  The output file records the commits, the Python version and,
 per workload and seed, every run plus, for each metric, both sides'
 median and quartiles and in how many pairs the change was better.  An
 existing output file keeps its other workloads and seeds, so several calls
@@ -44,11 +43,9 @@ def quartiles(xs: list) -> dict:
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def directions(checkout: Path) -> dict:
-    """metric name -> "higher" or "lower", from the checkout's BENCHMARK.json."""
-    with open(checkout / "BENCHMARK.json") as fh:
-        bench = json.load(fh)
-    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench.get("per_layer", [])}
+def directions(bench: dict) -> dict:
+    """metric name -> "higher" or "lower", from a parsed BENCHMARK.json."""
+    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
 
 
 def summarize(pairs: list, better: dict) -> dict:
@@ -96,26 +93,26 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--seconds", type=float, default=12.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((dirs["change"] / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     pairs = []
     for i in range(args.pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {"first": order[0]}
         for side in order:
-            pair[side] = run_once(dirs[side], args.workload, args.seed, args.seconds, args.trace)
-        print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
-            f"{s} {pair[s]['metrics']['ops_per_s']['value']:.6g}" for s in SIDES), file=sys.stderr)
+            pair[side] = run_once(dirs[side], args.workload, args.seed, seconds, args.trace)
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
         pairs.append(pair)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.update({s: {"commit": commit(dirs[s])} for s in SIDES})
     doc["python"] = platform.python_version()
     key = f"{args.workload} seed={args.seed} trace={args.trace}"
     doc.setdefault("benches", {})[key] = {
-        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "trace": args.trace, "summary": summarize(pairs, directions(dirs["change"])),
+        "workload": args.workload, "seed": args.seed, "seconds": seconds,
+        "trace": args.trace, "summary": summarize(pairs, directions(bench)),
         "runs": pairs}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
