@@ -137,32 +137,6 @@ def const_log2(prec: int) -> Ball:
     return ball.round_to(_log2_ball(prec), prec)
 
 
-# -- exponent clamping ---------------------------------------------------------
-
-def _exceeds(e: int, bound_bits: int) -> bool:
-    """abs(e) > 2**bound_bits, without materializing the bound."""
-    a = abs(e)
-    bl = a.bit_length()
-    if bl <= bound_bits:
-        return False
-    if bl >= bound_bits + 2:
-        return True
-    return a != (1 << bound_bits)
-
-
-def _clamp(b: Ball, prec: int) -> Ball:
-    """Flush transcendental results with outlandish exponents into the bounds."""
-    m = b.mid
-    if not m.is_regular():
-        return b
-    bound = max(65536, 4 * prec)
-    if not _exceeds(m.exp, bound):
-        return b
-    if m.exp > 0:
-        return ball.whole_line()
-    return Ball(bf.ZERO, mag.add(b.rad, mag.pow2(m.exp + 1)))
-
-
 # -- the series kernel -----------------------------------------------------------
 
 class _Series(NamedTuple):
@@ -313,7 +287,7 @@ def exp(x: Ball, prec: int) -> Ball:
     if x.rad.is_zero():
         return point
     prop = mag.mul(ball.upper_mag(point), _expm1_upper(x.rad))
-    return _clamp(Ball(point.mid, mag.add(point.rad, prop)), prec)
+    return Ball(point.mid, mag.add(point.rad, prop))
 
 
 # -- sin / cos ------------------------------------------------------------------

@@ -9,14 +9,14 @@ every evaluation, so their representation error shrinks as the adaptive
 loop raises the precision (beyond decimal_io's exponent cap, they get its
 crude enclosure instead).
 
-``eval_adaptive`` raises the precision until the result's relative
-accuracy reaches the target: the bits one evaluation lost predict the
-precision the next one needs, and it doubles when that loss is implausible.
-It returns the last (widest-known) enclosure flagged unconverged when the
-cap is reached -- never an exception.
-``eval_correctly_rounded`` instead loops until the whole ball provably
-rounds to one value at the requested precision and mode; near-exact values
-that never certify (the classic rounding dilemma) raise after the cap.
+Both evaluators run one loop, ``_refine`` (Ziv's loop on balls): evaluate,
+stop when a test accepts the ball or at the precision cap, else predict the
+next precision from the bits the evaluation lost.  Only the stop test
+differs.  ``eval_adaptive`` stops at the target relative accuracy and at
+the cap returns the last enclosure flagged unconverged, never raising.
+``eval_correctly_rounded`` stops when the whole ball provably rounds to one
+value; near-exact values that never certify (the rounding dilemma) raise
+after the cap.
 """
 
 from __future__ import annotations
@@ -51,10 +51,17 @@ __all__ = [
     "digits_to_bits",
 ]
 
-_FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "atan": 1, "sqrt": 1, "pow": 2}
+# operator or function -> (arity, module, attribute); eval_ball looks the
+# attribute up at each call, so a wrapper swapped in at run time is called.
+_OPS = {
+    "+": (2, ball, "add"), "-": (2, ball, "sub"), "*": (2, ball, "mul"), "/": (2, ball, "div"),
+    "^": (2, el, "power"), "pow": (2, el, "power"), "sqrt": (1, ball, "sqrt"),
+    "exp": (1, el, "exp"), "log": (1, el, "log"), "sin": (1, el, "sin"),
+    "cos": (1, el, "cos"), "atan": (1, el, "atan"),
+}
 _CONSTANTS = {"pi"}
 _START_PREC = 64  # the first precision of both adaptive loops
-_GUARD_BITS = 32  # added to eval_adaptive's predicted precision
+_GUARD_BITS = 32  # added to the precision _refine predicts
 
 
 class UnboundVariableError(ValueError):
@@ -241,7 +248,7 @@ class _Parser:
         word = s[start:i]
         self.i = i
         if self.peek() == "(":
-            if word not in _FUNCTIONS:
+            if word not in _OPS:
                 self.i = start
                 self.error(f"unknown function {word!r}")
             self.i += 1  # consume "("
@@ -251,9 +258,10 @@ class _Parser:
                 args.append(self.expr())
                 h = max(h, self.height)
             self.expect(")")
-            if len(args) != _FUNCTIONS[word]:
+            arity = _OPS[word][0]
+            if len(args) != arity:
                 self.i = start
-                self.error(f"{word} takes {_FUNCTIONS[word]} argument(s)")
+                self.error(f"{word} takes {arity} argument(s)")
             return self.node(Call(word, tuple(args)), h + 1, start)
         self.height = 1
         if word in _CONSTANTS:
@@ -282,33 +290,13 @@ def eval_ball(e, bindings: dict, prec: int) -> Ball:
     if isinstance(e, Neg):
         return ball.neg(eval_ball(e.arg, bindings, prec))
     if isinstance(e, Bin):
-        l = eval_ball(e.left, bindings, prec)
-        r = eval_ball(e.right, bindings, prec)
-        if e.op == "+":
-            return ball.add(l, r, prec)
-        if e.op == "-":
-            return ball.sub(l, r, prec)
-        if e.op == "*":
-            return ball.mul(l, r, prec)
-        if e.op == "/":
-            return ball.div(l, r, prec)
-        return el.power(l, r, prec)  # "^"
-    if isinstance(e, Call):
-        args = [eval_ball(a, bindings, prec) for a in e.args]
-        if e.fn == "exp":
-            return el.exp(args[0], prec)
-        if e.fn == "log":
-            return el.log(args[0], prec)
-        if e.fn == "sin":
-            return el.sin(args[0], prec)
-        if e.fn == "cos":
-            return el.cos(args[0], prec)
-        if e.fn == "atan":
-            return el.atan(args[0], prec)
-        if e.fn == "sqrt":
-            return ball.sqrt(args[0], prec)
-        return el.power(args[0], args[1], prec)  # "pow"
-    raise TypeError(f"not an expression node: {e!r}")
+        fn, args = e.op, (e.left, e.right)
+    elif isinstance(e, Call):
+        fn, args = e.fn, e.args
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    _, module, name = _OPS[fn]
+    return getattr(module, name)(*[eval_ball(a, bindings, prec) for a in args], prec)
 
 
 def digits_to_bits(digits: int) -> int:
@@ -339,55 +327,55 @@ class AdaptiveResult:
     converged: bool
 
 
-def _precisions(start: int, cap: int):
-    """start, then doublings up to cap; the last one is cap (or start)."""
-    yield start
-    while start < cap:
-        start = min(start * 2, cap)
-        yield start
+def _refine(e, bindings: dict, prec: int, target: int, cap: int, done):
+    """Evaluate at rising precisions from prec until done(value) or the cap.
+
+    Returns (value, prec, done(value)).  After a failed test, an evaluation
+    that reached acc bits with prec // 2 <= acc < target lost max(0, prec -
+    acc) bits; the next precision is the target plus that loss plus
+    _GUARD_BITS (at least prec + _GUARD_BITS).  Any other acc (a larger loss,
+    typical of inputs that limit it, none certified, or past the target)
+    doubles prec.  Precisions strictly increase up to the cap.
+    """
+    while True:
+        value = eval_ball(e, bindings, prec)
+        if done(value):
+            return value, prec, True
+        if prec >= cap:
+            return value, prec, False
+        acc = ball.rel_accuracy_bits(value)
+        if prec // 2 <= acc < target:
+            nxt = max(prec, target + max(0, prec - acc)) + _GUARD_BITS
+        else:
+            nxt = 2 * prec
+        prec = min(nxt, cap)
 
 
 def eval_adaptive(e, bindings: dict, cfg: EvalConfig) -> AdaptiveResult:
     """Raise the precision until the target relative accuracy is certified.
 
-    An evaluation at prec that reaches acc bits lost max(0, prec - acc).
-    When acc >= prec // 2, that loss is expected again, and the next
-    precision is the target plus the loss plus _GUARD_BITS (at least prec +
-    _GUARD_BITS).  A larger loss, typical of an accuracy its inputs limit,
-    and a ball that certifies no accuracy (around zero, or not finite)
-    double prec instead.  Precisions strictly increase up to the cap.
     Reaching the cap is a graceful failure: the widest-known enclosure comes
     back flagged unconverged rather than raising.
     """
-    prec = _START_PREC
-    while True:
-        value = eval_ball(e, bindings, prec)
-        acc = ball.rel_accuracy_bits(value)
-        if acc >= cfg.target_bits:
-            return AdaptiveResult(value, prec, True)
-        if prec >= cfg.max_prec:
-            return AdaptiveResult(value, prec, False)
-        if acc >= prec // 2:
-            nxt = max(prec, cfg.target_bits + max(0, prec - acc)) + _GUARD_BITS
-        else:
-            nxt = 2 * prec
-        prec = min(nxt, cfg.max_prec)
+    target = cfg.target_bits
+    return AdaptiveResult(*_refine(e, bindings, _START_PREC, target, cfg.max_prec,
+                                   lambda v: ball.rel_accuracy_bits(v) >= target))
 
 
 def eval_correctly_rounded(e, bindings: dict, prec: int, rnd: Rounding,
                            cfg: Optional[EvalConfig] = None) -> BigFloat:
     """Correctly rounded prec-bit value of the expression under rnd.
 
-    Terminates as soon as the enclosure provably rounds to a single value
-    (exact results collapse to zero-radius balls and certify immediately).
-    Raises UnconvergedError at the precision cap: the value may be exactly
-    on, or arbitrarily close to, a rounding boundary.
+    Starts at max(64, prec + 8) bits, also the accuracy that _refine's
+    prediction aims for.  Terminates as soon as the enclosure provably
+    rounds to a single value (exact results collapse to zero-radius balls
+    and certify immediately).  Raises UnconvergedError at the precision cap:
+    the value may be exactly on, or arbitrarily close to, a rounding boundary.
     """
-    if cfg is None:
-        cfg = EvalConfig()
-    for wp in _precisions(max(_START_PREC, prec + 8), cfg.max_prec):
-        v = eval_ball(e, bindings, wp)
-        if ball.can_round(v, prec, rnd):
-            r, _ = bf.round_to(v.mid, prec, rnd)
-            return r
-    raise UnconvergedError("possible exact/near-exact case")
+    cfg = cfg or EvalConfig()
+    start = max(_START_PREC, prec + 8)
+    v, _, rounds = _refine(e, bindings, start, start, cfg.max_prec,
+                           lambda v: ball.can_round(v, prec, rnd))
+    if not rounds:
+        raise UnconvergedError("possible exact/near-exact case")
+    return bf.round_to(v.mid, prec, rnd)[0]

@@ -260,6 +260,25 @@ class TestBlockRadius:
         bp.mul_schoolbook(BallPoly(cs[2:5]), BallPoly(cs[2:5]), prec)
         assert calls  # the spies do see the schoolbook's radii
 
+class TestAddSub:
+    def test_exact(self):
+        f, g = BallPoly.from_ints([1, 2, 3]), BallPoly.from_ints([4, -5])
+        assert [c.mid.to_fraction() for c in bp.add(f, g, 53)] == [5, -3, 3]
+        assert [c.mid.to_fraction() for c in bp.sub(f, g, 53)] == [-3, 7, 3]
+        assert [c.mid.to_fraction() for c in bp.sub(g, f, 53)] == [3, -7, -3]
+
+    def test_containment(self):
+        rng = random.Random(12)
+        f, g = rand_poly(rng, 7), rand_poly(rng, 11)
+        fp = [sample_in_ball(c, rng) for c in f] + [0] * 4
+        gp = [sample_in_ball(c, rng) for c in g]
+        for op, sign in ((bp.add, 1), (bp.sub, -1)):
+            h = op(f, g, 20)
+            assert len(h) == 11
+            for k in range(11):
+                assert ball.contains_point(h[k], fp[k] + sign * gp[k])
+
+
 class TestMullow:
     def test_zero_length(self):
         assert len(bp.mullow(BallPoly.from_ints([1, 2]), BallPoly.from_ints([3]), 0, 53)) == 0

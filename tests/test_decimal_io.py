@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ball_bounds, rand_ball
+from conftest import ball_bounds, contains_fraction, rand_ball
 from midrad import ball, bigfloat as bf, decimal_io as dio, magnitude as mag
 from midrad.ball import Ball
 from midrad.bigfloat import BigFloat
@@ -128,6 +128,16 @@ class TestCrudeBounds:
                 for bits in (1, 7, 64):
                     b, t = dio._crude_pow2_upper_exp(bits, e10), e10 * mpmath.log(10, 2)
                     assert bits + t <= b <= bits + t + 1 + abs(e10) * mpmath.mpf(10) ** -9, (bits, e10)
+
+
+    def test_midpoint_beyond_the_bits_cap(self):
+        # 3 * 2^30000000 is not scaled: it prints as the next power of ten,
+        # and that text parses back to a ball that still holds the value
+        e = 30_000_000
+        assert e > dio._BITS_CAP
+        s = dio.to_decimal(Ball(BigFloat.from_man_exp(3, e)), 10)
+        assert s == "[+/- 1.00e9030901]"
+        assert contains_fraction(dio.from_decimal(s), Fraction(3 << e))
 
 
 class TestContract:

@@ -179,6 +179,14 @@ class TestPow:
         assert el.power(exact(0), exact(0), 53).mid.to_fraction() == 1
         assert el.power(exact(0), exact(-2), 53).is_indeterminate()
 
+    def test_zero_to_non_integer(self):
+        half = Ball(BigFloat.from_man_exp(1, -1))
+        r = el.power(exact(0), half, 53)
+        assert r.mid.is_zero() and r.is_exact()
+        assert el.power(exact(0), ball.neg(half), 53).is_indeterminate()
+        # an exponent ball that reaches zero or below is not bounded away from 0
+        assert el.power(exact(0), Ball(bf.ZERO, mag.pow2(-2)), 53).is_indeterminate()
+
     def test_general(self):
         half = ball.div(exact(1), exact(2), 100)
         r = el.power(exact(2), half, 53)
@@ -240,22 +248,6 @@ class TestCutoffTotality:
         t_small = timed(lambda: el.exp(ball.neg(small), 64))
         t_big = timed(lambda: el.exp(ball.neg(big), 64))
         assert t_big <= 10 * t_small + 0.001
-
-
-class TestClamp:
-    def test_exponent_flush(self):
-        # the flush threshold is the tower 2^max(65536, 4 prec)
-        e = 1 << 65600
-        tiny = Ball(BigFloat.from_man_exp(1, -e), mag.ZERO)
-        out = el._clamp(tiny, 16)
-        assert out.mid.is_zero() and not out.rad.is_zero()
-        huge = Ball(BigFloat.from_man_exp(1, e), mag.ZERO)
-        out = el._clamp(huge, 16)
-        assert out.rad.is_inf()
-        below = Ball(BigFloat.from_man_exp(1, (1 << 65536) - 1), mag.ZERO)
-        assert el._clamp(below, 16) == below
-        normal = Ball(BigFloat.from_int(3))
-        assert el._clamp(normal, 16) == normal
 
 
 class TestLog2Cache:

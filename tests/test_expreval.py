@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 from conftest import ball_bounds, contains_fraction, mpf_fraction
-from midrad import ball, bigfloat as bf, decimal_io as dio, expreval as ev
+from midrad import ball, bigfloat as bf, decimal_io as dio, elementary as el, expreval as ev
 from midrad.ball import Ball
 from midrad.bigfloat import BigFloat, Rounding
 from midrad.expreval import Bin, Call, Const, Neg, Num, Var
@@ -39,6 +39,12 @@ class TestParser:
         assert ev.parse_expr("2.5e-3") == Num(25, -4)
         assert ev.parse_expr("0.125") == Num(125, -3)
         assert ev.parse_expr(".5") == Num(5, -1)
+
+    def test_unary_plus(self):
+        assert ev.parse_expr("+2") == Num(2, 0)
+        assert ev.parse_expr("-+x") == Neg(Var("x"))
+        assert ev.parse_expr("2^+3") == Bin("^", Num(2, 0), Num(3, 0))
+        assert ev.parse_expr("1 - +2") == Bin("-", Num(1, 0), Num(2, 0))
 
     def test_pow_function(self):
         e = ev.parse_expr("pow(2, 10)")
@@ -111,6 +117,21 @@ class TestEvalBall:
     def test_bound_variable(self):
         v = ev.eval_ball(ev.parse_expr("x^2 + 1"), {"x": Ball.from_int(3)}, 64)
         assert v.mid.to_fraction() == 10 and v.is_exact()
+
+    def test_callees_are_looked_up_at_call_time(self, monkeypatch):
+        # a tracer swaps module attributes after import; eval_ball must call
+        # the swapped ones, not functions bound when expreval was imported
+        calls = []
+
+        def counting(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a: calls.append(name) or fn(*a))
+
+        counting(el, "exp")
+        counting(ball, "add")
+        v = ev.eval_ball(ev.parse_expr("exp(1) + 1"), {}, 64)
+        assert sorted(calls) == ["add", "exp"]
+        assert contains_fraction(v, mpf_fraction(mpmath.e + 1))
 
 
 class TestAdaptive:
@@ -189,10 +210,12 @@ class TestCorrectRounding:
 
 
 class TestPrecisionSchedule:
-    """Both adaptive loops start at 64 bits (or prec + 8).  eval_correctly_rounded
-    doubles up to the cap; eval_adaptive jumps to the target plus the bits the
-    last evaluation lost plus a 32-bit guard, and doubles when that evaluation
-    lost more than half its precision (or certified no accuracy at all)."""
+    """Both adaptive loops run one schedule.  They start at 64 bits (or prec +
+    8 for correct rounding, which is then also the target).  After a failed
+    stop test, an evaluation whose accuracy lies in [prec // 2, target) sends
+    the loop to the target plus the bits it lost plus a 32-bit guard; any
+    other accuracy (more than half the precision lost, none certified, or
+    already past the target) doubles the precision, up to the cap."""
 
     @staticmethod
     def precisions(monkeypatch, run):
@@ -236,6 +259,33 @@ class TestPrecisionSchedule:
         assert len(ps) <= 2 + (cap // 64).bit_length() - 1
         assert ps[-1] == cap
         assert all(q == cap or q >= 2 * p for p, q in zip(ps[1:], ps[2:]))
+
+    def test_correct_rounding_jumps_by_the_loss(self, monkeypatch):
+        # exp(1) - 2.718 cancels about 12 bits: 64 bits certify 51, so the
+        # loop goes to 64 + 13 + 32 bits, where doubling went to 128
+        e = ev.parse_expr("exp(1) - 2.718")
+        out = []
+        ps = self.precisions(monkeypatch, lambda: out.append(
+            ev.eval_correctly_rounded(e, {}, 53, Rounding.NEAREST_EVEN)))
+        assert ps == [64, 109]
+        assert out == [BigFloat.from_man_exp(2599408728347695, -63)]
+
+    def test_correct_rounding_past_the_target_doubles(self, monkeypatch):
+        # sqrt(2)^2 = 2 is a DOWN rounding boundary, so can_round never holds
+        # although the accuracy soon passes the target: after the first jump
+        # the loop must double, not creep up by the guard bits
+        cap = 4096
+        e = ev.parse_expr("sqrt(2)^2")
+
+        def run():
+            with pytest.raises(ev.UnconvergedError):
+                ev.eval_correctly_rounded(e, {}, 53, Rounding.DOWN, ev.EvalConfig(max_prec=cap))
+
+        ps = self.precisions(monkeypatch, run)
+        assert ps[:2] == [64, 98]  # 64 bits certify 62, which is below the target
+        assert len(ps) <= 2 + (cap // 64).bit_length() - 1
+        assert ps[-1] == cap
+        assert all(q == cap or q == 2 * p for p, q in zip(ps[1:], ps[2:]))
 
     def test_start_is_not_configurable(self):
         with pytest.raises(TypeError):
