@@ -19,6 +19,12 @@ A NaN midpoint means "indeterminate / whole extended line"; an infinite
 radius with a finite midpoint means "the whole real line".  Predicates
 (contains / overlaps / contains_point) are decided exactly via exact
 mixed-exponent sums, so rounding can never flip an answer.
+
+Every bound taken from an endpoint -- the sign tests of div, sqrt and
+elementary.log, the denominator bound of a quotient, whether a ball rounds
+to one value -- is one rounding of the exact endpoint mid -/+ rad, made
+once by ``bf.add``: rounding is monotone, and a directed rounding keeps the
+exact sign.
 """
 
 from __future__ import annotations
@@ -196,17 +202,10 @@ def dot(xs, ys, prec: int, initial: Ball | None = None) -> Ball:
 
 def sqr(x: Ball, prec: int) -> Ball:
     """Enclosure of {t*t : t in x}; tighter than mul(x, x) around zero."""
-    if x.mid.is_regular() and not x.rad.is_zero() and not x.rad.is_inf():
-        if bf.compare_abs(mag.to_bigfloat(x.rad), x.mid) >= 0:
-            # 0 inside: range is [0, (|mid|+rad)^2]
-            m = mag.mul(upper_mag(x), upper_mag(x))
-            half = mag.mul_2exp(m, -1)
-            return Ball(mag.to_bigfloat(half), half)
-    elif x.mid.is_zero():
-        if x.rad.is_zero():
-            return Ball(bf.ZERO)
-        m = mag.mul(x.rad, x.rad)
-        half = mag.mul_2exp(m, -1)
+    if x.is_finite() and not x.rad.is_zero() and bf.compare_abs(mag.to_bigfloat(x.rad), x.mid) >= 0:
+        # 0 inside: range is [0, (|mid|+rad)^2]
+        u = upper_mag(x)
+        half = mag.mul_2exp(mag.mul(u, u), -1)
         return Ball(mag.to_bigfloat(half), half)
     return mul(x, x, prec)
 
@@ -222,23 +221,12 @@ def _sign_sum(terms) -> int:
     return r.signum()
 
 
-def _abs_lower(x: Ball) -> BigFloat:
-    """Certified lower bound of inf |t| over the ball, or <= 0 if 0 may be inside."""
-    m = x.mid
-    if m.is_zero():
-        return bf.ZERO if x.rad.is_zero() else bf.NEG_INF
-    if x.rad.is_zero():
-        return abs(m)
-    lo, _ = bf.add(abs(m), -mag.to_bigfloat(x.rad), 32, Rounding.DOWN)
-    return lo
-
-
 def div(x: Ball, y: Ball, prec: int) -> Ball:
     if x.mid.is_nan() or y.mid.is_nan():
         return indeterminate()
     if y.mid.is_inf():
         return Ball(bf.ZERO) if x.is_finite() else indeterminate()
-    lo = _abs_lower(y)
+    lo = lower_bound(Ball(abs(y.mid), y.rad), 32)  # below |t| for every t in y
     if lo.signum() <= 0:
         return indeterminate()  # 0 possibly in the denominator
     if x.mid.is_inf():
@@ -252,19 +240,12 @@ def div(x: Ball, y: Ball, prec: int) -> Ball:
 
 
 def sqrt(x: Ball, prec: int) -> Ball:
-    m = x.mid
-    if m.is_nan():
-        return indeterminate()
+    m, rad = x.mid, x.rad
     if m.is_inf():
         return Ball(bf.POS_INF) if m.signum() > 0 else indeterminate()
-    if m.is_zero():
-        return Ball(bf.ZERO) if x.rad.is_zero() else indeterminate()
-    if m.signum() < 0:
-        return indeterminate()
-    rad = x.rad
+    if lower_bound(x, 32).signum() < 0:
+        return indeterminate()  # NaN, or the ball reaches below zero
     if not rad.is_zero():
-        if rad.is_inf() or _sign_sum([m, -mag.to_bigfloat(rad)]) < 0:
-            return indeterminate()  # the ball reaches below zero
         # |sqrt(t) - sqrt(m)| = |t - m| / (sqrt(t) + sqrt(m)) <= rad / sqrt(m)
         root_lo, _ = bf.sqrt(m, 32, Rounding.DOWN)
         rad = mag.div_lower_denominator(rad, root_lo)
@@ -386,21 +367,16 @@ def rel_accuracy_bits(x: Ball):
 
 
 def can_round(x: Ball, prec: int, rnd: Rounding) -> bool:
-    """True only if every point of the ball rounds to one prec-bit value.
+    """Does every point of the ball round to one prec-bit value under rnd?
 
-    A True answer certifies that rounding the midpoint gives the correctly
-    rounded result for the whole ball; False is always permitted.
+    The answer is exact: rounding is monotone, so every point rounds alike
+    exactly when the two endpoints do, and ``bf.add`` rounds each exact
+    endpoint mid -/+ rad once.  True certifies that rounding the midpoint
+    gives the correctly rounded result for the whole ball.
     """
     if x.rad.is_zero():
         return not x.mid.is_nan()
     if x.rad.is_inf() or not x.mid.is_regular():
         return False
     r = mag.to_bigfloat(x.rad)
-    # outer bounds at the ball's own accuracy, so a gap the radius can
-    # resolve is never blurred away by the bound rounding
-    wp = max(prec, x.mid.exp - x.rad.exp) + 16
-    lo, _ = bf.add(x.mid, -r, wp, Rounding.DOWN)
-    hi, _ = bf.add(x.mid, r, wp, Rounding.UP)
-    rl, _ = bf.round_to(lo, prec, rnd)
-    rh, _ = bf.round_to(hi, prec, rnd)
-    return rl == rh
+    return bf.add(x.mid, -r, prec, rnd)[0] == bf.add(x.mid, r, prec, rnd)[0]

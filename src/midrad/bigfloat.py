@@ -16,6 +16,7 @@ immutable, so everything here is safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 import sys
 from enum import IntEnum
 from fractions import Fraction
@@ -391,12 +392,6 @@ def div(x: BigFloat, y: BigFloat, prec: int, rnd: int) -> tuple[BigFloat, bool]:
     return ZERO, False  # finite / inf
 
 
-def isqrt_rem(n: int) -> tuple[int, int]:
-    import math
-    r = math.isqrt(n)
-    return r, n - r * r
-
-
 def sqrt(x: BigFloat, prec: int, rnd: int) -> tuple[BigFloat, bool]:
     """Correctly rounded square root; negative input is a domain error (NaN)."""
     _check_prec(prec)
@@ -411,8 +406,9 @@ def sqrt(x: BigFloat, prec: int, rnd: int) -> tuple[BigFloat, bool]:
         if s < 0:
             s = 0
         s += s & 1
-        r, rem = isqrt_rem(man << s)
-        return _round_from(1, r, (l - s) >> 1, prec, rnd, sticky=rem != 0)
+        n = man << s
+        r = math.isqrt(n)
+        return _round_from(1, r, (l - s) >> 1, prec, rnd, sticky=r * r != n)
     if x.kind == _ZERO:
         return ZERO, False
     if x.kind == _POS_INF:

@@ -148,7 +148,7 @@ def sqrt(x: ComplexBox, prec: int) -> ComplexBox:
         return ComplexBox(ball.round_to(u, prec), ball.round_to(v2, prec))
     # box crosses the cut: include both one-sided limits
     vhi = ball.upper_mag(v2)
-    v2lo, _ = bf.round_to(ball.lower_bound(v2, 32), 32, bf.Rounding.DOWN)
+    v2lo = ball.lower_bound(v2, 32)
     if v2lo.signum() <= 0:
         return indeterminate()
     uhi = mag.div_lower_denominator(ball.upper_mag(b), bf.mul_exact(v2lo, bf.BigFloat.from_int(2)))

@@ -21,14 +21,18 @@ in the precision regardless of the input: beyond the cutoffs, sin/cos return
 the whole line (positive side).
 
 The constants pi and log(2) are evaluated by binary splitting of fast
-series (Machin's formula, atanh(1/3)) and cached per power-of-two working
-precision, so results are identical whether or not the cache is warm.
+series (Machin's formula, atanh(1/3)) at a power-of-two working precision,
+the least one at least 16 bits above the request (``_bucket``), so results
+are identical whether or not the cache is warm.  ``_compute_pi`` and
+``_compute_log2`` are ``functools.cache`` functions of that precision:
+their ``cache_info()`` counts the hits and misses, and ``cache_clear()``
+empties them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from typing import Callable, NamedTuple
 
 from . import ball
@@ -79,6 +83,7 @@ def _arctan_inv(m: int, wp: int, alternating: bool) -> Ball:
     return ball.rounded(bf.div(BigFloat.from_int(p), BigFloat.from_int(q * m), wp, _NE), tail, wp)
 
 
+@functools.cache
 def _compute_pi(wp: int) -> Ball:
     # pi = 16 atan(1/5) - 4 atan(1/239)
     a = ball.scale_2exp(_arctan_inv(5, wp + 8, True), 4)
@@ -86,42 +91,23 @@ def _compute_pi(wp: int) -> Ball:
     return ball.sub(a, b, wp + 8)
 
 
+@functools.cache
 def _compute_log2(wp: int) -> Ball:
     # log 2 = 2 atanh(1/3)
     return ball.scale_2exp(_arctan_inv(3, wp + 8, False), 1)
 
 
-_pi_cache: dict[int, Ball] = {}
-_log2_cache: dict[int, Ball] = {}
-_cache_lock = threading.Lock()
-
-
 def _bucket(wp: int) -> int:
-    b = 64
-    while b < wp:
-        b <<= 1
-    return b
-
-
-def _cached(cache: dict, compute, wp: int) -> Ball:
-    """compute(key) from cache, at (at least) wp bits; deterministic in the
-    bucketed precision key."""
-    key = _bucket(wp + 16)
-    with _cache_lock:
-        cached = cache.get(key)
-    if cached is None:
-        cached = compute(key)
-        with _cache_lock:
-            cache.setdefault(key, cached)
-    return cached
+    """The cached precision for wp bits: the least power of two >= wp + 16, at least 64."""
+    return max(64, 1 << (wp + 15).bit_length())
 
 
 def _pi_ball(wp: int) -> Ball:
-    return _cached(_pi_cache, _compute_pi, wp)
+    return _compute_pi(_bucket(wp))
 
 
 def _log2_ball(wp: int) -> Ball:
-    return _cached(_log2_cache, _compute_log2, wp)
+    return _compute_log2(_bucket(wp))
 
 
 def const_pi(prec: int) -> Ball:
@@ -366,21 +352,14 @@ def _log_point(m: BigFloat, prec: int) -> Ball:
 
 def log(x: Ball, prec: int) -> Ball:
     m = x.mid
-    if m.is_nan():
-        return ball.indeterminate()
     if m.is_inf():
         return Ball(bf.POS_INF) if m.signum() > 0 else ball.indeterminate()
-    if m.signum() <= 0:
-        return ball.indeterminate()
-    if not x.rad.is_zero():
-        if x.rad.is_inf():
-            return ball.indeterminate()
-        if ball._sign_sum([m, -mag.to_bigfloat(x.rad)]) <= 0:
-            return ball.indeterminate()  # ball touches (-inf, 0]
+    lo = ball.lower_bound(x, 32)
+    if lo.signum() <= 0:
+        return ball.indeterminate()  # NaN, or the ball touches (-inf, 0]
     point = _log_point(m, prec)
     if x.rad.is_zero():
         return point
-    lo, _ = bf.add(m, -mag.to_bigfloat(x.rad), 32, Rounding.DOWN)
     prop = mag.div_lower_denominator(x.rad, lo)  # sup 1/t over the ball
     return Ball(point.mid, mag.add(point.rad, prop))
 

@@ -109,21 +109,6 @@ class Neg:
 Expr = object  # union of the node classes above
 
 
-def free_variables(e) -> set:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Call):
-        out = set()
-        for a in e.args:
-            out |= free_variables(a)
-        return out
-    if isinstance(e, Bin):
-        return free_variables(e.left) | free_variables(e.right)
-    if isinstance(e, Neg):
-        return free_variables(e.arg)
-    return set()
-
-
 # -- parser ----------------------------------------------------------------------
 
 # Caps on nesting (five parser frames a level) and on tree height (up to two
@@ -366,14 +351,14 @@ def eval_correctly_rounded(e, bindings: dict, prec: int, rnd: Rounding,
                            cfg: Optional[EvalConfig] = None) -> BigFloat:
     """Correctly rounded prec-bit value of the expression under rnd.
 
-    Starts at max(64, prec + 8) bits, also the accuracy that _refine's
-    prediction aims for.  Terminates as soon as the enclosure provably
-    rounds to a single value (exact results collapse to zero-radius balls
-    and certify immediately).  Raises UnconvergedError at the precision cap:
+    Starts at max(64, prec + 8) bits, or at the precision cap if that is
+    lower, also the accuracy that _refine's prediction aims for.  Terminates
+    as soon as the enclosure provably rounds to a single value (exact
+    results collapse to zero-radius balls and certify immediately).  Raises UnconvergedError at the precision cap:
     the value may be exactly on, or arbitrarily close to, a rounding boundary.
     """
     cfg = cfg or EvalConfig()
-    start = max(_START_PREC, prec + 8)
+    start = min(max(_START_PREC, prec + 8), cfg.max_prec)
     v, _, rounds = _refine(e, bindings, start, start, cfg.max_prec,
                            lambda v: ball.can_round(v, prec, rnd))
     if not rounds:

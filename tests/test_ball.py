@@ -114,6 +114,16 @@ class TestMul:
         assert p.rad.to_fraction() >= mx * ry + my * rx + rx * ry
         assert ball.contains_point(p, (mx + rx) * (my + ry))
 
+    def test_sqr_of_a_ball_holding_zero(self):
+        # [0, (|mid| + rad)^2], the whole line included
+        line = ball.sqr(ball.whole_line(), 53)
+        assert line.mid.is_zero() and line.rad.is_inf()
+        assert ball.overlaps(line, B(4))
+        for x in (Ball(bf.ZERO, mag.ONE), Ball(BigFloat.from_int(-1), mag.TWO)):
+            lo, hi = ball_bounds(ball.sqr(x, 53))
+            xlo, xhi = ball_bounds(x)
+            assert lo <= 0 and hi >= max(xlo * xlo, xhi * xhi)
+
 
 class TestFma:
     def test_exact(self):
@@ -334,16 +344,39 @@ class TestCanRound:
     def test_exact_point(self):
         assert ball.can_round(B(2), 7, Rounding.DOWN)
 
+    @staticmethod
+    def near_grid(x: Ball, rng) -> Ball:
+        """x moved so that its upper endpoint lies on a 12-bit grid point, or
+        2^-40 of the radius' scale below or above it."""
+        hi = ball_bounds(x)[1]
+        step = Fraction(2) ** (x.mid.exp - 12)
+        shift = round(hi / step) * step - hi + rng.choice((-1, 0, 1)) * Fraction(2) ** (x.rad.exp - 40)
+        m = x.mid.to_fraction() + shift
+        k = m.denominator.bit_length() - 1
+        return Ball(BigFloat.from_man_exp(m.numerator, -k), x.rad)
+
     def test_certifies_common_rounding(self):
+        # exact both ways: True exactly when both endpoints round alike
         rng = random.Random(13)
         for _ in range(300):
-            x = rand_ball(rng)
-            for rnd in ALL_MODES:
-                if not ball.can_round(x, 12, rnd):
-                    continue
-                lo, hi = ball_bounds(x)
-                from conftest import round_fraction_oracle
-                assert round_fraction_oracle(lo, 12, rnd) == round_fraction_oracle(hi, 12, rnd)
+            x = rand_ball(rng, rad_chance=1.0)
+            for y in (x, self.near_grid(x, rng)):
+                lo, hi = ball_bounds(y)
+                for rnd in ALL_MODES:
+                    alike = round_fraction_oracle(lo, 12, rnd) == round_fraction_oracle(hi, 12, rnd)
+                    assert ball.can_round(y, 12, rnd) == alike
+
+    def test_endpoint_just_below_a_rounding_boundary(self):
+        # hi = 1 - 2^-160 lies 2^-160 below 1, far below the radius' own
+        # 2^-120 scale; every point rounds DOWN to 1 - 2^-53
+        r = mag.from_man_exp_upper(2 ** 30 - 1, -150)
+        x = Ball(BigFloat.from_man_exp(2 ** 160 - ((2 ** 30 - 1) << 10) - 1, -160), r)
+        lo, hi = ball_bounds(x)
+        assert hi == 1 - Fraction(1, 2 ** 160)
+        expected = 1 - Fraction(1, 2 ** 53)
+        assert round_fraction_oracle(lo, 53, Rounding.DOWN) == expected
+        assert ball.can_round(x, 53, Rounding.DOWN)
+        assert bf.round_to(x.mid, 53, Rounding.DOWN)[0].to_fraction() == expected
 
 
 class TestPi:
@@ -397,11 +430,11 @@ class TestPi:
             prev = cur
 
     def test_cache_transparency(self):
-        el._pi_cache.clear()
+        el._compute_pi.cache_clear()
         cold = el.const_pi(70)
         warm = el.const_pi(70)
         assert cold == warm
-        el._pi_cache.clear()
+        el._compute_pi.cache_clear()
         assert el.const_pi(70) == warm
 
 

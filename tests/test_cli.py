@@ -97,6 +97,13 @@ class TestRound:
         code, out, _ = run(capsys, "round", "exp(0)", "--bits", "53")
         assert code == 0 and out.strip() == "1*2^0"
 
+    def test_bits_above_the_cap(self, capsys):
+        # evaluation starts at the cap: an exact value still certifies
+        code, out, _ = run(capsys, "round", "2", "--bits", "100", "--max-prec", "64")
+        assert code == 0 and out.strip() == "1*2^1"
+        code, _, err = run(capsys, "round", "exp(1)", "--bits", "100", "--max-prec", "64")
+        assert code == 2 and "exact" in err
+
     def test_dilemma_exit_2(self, capsys):
         code, _, err = run(capsys, "round", "log(2)+log(3)-log(6)",
                            "--bits", "53", "--max-prec", "1024")

@@ -27,10 +27,6 @@ class TestParser:
         e = ev.parse_expr("2^-3")
         assert e == Bin("^", Num(2, 0), Neg(Num(3, 0)))
 
-    def test_free_variable(self):
-        e = ev.parse_expr("log(x) + sin(x)*exp(-x)")
-        assert ev.free_variables(e) == {"x"}
-
     def test_precedence(self):
         e = ev.parse_expr("1 + 2*3")
         assert e == Bin("+", Num(1, 0), Bin("*", Num(2, 0), Num(3, 0)))
@@ -211,7 +207,8 @@ class TestCorrectRounding:
 
 class TestPrecisionSchedule:
     """Both adaptive loops run one schedule.  They start at 64 bits (or prec +
-    8 for correct rounding, which is then also the target).  After a failed
+    8 for correct rounding, which is then also the target, but never above
+    the cap).  After a failed
     stop test, an evaluation whose accuracy lies in [prec // 2, target) sends
     the loop to the target plus the bits it lost plus a 32-bit guard; any
     other accuracy (more than half the precision lost, none certified, or
@@ -236,9 +233,18 @@ class TestPrecisionSchedule:
         assert self.precisions(monkeypatch, lambda: ev.eval_correctly_rounded(
             e, {}, 100, Rounding.NEAREST_EVEN, ev.EvalConfig(max_prec=900))) == [108, 216, 432, 864, 900]
         assert self.precisions(monkeypatch, lambda: ev.eval_correctly_rounded(
-            e, {}, 100, Rounding.NEAREST_EVEN, ev.EvalConfig(max_prec=64))) == [108]
+            e, {}, 100, Rounding.NEAREST_EVEN, ev.EvalConfig(max_prec=64))) == [64]
         assert self.precisions(monkeypatch, lambda: ev.eval_adaptive(
             ev.parse_expr("exp(1)"), {}, ev.EvalConfig(max_prec=64))) == [64]
+
+    def test_start_above_the_cap_runs_at_the_cap(self, monkeypatch):
+        seen = []
+        eval_ball = ev.eval_ball
+        monkeypatch.setattr(ev, "eval_ball", lambda e, b, p: seen.append(p) or eval_ball(e, b, p))
+        with pytest.raises(ev.UnconvergedError):
+            ev.eval_correctly_rounded(ev.parse_expr("exp(1)"), {}, 10_000, Rounding.NEAREST_EVEN,
+                                      ev.EvalConfig(max_prec=4096))
+        assert seen and max(seen) == 4096
 
     def test_jump_to_target_plus_loss(self, monkeypatch):
         e = ev.parse_expr("exp(1)")
