@@ -241,10 +241,10 @@ def div(x: Ball, y: Ball, prec: int) -> Ball:
 
 def sqrt(x: Ball, prec: int) -> Ball:
     m, rad = x.mid, x.rad
-    if m.is_inf():
-        return Ball(bf.POS_INF) if m.signum() > 0 else indeterminate()
     if lower_bound(x, 32).signum() < 0:
-        return indeterminate()  # NaN, or the ball reaches below zero
+        return indeterminate()  # NaN, -inf, or the ball reaches below zero
+    if m.is_inf():
+        return Ball(bf.POS_INF)
     if not rad.is_zero():
         # |sqrt(t) - sqrt(m)| = |t - m| / (sqrt(t) + sqrt(m)) <= rad / sqrt(m)
         root_lo, _ = bf.sqrt(m, 32, Rounding.DOWN)
@@ -330,10 +330,11 @@ def overlaps(x: Ball, y: Ball) -> bool:
     """Do x and y share a point?  Decided exactly."""
     if x.mid.is_nan() or y.mid.is_nan():
         return True
+    if x.rad.is_inf() or y.rad.is_inf():
+        # such a ball holds every real, as in contains: is there one in both?
+        return all(b.mid.is_finite() or b.rad.is_inf() for b in (x, y))
     if x.mid.is_inf() or y.mid.is_inf():
         return x.mid.kind == y.mid.kind
-    if x.rad.is_inf() or y.rad.is_inf():
-        return True
     return _within(x.mid, y.mid, [mag.to_bigfloat(x.rad), mag.to_bigfloat(y.rad)])
 
 

@@ -1,8 +1,8 @@
 """Benchmark kernels for the CLI: measurement scaffolding, not claims.
 
 Emits CSV rows ``name,param,prec,seconds,metric`` where the metric is the
-worst relative accuracy in bits (factorials) or the largest relative radius
-(polynomial multiplication).
+worst relative accuracy in bits (factorials, elementary functions) or the
+largest relative radius (polynomial multiplication).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import time
 
 from . import ball
 from . import ballpoly as bp
+from . import elementary as el
 from .ball import Ball
 from .bigfloat import BigFloat
 
@@ -92,3 +93,21 @@ def bench_polymul(ns, precs, out):
                     if not c.mid.is_zero():
                         worst = max(worst, _acc_to_relrad(ball.rel_accuracy_bits(c)))
                 out.write(f"{name},{n},{prec},{dt:.6f},{worst:.3e}\n")
+
+
+# the double nearest 0.7: no function reduces it by a multiple of a constant
+_ELEMENTARY_ARG = Ball(BigFloat.from_man_exp(3152519739159347, -52))
+
+
+def bench_elementary(precs, out):
+    """exp, log, sin and atan of 0.7: the best of three calls, the first of
+    which also fills the constant caches."""
+    for prec in precs:
+        for name in ("exp", "log", "sin", "atan"):
+            fn = getattr(el, name)
+            best = math.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                r = fn(_ELEMENTARY_ARG, prec)
+                best = min(best, time.perf_counter() - t0)
+            out.write(f"{name},0.7,{prec},{best:.6f},{ball.rel_accuracy_bits(r)}\n")

@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--var", action="append", default=[], metavar="NAME=VALUE")
 
     pb = sub.add_parser("bench", help="emit CSV benchmark grids")
-    pb.add_argument("which", choices=["factorial", "falling-factorial", "polymul"])
+    pb.add_argument("which", choices=["factorial", "falling-factorial", "polymul", "elementary"])
     pb.add_argument("--n", type=int, action="append", default=[],
                     help="problem size; repeatable")
     pb.add_argument("--prec", type=int, action="append", default=[],
@@ -97,7 +97,9 @@ def _cmd_bench(args) -> int:
     precs = args.prec or [64]
     out = sys.stdout
     out.write("name,param,prec,seconds,metric\n")
-    if args.which == "factorial":
+    if args.which == "elementary":
+        benchmod.bench_elementary(args.prec or [53, 333, 1000, 10 ** 4], out)
+    elif args.which == "factorial":
         benchmod.bench_factorial(ns or [10000], precs, out)
     elif args.which == "falling-factorial":
         benchmod.bench_falling_factorial(ns or [100], precs, out)

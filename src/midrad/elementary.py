@@ -10,10 +10,24 @@ and the first unsummed term is within 2 ulps of 0, so the tail bound (that
 term for alternating series, q/(1-q) times it otherwise) adds a few more.
 The reduced argument's own radius -- the cached pi or log(2) radius times
 the reduction multiple, plus the floor to w bits -- is folded in once
-through the function's Lipschitz bound on the reduced range.  exp sums at
-x 2^-r, r about sqrt(w)/2, with r more guard bits, squares r times on ints
-and folds that radius r as e^x (e^r - 1).  Results are rounded to the
-target precision once, and the input radius is added last.
+through the function's Lipschitz bound on the reduced range.
+
+The reduction balances the series length against r cheap steps on ints,
+each of which doubles the error, so r more guard bits pay for them:
+
+- exp: t = x - k log 2 with |t| <= log(2)/2; sum at t 2^-r, r about
+  sqrt(w)/2 + t.exp, and square r times.
+- sin, cos: t = x - k pi/2 with |t| <= pi/4; sum both series at t 2^-r,
+  r about sqrt(w)/2 - 5 + t.exp (0 below 144 bits), and recover both by r
+  double-angle steps c + i s <- (c + i s)^2.
+- log: x = a 2^e with a in [3/4, 3/2), log a = 2 atanh u for
+  u = (a - 1)/(a + 1), |u| <= 1/5; halve atanh u until |u| <= 2^-(2+h(w)).
+- atan: atan x = pi/2 - atan(1/x) for x > 1; halve atan z until
+  z <= 2^-(3+h(w)).
+
+One routine, ``_halve``, takes both atan and atanh steps, z <- z / (1 + sqrt(1
++- z^2)); h(w) is 0 below 256 bits and about sqrt(w)/4 above.  Results are
+rounded to the target precision once, and the input radius is added last.
 
 Internal evaluation parameters are capped so that the work stays polynomial
 in the precision regardless of the input: beyond the cutoffs, sin/cos return
@@ -141,6 +155,9 @@ _COS = _Series(False, True, True, True)
 _ATANH = _Series(True, True, False, False)
 _ATAN = _Series(True, True, False, True)
 
+# |atanh'(u)| = 1/(1 - u^2) <= 25/24 for |u| <= 1/5
+_ATANH_LIPSCHITZ = mag.div_int_upper(mag.from_int_upper(25), 24)
+
 # Fraction bits the kernel carries beyond the caller's working precision.
 _GUARD = 16
 
@@ -257,6 +274,8 @@ def exp(x: Ball, prec: int) -> Ball:
     m = x.mid
     if m.is_nan():
         return ball.indeterminate()
+    if x.rad.is_inf():  # every real, whatever the midpoint
+        return ball.whole_line()
     if m.is_inf():
         return Ball(bf.POS_INF) if m.signum() > 0 else Ball(bf.ZERO)
     cutoff = max(128, 2 * prec)
@@ -278,16 +297,41 @@ def exp(x: Ball, prec: int) -> Ball:
 
 # -- sin / cos ------------------------------------------------------------------
 
+def _double_angle(c: int, s: int, err: int, w: int, r: int) -> tuple[int, int, int]:
+    """(c', s', err'): r steps c + i s <- (c + i s)^2 on w-bit ints, with
+    |(c' + i s') 2^-w - u^(2^r)| <= err' 2^-w for |(c + i s) 2^-w - u| <= err 2^-w
+    and |u| = 1, so err' also bounds each part's error."""
+    for _ in range(r):
+        # |z^2 - u^2| <= E (2 + E) for |z - u| <= E, and the two floors cost
+        # under 1 ulp each
+        err = 2 * err + (err * err >> w) + 3
+        c, s = (c + s) * (c - s) >> w, c * s >> (w - 1)
+    return c, s, err
+
+
 def _sin_cos_point(m: BigFloat, prec: int) -> tuple[Ball, Ball]:
     n = m.exp
     wp = prec + (n if n > 0 else 0) + 16
     k, t = _reduce(m, lambda: ball.scale_2exp(_pi_ball(wp), -1), 1)
     w = prec + 16 + _GUARD  # wp less the n bits that only k needs
-    ws = w - min(t.mid.exp, 0)  # sin t is about t: keep wp bits relative to t
+    e = min(t.mid.exp, 0)
+    ws = w - e  # sin t is about t: keep wp bits relative to t
+    r = max(0, math.isqrt(w) // 2 - 5 + e)
+    if r:
+        # sum both series at t 2^-r with r more guard bits and double the angle
+        # r times; the steps mix sin and cos, so both run at ws bits, and 4
+        # more bits keep the error (both series' and 3 ulps a step) below
+        # that of one series summed at t
+        w = ws = ws + 4
     xs, rs = _fixed(t, ws)
     xc, rc = _fixed(t, w)
-    sj = _fixed_ball(*_series(_SIN, ws, xs), ws, rs)  # |sin'|, |cos'| <= 1
-    cj = _fixed_ball(*_series(_COS, w, xc), w, rc)
+    s, es = _series(_SIN, ws + r, xs)
+    c, ec = _series(_COS, w + r, xc)
+    if r:
+        c, s, es = _double_angle(c, s, es + ec, w + r, r)
+        ec = es
+    sj = _fixed_ball(s, es, ws + r, rs)  # |sin'|, |cos'| <= 1
+    cj = _fixed_ball(c, ec, w + r, rc)
     s, c = ((sj, cj), (cj, -sj), (-sj, -cj), (-cj, sj))[k & 3]
     return ball.round_to(s, prec), ball.round_to(c, prec)
 
@@ -340,11 +384,15 @@ def _log_point(m: BigFloat, prec: int) -> Ball:
     # a = man / 2^z, so u = (a - 1)/(a + 1) = (man - 2^z)/(man + 2^z)
     z = bl + e - m.exp
     num, den = m.man - (1 << z), m.man + (1 << z)
-    w = wp + _GUARD + max(0, den.bit_length() - num.bit_length())
+    r = _halvings(wp + _GUARD)
+    w = wp + _GUARD + r + max(0, den.bit_length() - num.bit_length())
     u, rem = divmod(num << w, den)
-    # u is floored: 1 ulp, times |atanh'(u)| = 1/(1 - u^2) <= 25/24 for |u| <= 1/5
-    urad = mag.div_int_upper(mag.from_man_exp_upper(25, -w), 24) if rem else mag.ZERO
-    res = ball.scale_2exp(_fixed_ball(*_series(_ATANH, w, u), w, urad), 1)
+    # log a = 2 atanh u = 2^(h+1) atanh y; for r = 0, |u| <= 1/5 needs no step
+    y, h = _halve(u, w, 2 + r, -1)
+    # y is within 4 ulps after a step, u within 1 if floored
+    urad = mag.mul_2exp(_ATANH_LIPSCHITZ, 2 - w) if h else (mag.mul_2exp(_ATANH_LIPSCHITZ, -w)
+                                                            if rem else mag.ZERO)
+    res = ball.scale_2exp(_fixed_ball(*_series(_ATANH, w, y), w, urad), h + 1)
     if e:
         res = _sub_multiple(res, _log2_ball(wp), -e)
     return ball.round_to(res, prec)
@@ -352,11 +400,11 @@ def _log_point(m: BigFloat, prec: int) -> Ball:
 
 def log(x: Ball, prec: int) -> Ball:
     m = x.mid
-    if m.is_inf():
-        return Ball(bf.POS_INF) if m.signum() > 0 else ball.indeterminate()
     lo = ball.lower_bound(x, 32)
     if lo.signum() <= 0:
-        return ball.indeterminate()  # NaN, or the ball touches (-inf, 0]
+        return ball.indeterminate()  # NaN, -inf, or the ball touches (-inf, 0]
+    if m.is_inf():
+        return Ball(bf.POS_INF)
     point = _log_point(m, prec)
     if x.rad.is_zero():
         return point
@@ -366,17 +414,30 @@ def log(x: Ball, prec: int) -> Ball:
 
 # -- atan -------------------------------------------------------------------------
 
-def _atan_halve(z: int, w: int, rad: mag.Magnitude) -> tuple[int, int, mag.Magnitude]:
-    """(y, h, r): atan(z 2^-w + d) = 2^h atan(y 2^-w + e) with |e| <= r for
-    |d| <= rad, and y <= 2^w / 8; 0 <= z <= 2^w and rad <= 4 ulps."""
+def _halvings(w: int) -> int:
+    """How many bits below 1/8 (atan) or 1/4 (atanh) _halve takes its argument
+    at w bits: 0 below 256 bits, about sqrt(w)/4 above, where a step (one
+    isqrt) costs about as much as ten terms of the series."""
+    return max(0, math.isqrt(w) // 4 - 3)
+
+
+def _halve(z: int, w: int, k: int, sign: int) -> tuple[int, int]:
+    """(y, h): f(z 2^-w + d) = 2^h f(y 2^-w + e) with |y| <= 2^(w-k), and for
+    h > 0, |e| <= 4 ulps (2^-w) when |d| <= 4 ulps; f is atan for sign 1 and
+    |z| <= 2^w, atanh for sign -1 and |z| <= 2^w / 5.
+
+    Each step z <- z / (1 + sqrt(1 + sign z^2)) halves f(z).  Its derivative
+    1 / (q (1 + q)), q = sqrt(1 + sign z^2), is at most 1/2 for atan and
+    0.52 for atanh on those ranges, and the two floors add under 1.3 ulps
+    (the isqrt's 1 ulp costs at most z / (1 + q)^2 <= 1/4 of one), so an
+    error of at most 4 ulps stays at most 4 ulps.
+    """
     h = 0
-    while (z - 1) >> (w - 3) > 0:  # z > 2^w / 8, without building 2^w for tiny z
-        # z / (1 + sqrt(1 + z^2)) halves atan z and at least halves an error
-        # in z; each step's floors add under 2 ulps
+    while (abs(z) - 1) >> (w - k) > 0:  # |z| > 2^(w-k), without building 2^w for tiny z
         one = 1 << w
-        z = (z << w) // (one + math.isqrt((one << w) + z * z))
+        z = (z << w) // (one + math.isqrt((one << w) + sign * z * z))
         h += 1
-    return z, h, (mag.pow2(2 - w) if h else rad)
+    return z, h
 
 
 def _atan_point(m: BigFloat, prec: int) -> Ball:
@@ -387,14 +448,17 @@ def _atan_point(m: BigFloat, prec: int) -> Ball:
         res = ball.scale_2exp(_pi_ball(wp), -2)
     else:
         flip = bf.compare(a, bf.ONE) > 0
-        w = wp + _GUARD
+        r = _halvings(wp + _GUARD)
+        w = wp + _GUARD + r  # r guard bits for the 2^r the halvings scale by
         if flip:  # atan a = pi/2 - atan(1/a)
             z, rem = divmod(1 << (w - a.lsb), a.man)
             rad = mag.pow2(-w) if rem else mag.ZERO
         else:
             w -= a.exp  # atan a is about a: keep wp bits relative to a
             z, rad = _fixed(Ball(a), w)
-        z, h, rad = _atan_halve(z, w, rad)
+        z, h = _halve(z, w, 3 + r, 1)
+        if h:
+            rad = mag.pow2(2 - w)
         res = ball.scale_2exp(_fixed_ball(*_series(_ATAN, w, z), w, rad), h)  # |atan'| <= 1
         if flip:
             res = ball.neg(_sub_multiple(res, ball.scale_2exp(_pi_ball(wp), -1), 1))

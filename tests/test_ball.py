@@ -232,6 +232,14 @@ class TestDot:
 
 
 class TestDivSqrt:
+    def test_sqrt_of_an_infinite_radius_holds_every_root(self):
+        for mid in (bf.POS_INF, bf.NEG_INF, bf.ZERO):
+            r = ball.sqrt(Ball(mid, mag.INF), 53)
+            assert r.is_indeterminate()  # the ball reaches below zero
+            assert ball.contains_point(r, mpf_fraction(mpmath.sqrt(3)))
+        assert ball.sqrt(Ball(bf.POS_INF), 53).mid == bf.POS_INF
+        assert ball.sqrt(Ball(bf.NEG_INF), 53).is_indeterminate()
+
     def test_sqrt_exact(self):
         r = ball.sqrt(B(4), 53)
         assert r.mid.to_fraction() == 2 and r.is_exact()
@@ -318,6 +326,22 @@ class TestPredicates:
         assert ball.contains_point(line, Fraction(10 ** 100))
         assert ball.contains(Ball(bf.POS_INF), Ball(bf.POS_INF))
         assert not ball.contains(Ball(bf.POS_INF), Ball(bf.NEG_INF))
+
+    def test_infinite_radius_means_every_real_in_each_predicate(self):
+        # (inf; inf) comes out of ball.mul(Ball(+inf), Ball(1, inf), 53)
+        inf_inf = ball.mul(Ball(bf.POS_INF), Ball(bf.ONE, mag.INF), 53)
+        assert inf_inf.mid == bf.POS_INF and inf_inf.rad.is_inf()
+        balls = [inf_inf, Ball(bf.NEG_INF, mag.INF), ball.whole_line(), Ball(bf.POS_INF),
+                 Ball(bf.NEG_INF), B(3), Ball(bf.ZERO, mag.ONE)]
+        for x in balls:
+            assert ball.contains_point(x, 3) == ball.overlaps(x, B(3)) == ball.contains(x, B(3))
+            for y in balls:
+                # a ball that contains another overlaps it
+                if ball.contains(x, y):
+                    assert ball.overlaps(x, y) and ball.overlaps(y, x), (x, y)
+        assert ball.overlaps(inf_inf, B(3)) and ball.overlaps(inf_inf, ball.whole_line())
+        assert not ball.overlaps(inf_inf, Ball(bf.POS_INF))
+        assert not ball.overlaps(ball.whole_line(), Ball(bf.NEG_INF))
 
 
 class TestAccuracy:

@@ -127,6 +127,22 @@ class TestBench:
         assert code == 0
         assert "polymul-block,32,64," in out and "polymul-schoolbook,32,64," in out
 
+    def test_elementary_csv(self, capsys):
+        code, out, _ = run(capsys, "bench", "elementary", "--prec", "53", "--prec", "333")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0] == "name,param,prec,seconds,metric"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [(r[0], r[2]) for r in rows] == [(f, p) for p in ("53", "333")
+                                                for f in ("exp", "log", "sin", "atan")]
+        assert all(int(r[4]) >= int(r[2]) - 2 for r in rows)  # rel_accuracy_bits
+
+    def test_elementary_default_precisions(self, capsys):
+        code, out, _ = run(capsys, "bench", "elementary")
+        lines = out.strip().splitlines()
+        assert code == 0 and len(lines) == 1 + 4 * 4
+        assert {line.split(",")[2] for line in lines[1:]} == {"53", "333", "1000", "10000"}
+
     def test_usage_error(self, capsys):
         assert run(capsys, "bench", "nosuch")[0] == 1
         assert run(capsys)[0] == 1

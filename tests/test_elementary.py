@@ -58,6 +58,12 @@ class TestExp:
         assert el.exp(Ball(bf.POS_INF), 53).mid.kind == bf.POS_INF.kind
         assert el.exp(Ball(bf.NEG_INF), 53).mid.is_zero()
 
+    def test_infinite_radius_holds_every_value(self):
+        for mid in (bf.POS_INF, bf.NEG_INF, bf.ONE):
+            r = el.exp(Ball(mid, mag.INF), 53)
+            assert r == ball.whole_line()
+            assert ball.contains_point(r, mpf_fraction(mpmath.exp(3)))
+
     def test_wide_radius_propagation(self):
         x = Ball(BigFloat.from_int(1), mag.from_int_upper(1))
         r = el.exp(x, 53)
@@ -122,6 +128,14 @@ class TestLog:
 
     def test_infinity(self):
         assert el.log(Ball(bf.POS_INF), 53).mid.kind == bf.POS_INF.kind
+        assert el.log(Ball(bf.NEG_INF), 53).is_indeterminate()
+
+    def test_infinite_radius_holds_every_value(self):
+        # (inf; inf) holds 3 (and every real), so its log must hold log 3
+        for mid in (bf.POS_INF, bf.ONE):
+            r = el.log(Ball(mid, mag.INF), 53)
+            assert r.is_indeterminate()  # the ball reaches below zero
+            assert ball.contains_point(r, mpf_fraction(mpmath.log(3)))
 
     def test_matches_mpmath(self):
         rng = random.Random(7)
@@ -404,20 +418,34 @@ def _dyadic(v, bits=60):
     return Ball(BigFloat.from_man_exp(int(mpmath.nint(v * mpmath.mpf(2) ** bits)), -bits))
 
 
-def _edge_inputs():
+def _edge_inputs(prec):
+    """Exact inputs at the edges of each reduction at precision prec: the
+    multiples of log 2 and pi/2, log's [3/4, 3/2), atan's flip at 1, and on
+    both sides of where the halving count or the doubling count changes."""
+    two = mpmath.mpf(2)
+    # z is halved down to 2^-ha (atan) and u to 2^-hl (log); sin doubles r
+    # times for t in [2^-(rs + 1), 2^-rs), and not at all below 2^-rs0
+    ha = 3 + el._halvings(prec + 24 + el._GUARD)
+    hl = 2 + el._halvings(prec + 17 + el._GUARD)
+    rs0 = math.isqrt(prec + 16 + el._GUARD) // 2 - 5
+    near = lambda v: [_dyadic(v * (1 - two ** -30), 100), _dyadic(v * (1 + two ** -30), 100)]
     with mpmath.workprec(200):
         ln2, pi = mpmath.log(2), mpmath.pi
+        u = two ** -hl
         return {
             "exp": [_dyadic(1.5 * ln2), _dyadic(-1.5 * ln2), _dyadic(10.5 * ln2),
-                    _dyadic(mpmath.mpf(1) / 2 - mpmath.mpf(2) ** -40), _dyadic(ln2 / 2)],
+                    _dyadic(mpmath.mpf(1) / 2 - two ** -40), _dyadic(ln2 / 2)],
             "sin": [_dyadic(3 * pi / 4), _dyadic(-5 * pi / 4), _dyadic(pi),
-                    _dyadic(mpmath.mpf(999) / 1000), _dyadic(pi / 4)],
-            "log": [_dyadic(mpmath.mpf(3) / 2 - mpmath.mpf(2) ** -40), _dyadic(mpmath.mpf(3) / 4),
-                    _dyadic(3 - mpmath.mpf(2) ** -40), _dyadic(mpmath.mpf(3) / 4 - mpmath.mpf(2) ** -40),
-                    _dyadic(1 + mpmath.mpf(2) ** -50)],
-            "atan": [_dyadic(mpmath.mpf(1) / 8), _dyadic(mpmath.mpf(1) / 8 + mpmath.mpf(2) ** -50),
-                     _dyadic(8 - mpmath.mpf(2) ** -45), _dyadic(mpmath.mpf(99999) / 100000),
-                     _dyadic(1 + mpmath.mpf(2) ** -40), _dyadic(-mpmath.mpf(2) ** -30)],
+                    _dyadic(mpmath.mpf(999) / 1000), _dyadic(pi / 4), _dyadic(pi / 4 - two ** -40),
+                    _dyadic(-pi / 4 + two ** -40), *near(two ** -rs0), *near(-two ** -(rs0 - 3))],
+            "log": [_dyadic(mpmath.mpf(3) / 2 - two ** -40), _dyadic(mpmath.mpf(3) / 4),
+                    _dyadic(3 - two ** -40), _dyadic(mpmath.mpf(3) / 4 - two ** -40),
+                    _dyadic(mpmath.mpf(3) / 4 + two ** -40), _dyadic(mpmath.mpf(3) / 2),
+                    _dyadic(1 + two ** -50), *near((1 + u) / (1 - u)), *near((1 - u) / (1 + u))],
+            "atan": [_dyadic(mpmath.mpf(1) / 8), _dyadic(mpmath.mpf(1) / 8 + two ** -50),
+                     _dyadic(8 - two ** -45), _dyadic(mpmath.mpf(99999) / 100000),
+                     _dyadic(1 + two ** -40), _dyadic(-two ** -30), *near(two ** -ha),
+                     *near(-two ** ha)],
         }
 
 
@@ -425,7 +453,7 @@ def _edge_inputs():
 def test_public_functions_at_reduction_edges(prec):
     refs = {"exp": [mpmath.exp], "sin": [mpmath.sin, mpmath.cos],
             "log": [mpmath.log], "atan": [mpmath.atan]}
-    for fn, xs in _edge_inputs().items():
+    for fn, xs in _edge_inputs(prec).items():
         for x in xs:
             if fn == "sin":
                 outs = el.sin_cos(x, prec)
@@ -488,18 +516,69 @@ def test_radii_no_wider_than_ball_loops(key):
         assert r.rad.to_fraction() <= mag.Magnitude.from_text(old).to_fraction(), (key, prec)
 
 
-@pytest.mark.parametrize("wp", (53, 1000))
+# (sign, f, tan-like inverse, inputs v with the exact argument v 2^w): the
+# atan edges 1 and 1/8 and the atanh edges +-1/5 and -1/7 of log's range
+_HALVING = (
+    (1, mpmath.atan, mpmath.tan, (Fraction(1), Fraction(999, 1000), Fraction(1, 2),
+                                  Fraction(1, 8) + Fraction(1, 2 ** 40))),
+    (-1, mpmath.atanh, mpmath.tanh, (Fraction(1, 5), -Fraction(1, 5), -Fraction(1, 7),
+                                     Fraction(1, 8) + Fraction(1, 2 ** 40))),
+)
+
+
+@pytest.mark.parametrize("wp", (53, 1000, 10 ** 4))
 def test_atan_halving_error_bound(wp):
+    # both signs of the one halving step, to the width's own threshold and to
+    # 2^-40, i.e. through many steps: an argument within 4 ulps of z0 halves to
+    # within 4 ulps of y
     w = wp + el._GUARD
     with mpmath.workprec(w + 64):
-        for v in (Fraction(1), Fraction(999, 1000), Fraction(1, 2), Fraction(1, 8) + Fraction(1, 2 ** 40)):
-            z0 = math.floor(v * (1 << w))
-            for d in (-1, 0, 1):  # the exact argument is (z0 + d) 2^-w, within 1 ulp
-                y, h, r = el._atan_halve(z0, w, mag.pow2(-w))
-                assert h >= 1 and y <= (1 << w) // 8
-                x = mpmath.mpf(z0 + d) / mpmath.mpf(2) ** w
-                exact = mpmath.tan(mpmath.atan(x) / 2 ** h) * mpmath.mpf(2) ** w
-                assert abs(mpf_fraction(exact) - y) <= r.to_fraction() * (1 << w), (v, d)
+        for sign, f, finv, vs in _HALVING:
+            for k in ((2 if sign < 0 else 3) + el._halvings(w), 40):
+                for v in vs:
+                    z0 = math.floor(v * (1 << w))
+                    for d in (-4, -1, 0, 1, 4):  # the exact argument is (z0 + d) 2^-w
+                        y, h = el._halve(z0, w, k, sign)
+                        assert (h > 0) == (abs(v) > Fraction(1, 2 ** k)) and abs(y) <= (1 << w) >> k, (sign, v, k)
+                        x = mpmath.mpf(z0 + d) / mpmath.mpf(2) ** w
+                        exact = finv(f(x) / 2 ** h) * mpmath.mpf(2) ** w
+                        assert abs(mpf_fraction(exact) - y) <= 4, (sign, v, k, d)
+
+
+def test_halving_count_is_zero_at_round53_widths():
+    assert all(el._halvings(w) == 0 for w in range(2, 256))
+    assert el._halvings(1040) == 5 and el._halvings(10 ** 4 + 32) == 22
+    # log's |u| <= 1/5 is below its no-halving threshold 1/4
+    w = 93
+    u = (1 << w) // 5
+    assert el._halve(u, w, 2, -1) == (u, 0)
+
+
+@pytest.mark.parametrize("wp", (1000, 10 ** 4))
+def test_double_angle_error_bound(wp):
+    # sin and cos of t 2^-r, from the series or anywhere within the series'
+    # error bounds of the exact values, doubled r times: against mpmath at the
+    # exact arguments one ulp either side of x
+    w = wp + el._GUARD
+    r = math.isqrt(w) // 2 - 5
+    W = w + r
+    for v in (Fraction(7853981633974483, 10 ** 16), Fraction(1, 3), -Fraction(999, 1000)):
+        x = math.floor(v * (1 << w))
+        s, es = el._series(el._SIN, W, x)
+        c, ec = el._series(el._COS, W, x)
+        with mpmath.workprec(W + 64):
+            th = mpmath.mpf(x) / mpmath.mpf(2) ** W
+            sn, cn = (int(mpmath.nint(f(th) * mpmath.mpf(2) ** W)) for f in (mpmath.sin, mpmath.cos))
+            starts = [(c, s)] + [(cn + i * (ec - 1), sn + j * (es - 1)) for i in (-1, 1) for j in (-1, 1)]
+            for c0, s0 in starts:
+                c2, s2, err = el._double_angle(c0, s0, es + ec, W, r)
+                assert 0 < err <= 1 << (r + 14), (v, err)
+                for d in (-1, 0, 1):
+                    t = mpmath.mpf(x + d) / mpmath.mpf(2) ** w
+                    for got, ref in ((s2, mpmath.sin(t)), (c2, mpmath.cos(t))):
+                        # the 1-ulp argument error costs at most 2^r ulps at W bits
+                        bound = Fraction(err + (1 << r), 1 << W)
+                        assert abs(mpf_fraction(ref) - Fraction(got, 1 << W)) <= bound, (v, d)
 
 
 def test_fixed_point_conversion():
