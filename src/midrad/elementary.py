@@ -390,8 +390,7 @@ def _log_point(m: BigFloat, prec: int) -> Ball:
     # log a = 2 atanh u = 2^(h+1) atanh y; for r = 0, |u| <= 1/5 needs no step
     y, h = _halve(u, w, 2 + r, -1)
     # y is within 4 ulps after a step, u within 1 if floored
-    urad = mag.mul_2exp(_ATANH_LIPSCHITZ, 2 - w) if h else (mag.mul_2exp(_ATANH_LIPSCHITZ, -w)
-                                                            if rem else mag.ZERO)
+    urad = mag.mul_2exp(_ATANH_LIPSCHITZ, 2 - w if h else -w) if h or rem else mag.ZERO
     res = ball.scale_2exp(_fixed_ball(*_series(_ATANH, w, y), w, urad), h + 1)
     if e:
         res = _sub_multiple(res, _log2_ball(wp), -e)

@@ -423,8 +423,8 @@ def _edge_inputs(prec):
     multiples of log 2 and pi/2, log's [3/4, 3/2), atan's flip at 1, and on
     both sides of where the halving count or the doubling count changes."""
     two = mpmath.mpf(2)
-    # z is halved down to 2^-ha (atan) and u to 2^-hl (log); sin doubles r
-    # times for t in [2^-(rs + 1), 2^-rs), and not at all below 2^-rs0
+    # z is halved down to 2^-ha (atan) and u to 2^-hl (log); sin doubles
+    # rs0 + t.exp times, so not at all for |t| < 2^-rs0 and once just above
     ha = 3 + el._halvings(prec + 24 + el._GUARD)
     hl = 2 + el._halvings(prec + 17 + el._GUARD)
     rs0 = math.isqrt(prec + 16 + el._GUARD) // 2 - 5
