@@ -275,12 +275,15 @@ def div_int(x: Ball, n: int, prec: int) -> Ball:
 
 
 def round_to(x: Ball, prec: int) -> Ball:
-    """x with its midpoint rounded to prec bits and the rounding error added."""
+    """x with its midpoint rounded to prec bits; the radius is the exact sum
+    of the old radius and the rounding error, rounded up once."""
     mid, inexact = bf.round_to(x.mid, prec, _NE)
     if not inexact:
         return Ball(mid, x.rad)
-    d, _ = bf.sub(x.mid, mid, 32, Rounding.AWAY_FROM_ZERO)
-    return Ball(mid, mag.add(x.rad, mag.from_bigfloat_upper(d)))
+    m = x.mid  # same sign as mid, and mid's lsb is not below m's
+    d = BigFloat.from_man_exp(abs(m.man - (mid.man << (mid.lsb - m.lsb))), m.lsb)
+    hi, _ = bf.add(d, mag.to_bigfloat(x.rad), 30, Rounding.UP)
+    return Ball(mid, mag.from_bigfloat_upper(hi))
 
 
 def upper_mag(x: Ball) -> Magnitude:

@@ -55,6 +55,28 @@ class TestRounded:
                     assert contains_fraction(b, sign * x), (prec, k, sign)
 
 
+class TestRoundTo:
+    def test_radius_is_the_least_bound_of_the_exact_sum(self):
+        # the old radius plus |mid - rounded mid|, rounded up once to 30 bits;
+        # rounding the distance up before adding it can come out one unit above
+        rng = random.Random(41)
+        for _ in range(600):
+            w = rng.choice((85, 1064))
+            x = Ball(BigFloat.from_man_exp(rng.getrandbits(w) | 1 << (w - 1), -rng.randrange(w - 5, w + 5)),
+                     mag.from_man_exp_upper(rng.getrandbits(30), -w - rng.randrange(10, 200))
+                     if rng.random() < 0.9 else mag.ZERO)
+            prec = w - 32
+            r = ball.round_to(x, prec)
+            assert r.mid == bf.round_to(x.mid, prec, Rounding.NEAREST_EVEN)[0]
+            exact = abs(x.mid.to_fraction() - r.mid.to_fraction()) + x.rad.to_fraction()
+            least = mag.from_man_exp_upper(exact.numerator, 1 - exact.denominator.bit_length())
+            assert r.rad == least, (x, prec)
+
+    def test_specials_and_exact_midpoints_keep_the_radius(self):
+        for x in (Ball(bf.POS_INF, mag.ONE), ball.indeterminate(), Ball(BigFloat.from_int(3), mag.ONE)):
+            assert ball.round_to(x, 53) == x
+
+
 class TestAdd:
     def test_exact(self):
         s = ball.add(B(1), B(2), 53)
