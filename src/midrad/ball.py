@@ -281,9 +281,8 @@ def round_to(x: Ball, prec: int) -> Ball:
     if not inexact:
         return Ball(mid, x.rad)
     m = x.mid  # same sign as mid, and mid's lsb is not below m's
-    d = BigFloat.from_man_exp(abs(m.man - (mid.man << (mid.lsb - m.lsb))), m.lsb)
-    hi, _ = bf.add(d, mag.to_bigfloat(x.rad), 30, Rounding.UP)
-    return Ball(mid, mag.from_bigfloat_upper(hi))
+    d = abs(m.man - (mid.man << (mid.lsb - m.lsb)))
+    return Ball(mid, mag.add_man_exp(x.rad, d, m.lsb))
 
 
 def upper_mag(x: Ball) -> Magnitude:

@@ -22,6 +22,7 @@ __all__ = [
     "INF",
     "ONE",
     "add",
+    "add_man_exp",
     "mul",
     "addmul",
     "dot_upper",
@@ -176,6 +177,21 @@ def add(x: Magnitude, y: Magnitude) -> Magnitude:
         # The smaller term is below one ulp; bump by one ulp instead.
         return _norm_up((x.man << 1) | 1, x.exp - _MBITS - 1)
     return _norm_up((x.man << d) + y.man, y.exp - _MBITS)
+
+
+def add_man_exp(x: Magnitude, man: int, lsb: int) -> Magnitude:
+    """The least magnitude >= x + man * 2**lsb for an int man > 0: the exact
+    sum rounded up once, with a term far below the other kept as a sticky bit."""
+    if x.kind != _REGULAR:
+        return _norm_up(man, lsb) if x.kind == _ZERO else INF
+    xl = x.exp - _MBITS
+    if lsb + man.bit_length() <= xl:  # below one unit of x
+        return _norm_up((x.man << 1) | 1, xl - 1)
+    if x.exp <= lsb - 64:  # far below man's last bit
+        return _norm_up((man << 64) | 1, lsb - 64)
+    if xl >= lsb:
+        return _norm_up(man + (x.man << (xl - lsb)), lsb)
+    return _norm_up((man << (lsb - xl)) + x.man, xl)
 
 
 def mul(x: Magnitude, y: Magnitude) -> Magnitude:

@@ -62,9 +62,9 @@ class TestRoundTo:
         rng = random.Random(41)
         for _ in range(600):
             w = rng.choice((85, 1064))
-            x = Ball(BigFloat.from_man_exp(rng.getrandbits(w) | 1 << (w - 1), -rng.randrange(w - 5, w + 5)),
-                     mag.from_man_exp_upper(rng.getrandbits(30), -w - rng.randrange(10, 200))
-                     if rng.random() < 0.9 else mag.ZERO)
+            mid = BigFloat.from_man_exp(rng.getrandbits(w) | 1 << (w - 1), -rng.randrange(w - 5, w + 5))
+            rad = mag.from_man_exp_upper(rng.getrandbits(30), -w - rng.randrange(10, 200))
+            x = Ball(mid, rad if rng.random() < 0.9 else mag.ZERO)
             prec = w - 32
             r = ball.round_to(x, prec)
             assert r.mid == bf.round_to(x.mid, prec, Rounding.NEAREST_EVEN)[0]
@@ -73,7 +73,7 @@ class TestRoundTo:
             assert r.rad == least, (x, prec)
 
     def test_specials_and_exact_midpoints_keep_the_radius(self):
-        for x in (Ball(bf.POS_INF, mag.ONE), ball.indeterminate(), Ball(BigFloat.from_int(3), mag.ONE)):
+        for x in (Ball(bf.POS_INF, mag.ONE), ball.indeterminate(), B(3, mag.ONE)):
             assert ball.round_to(x, 53) == x
 
 

@@ -539,7 +539,8 @@ def test_atan_halving_error_bound(wp):
                     z0 = math.floor(v * (1 << w))
                     for d in (-4, -1, 0, 1, 4):  # the exact argument is (z0 + d) 2^-w
                         y, h = el._halve(z0, w, k, sign)
-                        assert (h > 0) == (abs(v) > Fraction(1, 2 ** k)) and abs(y) <= (1 << w) >> k, (sign, v, k)
+                        assert (h > 0) == (abs(v) > Fraction(1, 2 ** k)), (sign, v, k)
+                        assert abs(y) <= (1 << w) >> k, (sign, v, k)
                         x = mpmath.mpf(z0 + d) / mpmath.mpf(2) ** w
                         exact = finv(f(x) / 2 ** h) * mpmath.mpf(2) ** w
                         assert abs(mpf_fraction(exact) - y) <= 4, (sign, v, k, d)
@@ -568,9 +569,9 @@ def test_double_angle_error_bound(wp):
         c, ec = el._series(el._COS, W, x)
         with mpmath.workprec(W + 64):
             th = mpmath.mpf(x) / mpmath.mpf(2) ** W
-            sn, cn = (int(mpmath.nint(f(th) * mpmath.mpf(2) ** W)) for f in (mpmath.sin, mpmath.cos))
-            starts = [(c, s)] + [(cn + i * (ec - 1), sn + j * (es - 1)) for i in (-1, 1) for j in (-1, 1)]
-            for c0, s0 in starts:
+            sn, cn = (int(mpmath.nint(f(th) * 2 ** W)) for f in (mpmath.sin, mpmath.cos))
+            corners = [(cn + i * (ec - 1), sn + j * (es - 1)) for i in (-1, 1) for j in (-1, 1)]
+            for c0, s0 in [(c, s)] + corners:
                 c2, s2, err = el._double_angle(c0, s0, es + ec, W, r)
                 assert 0 < err <= 1 << (r + 14), (v, err)
                 for d in (-1, 0, 1):

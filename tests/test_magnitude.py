@@ -51,6 +51,25 @@ class TestBasicOps:
             assert exact <= F(am) <= exact * TIGHT or exact == 0
 
 
+class TestAddManExp:
+    def test_least_bound_of_the_exact_sum(self):
+        # x + man 2^lsb rounded up once, with either term far below the other
+        rng = random.Random(17)
+        for _ in range(2000):
+            x = rand_magnitude(rng) if rng.random() < 0.9 else mag.ZERO
+            man = rng.getrandbits(rng.choice((1, 5, 30, 31, 90))) | 1
+            lsb = (x.exp if x.is_regular() else 0) + rng.randrange(-160, 100)
+            exact = F(x) + Fraction(man) * Fraction(2) ** lsb
+            least = mag.from_man_exp_upper(exact.numerator, 1 - exact.denominator.bit_length()) \
+                if exact.denominator > 1 else mag.from_int_upper(exact.numerator)
+            assert mag.add_man_exp(x, man, lsb) == least, (x, man, lsb)
+
+    def test_top_mantissa_carries(self):
+        top = mag.from_man_exp_upper((1 << 30) - 1, 0)
+        assert mag.add_man_exp(top, 1, -100) == mag.pow2(30)
+        assert mag.add_man_exp(mag.INF, 1, 0) == mag.INF
+
+
 class TestCarry:
     """One-ulp round-ups at the top mantissa 2^30 - 1 carry into the next binade."""
 
