@@ -7,9 +7,10 @@ bound a coefficient can get.  Otherwise ``dot`` keeps that quality at high
 degree: it splits midpoints from radii, rescales each product x -> 2^c x so
 coefficient magnitudes vary slowly, cuts the scaled coefficients into blocks
 of bounded exponent spread, and multiplies block pairs exactly over the
-integers (``intpoly.mul``).  Midpoints round to nearest at the working
-precision; the radius sum |A| b + a (|B| + b) is one more exact sum, rounded
-up to a 30-bit magnitude.
+integers (``intpoly.mul``); ``mul_block(f, f)`` hands each block of f to it
+as both factors, so that the big block products are squares.  Midpoints
+round to nearest at the working precision; the radius sum
+|A| b + a (|B| + b) is one more exact sum, rounded up to a 30-bit magnitude.
 
 The scale c is a heuristic: slopes of the coefficient exponents are sampled
 over the whole index range and over the trailing half (series tails with
@@ -226,7 +227,8 @@ def plan_blocks(f: BallPoly, g: BallPoly, prec: int) -> BlockPlan:
     """Choose the scaling c and greedy block boundaries (height <= 3*prec+512)."""
     cap = 3 * prec + 512
     c = _scale_heuristic(f, g)
-    tf, tg = _mid_terms([x.mid for x in f]), _mid_terms([x.mid for x in g])
+    tf = _mid_terms([x.mid for x in f])
+    tg = tf if g is f else _mid_terms([x.mid for x in g])
     return BlockPlan(c, _partition(tf, c, cap), _partition(tg, c, cap), cap, tf, tg)
 
 
@@ -249,15 +251,18 @@ def _conv_rounded(products: list, n: int, prec: int, rnd: int) -> list:
     true exponents, into an exact (man, lsb) sum per output as they are
     produced; one lying more than _FOLD_GAP bits away from that sum is kept
     as a separate term instead, so that far-apart exponents never widen an
-    integer.  The exact total is then rounded once.
+    integer.  The exact total is then rounded once.  A product whose gterms
+    is its fterms is a square: its blocks are converted once, and a block
+    pair on the diagonal passes the same list twice.
     """
     mans = [0] * n
     lsbs = [0] * n
     apart = {}
     for fterms, fblocks, gterms, gblocks, c in products:
         gints = [(s, *_block_ints(gterms, c, s, e)) for s, e in gblocks]
-        for sa, ea in fblocks:
-            fa, ba = _block_ints(fterms, c, sa, ea)
+        fints = gints if gterms is fterms else [(s, *_block_ints(fterms, c, s, e))
+                                                 for s, e in fblocks]
+        for sa, fa, ba in fints:
             for sb, fb, bb in gints:
                 k = sa + sb
                 e = ba + bb - c * k

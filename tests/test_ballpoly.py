@@ -132,6 +132,20 @@ class TestBlockMul:
         for k in range(1, len(h), 2):
             assert h[k].mid.is_zero() and h[k].is_exact()
 
+    def test_square_passes_each_block_twice(self, monkeypatch):
+        # mul_block(f, f) gives the same balls as the product with a copy of f,
+        # and its diagonal block products reach intpoly.mul as one list twice
+        rng = random.Random(8)
+        f = rand_poly(rng, 60, slope=-40)
+        copy = BallPoly(list(f.coeffs))
+        squares = []
+        mul = intpoly.mul
+        monkeypatch.setattr(intpoly, "mul", lambda a, b: squares.append(a is b) or mul(a, b))
+        h = bp.mul_block(f, f, 64)
+        assert any(squares) and not all(squares)
+        assert [c.to_exact_text() for c in h] == \
+            [c.to_exact_text() for c in bp.mul_block(f, copy, 64)]
+
     def test_small_degree_dispatches_to_schoolbook(self):
         f = rand_poly(random.Random(7), 5)
         g = rand_poly(random.Random(8), 5)

@@ -1,4 +1,6 @@
+import decimal
 import random
+import sys
 
 import pytest
 
@@ -39,12 +41,13 @@ def test_large_single_coefficients():
     assert intpoly.mul([a], [b]) == [a * b]
 
 
-# -- Kronecker product against the schoolbook product -------------------------------
+# -- Kronecker products (base 2^8k and base 10^d) against the schoolbook product ------
 
 def _check(f, g):
     ref = intpoly.mul_schoolbook(f, g)
-    assert intpoly.mul_kronecker(f, g) == ref
-    assert intpoly.mul_kronecker(g, f) == ref
+    for mul in (intpoly.mul_kronecker, intpoly.mul_decimal):
+        assert mul(f, g) == ref
+        assert mul(g, f) == ref
     assert intpoly.mul(f, g) == ref
 
 
@@ -111,3 +114,97 @@ def test_kronecker_mixed_coefficient_sizes():
         f = [rng.randrange(-(1 << b), 1 << b) for b in (rng.randrange(1, 400) for _ in range(nf))]
         g = [rng.randrange(-(1 << b), 1 << b) for b in (rng.randrange(1, 20) for _ in range(ng))]
         _check(f, g)
+
+
+def test_negative_leading_product_coefficient():
+    # H < 0: every slot is read from |H| and negated
+    _check([5, 7, -3], [2, 1, 4])
+    _check([1] * 20 + [-1], [3] * 17 + [-2])
+
+
+def test_borrow_chains():
+    # x^k - 1 and friends: the low slots of |H| read 10^d - 1 (or 2^8k - 1),
+    # each one a -1 that borrows from the slot above, up to a run of zeros
+    for k in (1, 2, 30, 200):
+        _check([-1] + [0] * k + [1], [1])
+        _check([-1] + [0] * k + [1], [1] * 20)
+        _check([1] + [0] * k + [-1], [-1] * 40)
+    _check([-1] * 40, [1] + [0] * 30 + [-1])
+
+
+@pytest.mark.parametrize("bits", [1, 64, 700])
+def test_square_of_one_list(bits):
+    rng = random.Random(bits)
+    for n in (1, 2, 17, 100):
+        f = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]
+        ref = intpoly.mul_schoolbook(f, list(f))
+        for mul in (intpoly.mul_kronecker, intpoly.mul_decimal, intpoly.mul):
+            assert mul(f, f) == ref
+
+
+def test_slot_digits_bound_the_slot():
+    for bits in list(range(1, 200)) + [1000, 3321, 3322, 14280, 10 ** 5]:
+        d = intpoly._slot_digits(bits)
+        assert 10 ** (d - 1) >= 1 << bits > 10 ** (d - 3)
+
+
+def test_decimal_size_rule():
+    assert not intpoly._decimal_pays(117, 1000, 1000)     # unit-range blocks: 234 kbit
+    assert intpoly._decimal_pays(3600, 1000, 1000)        # the figure-regime square
+    assert not intpoly._decimal_pays(3600, 17, 17)
+    top = max(b for b in range(20000) if intpoly._slot_digits(b) <= 4300)
+    assert intpoly._decimal_pays(top, 100, 100)
+    assert not intpoly._decimal_pays(top + 1, 100, 100)   # d > 4300 digits
+    assert not intpoly._decimal_pays(40005, 16, 16)
+
+
+def test_mul_dispatches_by_size(monkeypatch):
+    rng = random.Random(7)
+    taken = []
+    for name in ("mul_kronecker", "mul_decimal"):
+        fn = getattr(intpoly, name)
+        monkeypatch.setattr(intpoly, name, lambda f, g, fn=fn, name=name: taken.append(name) or fn(f, g))
+    for n, bits in ((300, 60), (600, 400)):
+        f = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]
+        g = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]
+        assert intpoly.mul(f, g) == intpoly.mul_schoolbook(f, g)
+    assert taken == ["mul_kronecker", "mul_decimal"]
+
+
+def test_decimal_path_under_the_default_str_digit_limit():
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        rng = random.Random(8)
+        f = [rng.randrange(-(1 << 7000), 1 << 7000) for _ in range(40)]
+        g = [rng.randrange(-(1 << 7000), 1 << 7000) for _ in range(40)]
+        assert intpoly._decimal_pays(intpoly._slot_bits(f, g), 40, 40)
+        assert intpoly.mul_decimal(f, g) == intpoly.mul_schoolbook(f, g)
+        # a lower limit keeps mul on the int path instead of raising
+        sys.set_int_max_str_digits(1000)
+        assert not intpoly._decimal_pays(intpoly._slot_bits(f, g), 40, 40)
+        assert intpoly.mul(f, g) == intpoly.mul_schoolbook(f, g)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_decimal_path_ignores_the_thread_context():
+    # H has far more digits than any usual context precision: abs(H) or +H
+    # would round it to the context (28 digits by default), so the product
+    # must not touch the thread's context, nor leave a flag or setting in it
+    rng = random.Random(9)
+    f = [rng.randrange(-(1 << 300), 1 << 300) for _ in range(50)]
+    g = [rng.randrange(-(1 << 300), 1 << 300) for _ in range(60)]
+    ref = intpoly.mul_schoolbook(f, g)
+    ctx = decimal.getcontext()
+    before = (ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags))
+    assert intpoly.mul_decimal(f, g) == ref
+    assert decimal.getcontext() is ctx
+    assert (ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)) == before
+    with decimal.localcontext() as low:
+        low.prec = 5
+        low.traps[decimal.Inexact] = low.traps[decimal.Rounded] = False
+        assert intpoly.mul_decimal(f, g) == ref
+        assert not low.flags[decimal.Inexact]
+    with pytest.raises((decimal.Inexact, decimal.Rounded)):  # rounding raises
+        intpoly._EXACT.quantize(decimal.Decimal("1.5"), decimal.Decimal(1))

@@ -131,6 +131,12 @@ def _elementary(rng, m, out):
                 el.sin_cos(x, p) if e < 2000 else el.atan(x, p))
     for p in (2, 10, 53, 64, 100, 200, 333, 500, 1000, 2000, 4000, 8000, 16000, 20000):
         out(el.const_pi(p), el.const_log2(p))
+    # last, so that every line above keeps its random draws: the widths of
+    # 1000- and 3000-digit evaluation, where the argument reductions halve
+    # and double many times
+    for p in (3400, 10 ** 4):
+        for x in (m.Ball.from_int(3), m.Ball.from_man_exp(5, -3), m.Ball.from_man_exp(12345, -20)):
+            out(el.exp(x, p), el.log(x, p), el.sin_cos(x, p), el.atan(x, p))
 
 
 def _poly(rng, m, out):
@@ -163,6 +169,24 @@ def _poly(rng, m, out):
                           for _ in range(4))
         hr, hi = bp.mul_complex(fr, fi, gr, gi, p)
         out(*hr.coeffs, *hi.coeffs)
+    # last as well: block products that pack to a megabit and more, the
+    # square of the 1000 coefficients 1/k! at 333 bits, the falling factorial
+    # at n = 1000 and one signed product of 500 coefficients of 500 bits
+    fact, cs = 1, []
+    for k in range(1000):
+        fact *= k or 1
+        shift = 332 + fact.bit_length()
+        q, r = divmod(1 << shift, fact)
+        if 2 * r > fact:
+            q += 1
+        cs.append(m.Ball(m.BigFloat.from_man_exp(q, -shift),
+                         mag.from_man_exp_upper(1, -shift - 1) if r else mag.ZERO))
+    f = bp.BallPoly(cs)
+    out(*bp.mul_block(f, f, 333).coeffs)
+    out(*bp.product_tree([(m.Ball.from_int(-k), m.Ball.from_int(1)) for k in range(1000)], 64).coeffs)
+    f, g = (bp.BallPoly([m.Ball(m.BigFloat.from_man_exp(rng.getrandbits(500) - (1 << 499), -500))
+                         for _ in range(500)]) for _ in range(2))
+    out(*bp.mul_block(f, g, 500).coeffs)
 
 
 def _complex(rng, m, out):
