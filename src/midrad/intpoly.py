@@ -32,9 +32,10 @@ import sys
 __all__ = ["mul", "mul_schoolbook", "mul_kronecker", "mul_decimal"]
 
 _SCHOOLBOOK_LIMIT = 16
-# packed bits above which the decimal multiply wins: on random signed input
-# the two paths broke even near 300 kbit, and from 430 kbit on the decimal
-# one was 1.2-3.4x faster (CPython 3.11, libmpdec 2.5.1, one x86-64 core)
+# packed bits above which the decimal multiply wins: on random signed input,
+# single runs went either way between 300 and 410 kbit, and the decimal one
+# was 1.2-1.35x faster at 420-470 kbit and 1.7-3.4x at 0.8-2 Mbit (CPython
+# 3.11, libmpdec 2.5.1, one x86-64 core)
 _DECIMAL_MIN_BITS = 400_000
 # also Python's default int_max_str_digits, so no slot conversion hits it
 _DECIMAL_MAX_DIGITS = 4300
