@@ -229,7 +229,9 @@ def plan_blocks(f: BallPoly, g: BallPoly, prec: int) -> BlockPlan:
     c = _scale_heuristic(f, g)
     tf = _mid_terms([x.mid for x in f])
     tg = tf if g is f else _mid_terms([x.mid for x in g])
-    return BlockPlan(c, _partition(tf, c, cap), _partition(tg, c, cap), cap, tf, tg)
+    bf = _partition(tf, c, cap)
+    bg = bf if tg is tf else _partition(tg, c, cap)
+    return BlockPlan(c, bf, bg, cap, tf, tg)
 
 
 # -- exact block convolution -------------------------------------------------------------
@@ -252,16 +254,17 @@ def _conv_rounded(products: list, n: int, prec: int, rnd: int) -> list:
     produced; one lying more than _FOLD_GAP bits away from that sum is kept
     as a separate term instead, so that far-apart exponents never widen an
     integer.  The exact total is then rounded once.  A product whose gterms
-    is its fterms is a square: its blocks are converted once, and a block
-    pair on the diagonal passes the same list twice.
+    and gblocks are its fterms and fblocks is a square: its blocks are
+    converted once, and a block pair on the diagonal passes the same list
+    twice.
     """
     mans = [0] * n
     lsbs = [0] * n
     apart = {}
     for fterms, fblocks, gterms, gblocks, c in products:
         gints = [(s, *_block_ints(gterms, c, s, e)) for s, e in gblocks]
-        fints = gints if gterms is fterms else [(s, *_block_ints(fterms, c, s, e))
-                                                 for s, e in fblocks]
+        square = gterms is fterms and gblocks is fblocks
+        fints = gints if square else [(s, *_block_ints(fterms, c, s, e)) for s, e in fblocks]
         for sa, fa, ba in fints:
             for sb, fb, bb in gints:
                 k = sa + sb

@@ -146,6 +146,19 @@ class TestBlockMul:
         assert [c.to_exact_text() for c in h] == \
             [c.to_exact_text() for c in bp.mul_block(f, copy, 64)]
 
+    def test_shared_terms_with_other_blocks_are_no_square(self):
+        # a square is one terms list and one blocks list; the same terms with
+        # other blocks (here one run over the first half) multiply as two factors
+        rng = random.Random(9)
+        f = rand_poly(rng, 60, slope=-40)
+        plan = bp.plan_blocks(f, f, 64)
+        assert plan.blocks_g is plan.blocks_f
+        terms, c = plan.terms_f, plan.scale
+        other = [(0, len(f) // 2)]
+        shared = bp._conv_rounded([(terms, plan.blocks_f, terms, other, c)], 2 * len(f) - 1, 64, bp._NE)
+        copied = bp._conv_rounded([(terms, plan.blocks_f, list(terms), other, c)], 2 * len(f) - 1, 64, bp._NE)
+        assert shared == copied
+
     def test_small_degree_dispatches_to_schoolbook(self):
         f = rand_poly(random.Random(7), 5)
         g = rand_poly(random.Random(8), 5)

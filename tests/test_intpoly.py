@@ -161,14 +161,15 @@ def test_decimal_size_rule():
 def test_mul_dispatches_by_size(monkeypatch):
     rng = random.Random(7)
     taken = []
-    for name in ("mul_kronecker", "mul_decimal"):
+    for name in ("_kronecker", "_decimal"):
         fn = getattr(intpoly, name)
-        monkeypatch.setattr(intpoly, name, lambda f, g, fn=fn, name=name: taken.append(name) or fn(f, g))
+        monkeypatch.setattr(intpoly, name,
+                            lambda f, g, bits, fn=fn, name=name: taken.append(name) or fn(f, g, bits))
     for n, bits in ((300, 60), (600, 400)):
         f = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]
         g = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]
         assert intpoly.mul(f, g) == intpoly.mul_schoolbook(f, g)
-    assert taken == ["mul_kronecker", "mul_decimal"]
+    assert taken == ["_kronecker", "_decimal"]
 
 
 def test_decimal_path_under_the_default_str_digit_limit():
@@ -180,9 +181,6 @@ def test_decimal_path_under_the_default_str_digit_limit():
         g = [rng.randrange(-(1 << 7000), 1 << 7000) for _ in range(40)]
         assert intpoly._decimal_pays(intpoly._slot_bits(f, g), 40, 40)
         assert intpoly.mul_decimal(f, g) == intpoly.mul_schoolbook(f, g)
-        # a lower limit keeps mul on the int path instead of raising
-        sys.set_int_max_str_digits(1000)
-        assert not intpoly._decimal_pays(intpoly._slot_bits(f, g), 40, 40)
         assert intpoly.mul(f, g) == intpoly.mul_schoolbook(f, g)
     finally:
         sys.set_int_max_str_digits(old)
