@@ -172,6 +172,7 @@ def test_mul_dispatches_by_size(monkeypatch):
     assert taken == ["_kronecker", "_decimal"]
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no str digit limit")
 def test_decimal_path_under_the_default_str_digit_limit():
     old = sys.get_int_max_str_digits()
     try:
