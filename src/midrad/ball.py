@@ -7,13 +7,13 @@ output ball.  Midpoints are rounded to the requested precision (nearest,
 ties to even) and a half-ulp bound on that rounding error is folded into the
 radius whenever rounding was inexact; ``round_to`` adds the actual error.
 That fold is one function, ``rounded``: it takes the (mid, inexact) pair a
-bigfloat operation returns and a radius for everything else, and every ball
-operation here, the polynomial products, the constants and the decimal
-parser build their balls through it.
+bigfloat operation returns and the rest of the radius as terms of an exact
+sum, rounded up once with the rounding error; every ball operation here, the
+schoolbook polynomial products, the constants and the decimal parser use it.
 
 A sum of products is one operation too: ``dot`` rounds the exact midpoint
-sum once and bounds every product's propagated error in one upward sum
-(``magnitude.dot_upper``), which also bounds ``mul``'s radius.
+sum once, and its radius sums every product's |x| ry + |y| rx + rx ry, taken
+from the exact mantissas, with the half ulp; ``mul`` is a one-product dot.
 
 A NaN midpoint means "indeterminate / whole extended line"; an infinite
 radius with a finite midpoint means "the whole real line".  Predicates
@@ -141,19 +141,23 @@ def whole_line() -> Ball:
     return Ball(bf.ZERO, mag.INF)
 
 
-def rounded(result: tuple[BigFloat, bool], rad: Magnitude, prec: int) -> Ball:
+def rounded(result: tuple[BigFloat, bool], pairs: list, prec: int,
+            exact: BigFloat | None = None, terms=()) -> Ball:
     """The ball of a midpoint rounded to nearest at prec bits, given as the
-    (mid, inexact) pair of a bigfloat operation, and a radius rad for the rest.
-
-    A NaN midpoint gives indeterminate(); an inexact one adds half an ulp,
-    2^(mid.exp - prec - 1), to rad: the bound of a round-to-nearest error.
-    """
+    (mid, inexact) pair of a bigfloat operation, and a radius for the rest:
+    the sum of |a b| over the (a, b) pairs of magnitudes and BigFloats, of
+    m 2^l over the (m, l) int terms and of an inexact midpoint's rounding
+    error (|exact - mid|, or else half an ulp, 2^(mid.exp - prec - 1)),
+    rounded up once (magnitude.dot_upper).  A NaN midpoint gives indeterminate()."""
     mid, inexact = result
     if mid.is_nan():
         return indeterminate()
-    if inexact:
-        rad = mag.add(rad, mag.pow2(mid.exp - prec - 1))
-    return Ball(mid, rad)
+    if inexact:  # mid has the sign of exact, and its lsb is not below exact's
+        terms = [*terms, (1, mid.exp - prec - 1) if exact is None else
+                 (abs(exact.man - (mid.man << (mid.lsb - exact.lsb))), exact.lsb)]
+    elif not (pairs or terms):
+        return Ball(mid)
+    return Ball(mid, mag.dot_upper(pairs, terms))
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -163,30 +167,22 @@ def neg(x: Ball) -> Ball:
 
 
 def add(x: Ball, y: Ball, prec: int) -> Ball:
-    return rounded(bf.add(x.mid, y.mid, prec, _NE), mag.add(x.rad, y.rad), prec)
+    return rounded(bf.add(x.mid, y.mid, prec, _NE), [(x.rad, mag.ONE), (y.rad, mag.ONE)], prec)
 
 
 def sub(x: Ball, y: Ball, prec: int) -> Ball:
-    return rounded(bf.sub(x.mid, y.mid, prec, _NE), mag.add(x.rad, y.rad), prec)
-
-
-def _mid_mag(m: BigFloat) -> Magnitude:
-    """Upper bound of |m|; inf for NaN, whose result rounded() discards."""
-    return mag.INF if m.is_nan() else mag.from_bigfloat_upper(m)
+    return rounded(bf.sub(x.mid, y.mid, prec, _NE), [(x.rad, mag.ONE), (y.rad, mag.ONE)], prec)
 
 
 def _rad_pairs(x: Ball, y: Ball) -> list:
-    """(a, b) pairs with sum a*b >= |x.mid| y.rad + |y.mid| x.rad + x.rad y.rad."""
-    rx, ry = x.rad, y.rad
-    if rx.is_zero():
-        return [] if ry.is_zero() else [(_mid_mag(x.mid), ry)]
-    if ry.is_zero():
-        return [(_mid_mag(y.mid), rx)]
-    return [(_mid_mag(x.mid), ry), (_mid_mag(y.mid), rx), (rx, ry)]
+    """(a, b) pairs with sum |a b| = |x.mid| y.rad + |y.mid| x.rad + x.rad y.rad."""
+    if x.rad.is_zero() and y.rad.is_zero():
+        return []
+    return [(x.mid, y.rad), (y.mid, x.rad), (x.rad, y.rad)]
 
 
 def mul(x: Ball, y: Ball, prec: int) -> Ball:
-    return rounded(bf.mul(x.mid, y.mid, prec, _NE), mag.dot_upper(_rad_pairs(x, y)), prec)
+    return rounded(bf.mul(x.mid, y.mid, prec, _NE), _rad_pairs(x, y), prec)
 
 
 def dot(xs, ys, prec: int, initial: Ball | None = None) -> Ball:
@@ -197,7 +193,7 @@ def dot(xs, ys, prec: int, initial: Ball | None = None) -> Ball:
     for x, y in zip(xs, ys, strict=True):
         mids.append(bf.mul_exact(x.mid, y.mid))
         pairs += _rad_pairs(x, y)
-    return rounded(bf.vector_sum(mids, prec, _NE), mag.dot_upper(pairs), prec)
+    return rounded(bf.vector_sum(mids, prec, _NE), pairs, prec)
 
 
 def sqr(x: Ball, prec: int) -> Ball:
@@ -236,7 +232,8 @@ def div(x: Ball, y: Ball, prec: int) -> Ball:
     if not y.rad.is_zero():
         qu = mag.div_lower_denominator(mag.from_bigfloat_upper(x.mid), abs(y.mid))
         num = mag.addmul(num, qu, y.rad)
-    return rounded(bf.div(x.mid, y.mid, prec, _NE), mag.div_lower_denominator(num, lo), prec)
+    q = mag.div_lower_denominator(num, lo)
+    return rounded(bf.div(x.mid, y.mid, prec, _NE), [(q, mag.ONE)], prec)
 
 
 def sqrt(x: Ball, prec: int) -> Ball:
@@ -249,7 +246,7 @@ def sqrt(x: Ball, prec: int) -> Ball:
         # |sqrt(t) - sqrt(m)| = |t - m| / (sqrt(t) + sqrt(m)) <= rad / sqrt(m)
         root_lo, _ = bf.sqrt(m, 32, Rounding.DOWN)
         rad = mag.div_lower_denominator(rad, root_lo)
-    return rounded(bf.sqrt(m, prec, _NE), rad, prec)
+    return rounded(bf.sqrt(m, prec, _NE), [(rad, mag.ONE)], prec)
 
 
 def scale_2exp(x: Ball, k: int) -> Ball:
@@ -262,8 +259,7 @@ def scale_2exp(x: Ball, k: int) -> Ball:
 
 def mul_int(x: Ball, n: int, prec: int) -> Ball:
     """x * n for an int n, with the usual midpoint rounding."""
-    return rounded(bf.mul(x.mid, BigFloat.from_int(n), prec, _NE),
-                   mag.mul_int_upper(x.rad, abs(n)), prec)
+    return mul(x, Ball.from_int(n), prec)
 
 
 def div_int(x: Ball, n: int, prec: int) -> Ball:
@@ -271,23 +267,18 @@ def div_int(x: Ball, n: int, prec: int) -> Ball:
     if n == 0:
         return indeterminate()
     return rounded(bf.div(x.mid, BigFloat.from_int(n), prec, _NE),
-                   mag.div_int_upper(x.rad, abs(n)), prec)
+                   [(mag.div_int_upper(x.rad, abs(n)), mag.ONE)], prec)
 
 
 def round_to(x: Ball, prec: int) -> Ball:
     """x with its midpoint rounded to prec bits; the radius is the exact sum
     of the old radius and the rounding error, rounded up once."""
-    mid, inexact = bf.round_to(x.mid, prec, _NE)
-    if not inexact:
-        return Ball(mid, x.rad)
-    m = x.mid  # same sign as mid, and mid's lsb is not below m's
-    d = abs(m.man - (mid.man << (mid.lsb - m.lsb)))
-    return Ball(mid, mag.add_man_exp(x.rad, d, m.lsb))
+    return rounded(bf.round_to(x.mid, prec, _NE), [(x.rad, mag.ONE)], prec, x.mid)
 
 
 def upper_mag(x: Ball) -> Magnitude:
-    """Upper bound of sup |t| over the ball."""
-    return mag.add(_mid_mag(x.mid), x.rad)
+    """Upper bound of sup |t| over the ball: |mid| + rad, rounded up once."""
+    return mag.dot_upper([(x.mid, mag.ONE), (x.rad, mag.ONE)])
 
 
 def lower_bound(x: Ball, prec: int = 64) -> BigFloat:

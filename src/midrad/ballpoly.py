@@ -9,8 +9,8 @@ coefficient magnitudes vary slowly, cuts the scaled coefficients into blocks
 of bounded exponent spread, and multiplies block pairs exactly over the
 integers (``intpoly.mul``); ``mul_block(f, f)`` hands each block of f to it
 as both factors, so that the big block products are squares.  Midpoints
-round to nearest at the working precision; the radius sum
-|A| b + a (|B| + b) is one more exact sum, rounded up to a 30-bit magnitude.
+round to nearest at the working precision; the radius sum |A| b + a (|B| + b)
+plus their half ulps is one more exact sum, rounded up to a 30-bit magnitude.
 
 The scale c is a heuristic: slopes of the coefficient exponents are sampled
 over the whole index range and over the trailing half (series tails with
@@ -309,7 +309,7 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
            or not all(x.is_finite() for x in f.coeffs + g.coeffs) for f, g in pairs):
         return _dot_schoolbook(pairs, prec)
     n = max((len(f) + len(g) - 1 for f, g in pairs), default=0)
-    mids, rads = [], []
+    mids, rads, c = [], [], 0
     for f, g in pairs:
         plan = plan_blocks(f, g, prec)
         c = plan.scale
@@ -321,15 +321,19 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
         if any(m for m, _ in b):
             factors.append((_mag_terms([mag.from_bigfloat_upper(x.mid) for x in f]), b))
         if any(m for m, _ in a):
-            factors.append((a, _mag_terms([ball.upper_mag(x) for x in g])))
+            factors.append((a, _mag_terms([mag.add(mag.from_bigfloat_upper(x.mid), x.rad)
+                                           for x in g])))
         for xt, yt in factors:
             xb, yb = _partition(xt, c, _RADIUS_SPAN), _partition(yt, c, _RADIUS_SPAN)
             if xb and yb:  # a zero radius product adds nothing
                 rads.append((xt, xb, yt, yb, c))
-    radii = ([mag.from_bigfloat_upper(r) for r, _ in _conv_rounded(rads, n, _MAG_BITS, _UP)]
-             if rads else [mag.ZERO] * n)
-    return BallPoly([ball.rounded(m, r, prec)
-                     for m, r in zip(_conv_rounded(mids, n, prec, _NE), radii)])
+    mids = _conv_rounded(mids, n, prec, _NE)
+    # the half ulps are the radii, or one more radius product, by the polynomial 1
+    radii = [(1, m.exp - prec - 1) if inexact else (0, 0) for m, inexact in mids]
+    if rads:
+        rads.append((radii, _partition(radii, c, _RADIUS_SPAN), [(1, 0)], [(0, 1)], c))
+        radii = [(r.man, r.lsb) for r, _ in _conv_rounded(rads, n, _MAG_BITS, _UP)]
+    return BallPoly([Ball(m, mag.from_man_exp_upper(*r)) for (m, _), r in zip(mids, radii)])
 
 
 def mul_block(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:

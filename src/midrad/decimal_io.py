@@ -280,7 +280,7 @@ def _number_to_ball(d: int, e10: int, wp: int = 0) -> Ball:
         return Ball(BigFloat.from_man_exp(d // p5, e10))
     wp = wp or max(64, abs(d).bit_length() + 32)
     mid = bf.div(BigFloat.from_int(d), BigFloat.from_int(10 ** (-e10)), wp, Rounding.NEAREST_EVEN)
-    return ballmod.rounded(mid, mag.ZERO, wp)
+    return ballmod.rounded(mid, [], wp)
 
 
 def _posnumber_to_mag(r: int, e10: int) -> Magnitude:

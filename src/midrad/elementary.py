@@ -94,7 +94,8 @@ def _arctan_inv(m: int, wp: int, alternating: bool) -> Ball:
     # shrinking by m^2 >= 4) to twice it
     tail = mag.div_lower_denominator(mag.ONE if alternating else mag.TWO,
                                      BigFloat.from_int((2 * n + 1) * m ** (2 * n + 1)))
-    return ball.rounded(bf.div(BigFloat.from_int(p), BigFloat.from_int(q * m), wp, _NE), tail, wp)
+    return ball.rounded(bf.div(BigFloat.from_int(p), BigFloat.from_int(q * m), wp, _NE),
+                        [(tail, mag.ONE)], wp)
 
 
 @functools.cache
@@ -198,18 +199,25 @@ def _series(f: _Series, w: int, x: int) -> tuple[int, int]:
     return (-s if neg and f.odd else s), err
 
 
-def _fixed_ball(s: int, err: int, w: int, rad: mag.Magnitude) -> Ball:
-    """The ball s 2^-w +/- (err 2^-w + rad); rad is where callers fold in the
-    reduced argument's radius times the function's Lipschitz bound."""
-    return Ball(BigFloat.from_man_exp(s, -w), mag.add(mag.from_man_exp_upper(err, -w), rad))
+def _fixed_ball(s: int, err: int, w: int, rad: mag.Magnitude, prec: int,
+                h: int = 0, k: int = 0, c: Ball = ball.ZERO) -> Ball:
+    """(s +/- err) 2^(h-w) +/- rad - k c rounded to nearest at prec bits, its
+    radius, that error included, rounded up once; rad is where callers fold in
+    the reduced argument's radius times the function's Lipschitz bound."""
+    v = BigFloat.from_man_exp(s, h - w)
+    pairs = [(rad, mag.ONE)]
+    if k:
+        v = _sub_multiple(v, c.mid, k)
+        pairs.append((c.rad, BigFloat.from_int(k)))
+    return ball.rounded(bf.round_to(v, prec, _NE), pairs, prec, v, [(err, h - w)])
 
 
-def _sub_multiple(x: Ball, c: Ball, k: int) -> Ball:
-    """x - k c, with the midpoint x.mid - k c.mid exact."""
-    m, kc = x.mid, bf.mul_exact(c.mid, BigFloat.from_int(k))
+def _sub_multiple(m: BigFloat, c: BigFloat, k: int) -> BigFloat:
+    """m - k c, exactly."""
+    kc = bf.mul_exact(c, BigFloat.from_int(k))
     e = min(m.lsb, kc.lsb)
     d = (m.sign * m.man << (m.lsb - e)) - (kc.sign * kc.man << (kc.lsb - e))
-    return Ball(BigFloat.from_man_exp(d, e), mag.add(x.rad, mag.mul_int_upper(c.rad, abs(k))))
+    return BigFloat.from_man_exp(d, e)
 
 
 def _reduce(m: BigFloat, const: Callable[[], Ball], n0: int) -> tuple[int, Ball]:
@@ -221,7 +229,7 @@ def _reduce(m: BigFloat, const: Callable[[], Ball], n0: int) -> tuple[int, Ball]
     c = const()
     q, _ = bf.div(m, c.mid, max(32, n + 4), _NE)
     k = bf.to_int_nearest(q)
-    return k, _sub_multiple(Ball(m), c, k)
+    return k, Ball(_sub_multiple(m, c.mid, k), mag.mul_int_upper(c.rad, abs(k)))
 
 
 def _fixed(x: Ball, w: int) -> tuple[int, mag.Magnitude]:
@@ -267,7 +275,7 @@ def _exp_point(m: BigFloat, prec: int) -> Ball:
         s = s * s >> w
     # |e^(t+d) - e^t| <= e^t (e^|d| - 1)
     prop = mag.mul(mag.from_man_exp_upper(s + err, -w), _expm1_upper(rad))
-    return ball.round_to(ball.scale_2exp(_fixed_ball(s, err, w, prop), k), prec)
+    return _fixed_ball(s, err, w, mag.mul_2exp(prop, k), prec, k)
 
 
 def exp(x: Ball, prec: int) -> Ball:
@@ -330,10 +338,9 @@ def _sin_cos_point(m: BigFloat, prec: int) -> tuple[Ball, Ball]:
     if r:
         c, s, es = _double_angle(c, s, es + ec, w + r, r)
         ec = es
-    sj = _fixed_ball(s, es, ws + r, rs)  # |sin'|, |cos'| <= 1
-    cj = _fixed_ball(c, ec, w + r, rc)
-    s, c = ((sj, cj), (cj, -sj), (-sj, -cj), (-cj, sj))[k & 3]
-    return ball.round_to(s, prec), ball.round_to(c, prec)
+    sj = _fixed_ball(s, es, ws + r, rs, prec)  # |sin'|, |cos'| <= 1
+    cj = _fixed_ball(c, ec, w + r, rc, prec)
+    return ((sj, cj), (cj, -sj), (-sj, -cj), (-cj, sj))[k & 3]
 
 
 _UNIT = Ball(bf.ZERO, mag.ONE)
@@ -389,12 +396,10 @@ def _log_point(m: BigFloat, prec: int) -> Ball:
     u, rem = divmod(num << w, den)
     # log a = 2 atanh u = 2^(h+1) atanh y; for r = 0, |u| <= 1/5 needs no step
     y, h = _halve(u, w, 2 + r, -1)
-    # y is within 4 ulps after a step, u within 1 if floored
-    urad = mag.mul_2exp(_ATANH_LIPSCHITZ, 2 - w if h else -w) if h or rem else mag.ZERO
-    res = ball.scale_2exp(_fixed_ball(*_series(_ATANH, w, y), w, urad), h + 1)
-    if e:
-        res = _sub_multiple(res, _log2_ball(wp), -e)
-    return ball.round_to(res, prec)
+    # y is within 4 ulps after a step, u within 1 if floored; log a = 2^(h+1) atanh y
+    urad = mag.mul_2exp(_ATANH_LIPSCHITZ, h + 1 + (2 - w if h else -w)) if h or rem else mag.ZERO
+    return _fixed_ball(*_series(_ATANH, w, y), w, urad, prec, h + 1,
+                       *((-e, _log2_ball(wp)) if e else ()))
 
 
 def log(x: Ball, prec: int) -> Ball:
@@ -444,7 +449,7 @@ def _atan_point(m: BigFloat, prec: int) -> Ball:
     sign = m.sign
     a = abs(m)
     if a == bf.ONE:
-        res = ball.scale_2exp(_pi_ball(wp), -2)
+        res = ball.round_to(ball.scale_2exp(_pi_ball(wp), -2), prec)
     else:
         flip = bf.compare(a, bf.ONE) > 0
         r = _halvings(wp + _GUARD)
@@ -458,12 +463,10 @@ def _atan_point(m: BigFloat, prec: int) -> Ball:
         z, h = _halve(z, w, 3 + r, 1)
         if h:
             rad = mag.pow2(2 - w)
-        res = ball.scale_2exp(_fixed_ball(*_series(_ATAN, w, z), w, rad), h)  # |atan'| <= 1
-        if flip:
-            res = ball.neg(_sub_multiple(res, ball.scale_2exp(_pi_ball(wp), -1), 1))
-    if sign < 0:
-        res = ball.neg(res)
-    return ball.round_to(res, prec)
+        s, err = _series(_ATAN, w, z)  # |atan'| <= 1; flipped, pi/2 - atan(1/a)
+        res = _fixed_ball(-s if flip else s, err, w, mag.mul_2exp(rad, h), prec, h,
+                          *((-1, ball.scale_2exp(_pi_ball(wp), -1)) if flip else ()))
+    return ball.neg(res) if sign < 0 else res
 
 
 def atan(x: Ball, prec: int) -> Ball:

@@ -7,8 +7,8 @@ most a factor ``1 + 2**-28`` above it (a couple of ulps of the 30-bit
 mantissa).  There is no NaN; bounds are nonnegative by construction and
 ``+inf`` absorbs.
 
-``dot_upper`` is the one exact upward product-sum; ``mul``, ``addmul`` and
-the radius of every ball product and dot product go through it.
+``sum_upper`` is the one exact upward sum; ``dot_upper``, ``mul``, ``addmul``
+and the radius of every ball operation, rounding error included, go through it.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ __all__ = [
     "INF",
     "ONE",
     "add",
-    "add_man_exp",
     "mul",
     "addmul",
     "dot_upper",
+    "sum_upper",
     "compare",
     "from_bigfloat_upper",
     "to_bigfloat",
@@ -43,8 +43,8 @@ _MBITS = 30
 _MANT_MIN = 1 << 29
 _MANT_TOP = 1 << 30
 
-_REGULAR = 0
-_ZERO = 1
+_REGULAR = 0  # the codes bigfloat gives regular and zero values, so that
+_ZERO = 1     # dot_upper reads a factor of either kind
 _POS_INF = 2
 
 
@@ -179,21 +179,6 @@ def add(x: Magnitude, y: Magnitude) -> Magnitude:
     return _norm_up((x.man << d) + y.man, y.exp - _MBITS)
 
 
-def add_man_exp(x: Magnitude, man: int, lsb: int) -> Magnitude:
-    """The least magnitude >= x + man * 2**lsb for an int man > 0: the exact
-    sum rounded up once, with a term far below the other kept as a sticky bit."""
-    if x.kind != _REGULAR:
-        return _norm_up(man, lsb) if x.kind == _ZERO else INF
-    xl = x.exp - _MBITS
-    if lsb + man.bit_length() <= xl:  # below one unit of x
-        return _norm_up((x.man << 1) | 1, xl - 1)
-    if x.exp <= lsb - 64:  # far below man's last bit
-        return _norm_up((man << 64) | 1, lsb - 64)
-    if xl >= lsb:
-        return _norm_up(man + (x.man << (xl - lsb)), lsb)
-    return _norm_up((man << (lsb - xl)) + x.man, xl)
-
-
 def mul(x: Magnitude, y: Magnitude) -> Magnitude:
     return dot_upper([(x, y)])
 
@@ -203,31 +188,51 @@ def addmul(z: Magnitude, x: Magnitude, y: Magnitude) -> Magnitude:
     return dot_upper([(z, ONE), (x, y)])
 
 
-def dot_upper(pairs) -> Magnitude:
-    """The least magnitude >= sum x*y over the (x, y) pairs: the exact sum,
-    rounded up once.  A zero factor adds nothing (0 * inf too); any other
-    infinite factor gives INF.
-    """
-    terms = []
+def dot_upper(pairs, terms=()) -> Magnitude:
+    """sum_upper of |x*y| over the (x, y) pairs and the (m, l) int terms.  A
+    factor is a Magnitude or a BigFloat; a zero factor adds nothing (0 * inf
+    too), and any other that is not regular (inf, NaN) gives INF."""
+    terms = list(terms)
     for x, y in pairs:
         if x.kind != _REGULAR or y.kind != _REGULAR:
             if x.kind == _ZERO or y.kind == _ZERO:
                 continue
             return INF
-        terms.append((x.exp + y.exp, x.man * y.man))  # p * 2^(e-60) in [2^(e-2), 2^e)
-    if not terms:
-        return ZERO
-    terms.sort(reverse=True)
-    n = len(terms)
-    lo, s = terms[0]  # the terms so far sum to s * 2^(lo-60) exactly
-    for i in range(1, n):
-        e, p = terms[i]
-        if e + (n - i).bit_length() <= lo - 2 * _MBITS:
-            # The rest total less than the sum's last bit, which lies far below
-            # its rounding point: one sticky bit rounds up the same way.
-            return _norm_up((s << 1) | 1, lo - 2 * _MBITS - 1)
-        s, lo = (s << (lo - e)) + p, e
-    return _norm_up(s, lo - 2 * _MBITS)
+        # either kind of factor is man * 2^(exp - bits(man))
+        terms.append((x.man * y.man, x.exp + y.exp - x.man.bit_length() - y.man.bit_length()))
+    return sum_upper(terms)
+
+
+def sum_upper(terms) -> Magnitude:
+    """The least magnitude >= sum m * 2**l over a list of (m, l) int terms,
+    m >= 0: the exact sum, rounded up once.  A term more than 64 bits below
+    the sum so far is set aside; if those total less than 2**p, with p at or
+    below both the sum's last bit and its 30-bit rounding point, one sticky
+    bit below p rounds the sum up as they would.  If not, or if a term lies
+    more than 64 bits above the sum before it, the terms are added again
+    highest first, where neither can happen."""
+    s = lo = n = top = 0  # the sum s * 2^lo; n terms set aside, each below 2^top
+    for m, l in terms:
+        if not m:
+            continue
+        if not s:
+            s, lo = m, l
+        elif l >= lo:
+            if l - lo > s.bit_length() + 64:
+                break
+            s += m << (l - lo)
+        elif l + m.bit_length() + 64 < lo:
+            top = max(top, l + m.bit_length()) if n else l + m.bit_length()
+            n += 1
+        else:
+            s, lo = (s << (lo - l)) + m, l
+    else:
+        if not n:
+            return _norm_up(s, lo) if s else ZERO
+        p = lo + min(0, s.bit_length() - _MBITS)
+        if top + n.bit_length() <= p:
+            return _norm_up((s << (lo - p + 1)) | 1, p - 1)
+    return sum_upper(sorted(terms, key=lambda t: t[1] + t[0].bit_length(), reverse=True))
 
 
 def compare(x: Magnitude, y: Magnitude) -> int:
@@ -297,11 +302,7 @@ def mul_int_upper(x: Magnitude, n: int) -> Magnitude:
     """Upper bound of x * n for n >= 0."""
     if n < 0:
         raise ValueError("negative scale")
-    if n == 0 or x.kind == _ZERO:
-        return ZERO
-    if x.kind == _POS_INF:
-        return INF
-    return _norm_up(x.man * n, x.exp - _MBITS)
+    return dot_upper([(x, BigFloat.from_int(n))])
 
 
 def div_int_upper(x: Magnitude, n: int) -> Magnitude:

@@ -20,27 +20,113 @@ def B(m, r=None):
     return Ball(mid, r)
 
 
+def least_radius(b: Ball, pairs, prec: int):
+    """The least magnitude >= the exact radius of a rounded sum of products:
+    sum |x| ry + |y| rx + rx ry over the (x, y) pairs, plus half an ulp of
+    b.mid at prec bits when b.mid is not the exact sum."""
+    F = Fraction
+    err = sum((abs(x.mid.to_fraction()) * y.rad.to_fraction()
+               + abs(y.mid.to_fraction()) * x.rad.to_fraction()
+               + x.rad.to_fraction() * y.rad.to_fraction() for x, y in pairs), F(0))
+    if b.mid.to_fraction() != sum((x.mid.to_fraction() * y.mid.to_fraction() for x, y in pairs), F(0)):
+        err += F(2) ** (b.mid.exp - prec - 1)
+    q = round_fraction_oracle(err, 30, Rounding.UP)
+    return mag.from_man_exp_upper(q.numerator, 1 - q.denominator.bit_length())
+
+
+def spread_ball(rng) -> Ball:
+    """A ball of up to 100 midpoint bits whose radius lies anywhere from 2^-200
+    to 2^20 times it; sometimes a zero midpoint or radius."""
+    mid = BigFloat.from_man_exp(rng.getrandbits(rng.randrange(1, 101)) * rng.choice((1, -1)),
+                                rng.randrange(-60, 60)) if rng.random() < 0.9 else bf.ZERO
+    e = (mid.exp if mid.is_regular() else 0) + rng.randrange(-200, 20)
+    rad = mag.from_man_exp_upper(rng.getrandbits(30), e - 30) if rng.random() < 0.85 else mag.ZERO
+    return Ball(mid, rad)
+
+
+class TestLeastRadius:
+    """Every radius is the exact propagated error plus the midpoint's half
+    ulp, rounded up once to 30 bits: the least magnitude that bounds it."""
+
+    def test_add_sub_mul_fma(self):
+        rng = random.Random(44)
+        one, neg = ball.ONE, B(-1)
+        for _ in range(1500):
+            x, y, z = spread_ball(rng), spread_ball(rng), spread_ball(rng)
+            prec = rng.choice((2, 10, 53, 64, 200))
+            assert ball.add(x, y, prec).rad == least_radius(ball.add(x, y, prec), [(x, one), (y, one)], prec)
+            d = ball.sub(x, y, prec)
+            assert d.rad == least_radius(d, [(x, one), (y, neg)], prec)
+            p = ball.mul(x, y, prec)
+            assert p.rad == least_radius(p, [(x, y)], prec)
+            f = ball.fma(z, x, y, prec)
+            assert f.rad == least_radius(f, [(x, y), (z, one)], prec)
+
+    def test_dot(self):
+        rng = random.Random(45)
+        for _ in range(400):
+            n = rng.randrange(1, 10)
+            xs, ys = [spread_ball(rng) for _ in range(n)], [spread_ball(rng) for _ in range(n)]
+            prec = rng.choice((2, 53, 128))
+            d = ball.dot(xs, ys, prec)
+            assert d.rad == least_radius(d, list(zip(xs, ys)), prec)
+
+    def test_schoolbook_complex_product(self):
+        from midrad import ballpoly as bp
+        rng = random.Random(46)
+        for _ in range(40):
+            fr, fi, gr, gi = (bp.BallPoly([spread_ball(rng) for _ in range(rng.randrange(1, 7))])
+                              for _ in range(4))
+            prec = rng.choice((20, 53, 128))
+            hr, hi = bp.mul_complex(fr, fi, gr, gi, prec)
+            neg_gi = [ball.neg(c) for c in gi]
+            for h, (a, b), (c, d) in ((hr, (fr, fi), (gr, neg_gi)), (hi, (fr, fi), (gi, gr))):
+                for k, coef in enumerate(h):
+                    pairs = [(p[i], q[k - i]) for p, q in ((a, c), (b, d))
+                             for i in range(len(p)) if 0 <= k - i < len(q)]
+                    assert coef.rad == least_radius(coef, pairs, prec), k
+
+
 class TestRounded:
     def test_nan_midpoint_is_indeterminate(self):
-        assert ball.rounded((bf.NAN, False), mag.ONE, 53) == ball.indeterminate()
-        assert ball.rounded((bf.NAN, True), mag.ZERO, 53) == ball.indeterminate()
+        assert ball.rounded((bf.NAN, False), [(mag.ONE, mag.ONE)], 53) == ball.indeterminate()
+        assert ball.rounded((bf.NAN, True), [], 53) == ball.indeterminate()
+        assert ball.rounded((bf.NAN, True), [(mag.INF, mag.ONE)], 53) == ball.indeterminate()
 
     def test_exact_midpoint_keeps_the_radius(self):
         m = BigFloat.from_man_exp(3, -1)
         r = mag.from_man_exp_upper(5, -70)
-        assert ball.rounded((m, False), r, 53) == Ball(m, r)
-        assert ball.rounded((m, False), mag.ZERO, 2) == Ball(m)
+        assert ball.rounded((m, False), [(r, mag.ONE)], 53) == Ball(m, r)
+        assert ball.rounded((m, False), [], 2) == Ball(m)
+        # a zero factor adds nothing, even beside an infinite one
+        assert ball.rounded((m, False), [(mag.ZERO, mag.INF), (bf.ZERO, r)], 2) == Ball(m)
+        assert ball.rounded((m, True), [(mag.INF, mag.ONE)], 2) == Ball(m, mag.INF)
+        assert ball.rounded((m, True), [(bf.POS_INF, r)], 2) == Ball(m, mag.INF)
+
+    def test_radius_is_the_exact_sum_rounded_up_once(self):
+        m = BigFloat.from_man_exp(3, -1)
+        terms = [(1, 0), (1, -100), (3, -29)]
+        pairs = [(BigFloat.from_man_exp(-3, -29), mag.ONE), (mag.pow2(-100), mag.ONE)]
+        want = mag.from_man_exp_upper((1 << 29) + 4, -29)
+        assert ball.rounded((m, False), [], 53, terms=terms).rad == want
+        assert ball.rounded((m, False), pairs, 53, terms=terms[:1]).rad == want
+        # with the half ulp 2^-54 as one more term, still a single rounding
+        assert ball.rounded((m, True), [(mag.ONE, mag.ONE)], 53).rad == mag.from_man_exp_upper(1 << 29 | 1, -29)
+        # given the exact value, the actual error 2^-100 instead
+        exact = BigFloat.from_man_exp((3 << 99) + 1, -100)
+        assert ball.rounded((m, True), [(mag.ONE, mag.ONE)], 53, exact).rad == mag.from_man_exp_upper(1 << 29 | 1, -29)
 
     def test_inexact_midpoint_adds_half_an_ulp(self):
         for prec in (2, 53, 300):
             m, inexact = bf.div(BigFloat.from_int(1), BigFloat.from_int(3), prec, Rounding.NEAREST_EVEN)
             assert inexact
-            b = ball.rounded((m, inexact), mag.ZERO, prec)
+            b = ball.rounded((m, inexact), [], prec)
             # 1/3 lies in [1/4, 1/2), where one ulp of a prec-bit float is 2^(-1-prec)
             assert b.mid == m and b.rad.to_fraction() == Fraction(1, 2 ** (prec + 2))
             assert contains_fraction(b, Fraction(1, 3))
             r = mag.from_man_exp_upper(7, -prec - 9)
-            assert ball.rounded((m, True), r, prec).rad == mag.add(r, b.rad)
+            # one magnitude plus the exact half ulp: one rounding either way
+            assert ball.rounded((m, True), [(r, mag.ONE)], prec).rad == mag.add(r, b.rad)
 
     def test_ties_stay_contained(self):
         # 1 + k 2^-prec for odd k lies halfway between two prec-bit floats, as
@@ -186,14 +272,8 @@ class TestDot:
             exact = sum((x.mid.to_fraction() * y.mid.to_fraction() for x, y in zip(xs, ys)),
                         z.mid.to_fraction() if z else Fraction(0))
             assert d.mid.to_fraction() == round_fraction_oracle(exact, prec, Rounding.NEAREST_EVEN)
-            # the propagated error, from 30-bit upper bounds of the |midpoints|,
-            # is rounded up once; an inexact midpoint adds its ulp after that
-            up = lambda m: round_fraction_oracle(abs(m.to_fraction()), 30, Rounding.UP)
-            err = sum((up(x.mid) * y.rad.to_fraction() + up(y.mid) * x.rad.to_fraction()
-                       + x.rad.to_fraction() * y.rad.to_fraction() for x, y in zip(xs, ys)),
-                      z.rad.to_fraction() if z else Fraction(0))
-            if d.mid.to_fraction() == exact:
-                assert d.rad.to_fraction() == round_fraction_oracle(err, 30, Rounding.UP)
+            pairs = list(zip(xs, ys)) + ([(z, ball.ONE)] if z else [])
+            assert d.rad == least_radius(d, pairs, prec)
 
     def test_lengths_must_match(self):
         with pytest.raises(ValueError):

@@ -218,8 +218,9 @@ def mag_of(q):
 
 class TestBlockRadius:
     def test_radius_sums_round_up_once(self):
-        # each radius is the exact sum |A| b + a (|B| + b) rounded up once,
-        # plus the midpoint's own rounding error
+        # each radius is the exact sum |A| b + a (|B| + b), with |A| and
+        # |B| + b 30-bit magnitudes, plus the midpoint's half ulp when it is
+        # inexact, rounded up once
         rng = random.Random(41)
         for _ in range(25):
             f, g = wide_poly(rng, rng.randrange(17, 60)), wide_poly(rng, rng.randrange(17, 60))
@@ -229,11 +230,11 @@ class TestBlockRadius:
             rad1 = exact_conv([mag.from_bigfloat_upper(c.mid).to_fraction() for c in f],
                               [c.rad.to_fraction() for c in g])
             rad2 = exact_conv([c.rad.to_fraction() for c in f],
-                              [ball.upper_mag(c).to_fraction() for c in g])
+                              [mag.add(mag.from_bigfloat_upper(c.mid), c.rad).to_fraction()
+                               for c in g])
             for k, c in enumerate(h):
-                want = ball.rounded((c.mid, c.mid.to_fraction() != mids[k]),
-                                    mag_of(up30(rad1[k] + rad2[k])), prec)
-                assert c.rad == want.rad, k
+                half = Fraction(2) ** (c.mid.exp - prec - 1) if c.mid.to_fraction() != mids[k] else 0
+                assert c.rad == mag_of(up30(rad1[k] + rad2[k] + half)), k
 
     def test_far_apart_terms_still_round_up(self):
         # the two radius terms of coefficients 1..16 are 1000 bits apart, in
@@ -270,7 +271,8 @@ class TestBlockRadius:
 
     def test_figure_product_makes_no_addmul_calls(self, monkeypatch):
         # the radii of the n = 1000 figure-regime product need no O(n^2)
-        # magnitude arithmetic: neither addmul nor the product-sum under it
+        # magnitude arithmetic: neither addmul nor the product-sum and the
+        # exact upward sum under it
         n, prec = 1000, 333
         fact = 1
         cs = [Ball.from_int(1)]
@@ -279,7 +281,7 @@ class TestBlockRadius:
             cs.append(ball.div(Ball.from_int(1), Ball.from_int(fact), prec))
         f = BallPoly(cs)
         calls = []
-        for name in ("addmul", "dot_upper"):
+        for name in ("addmul", "dot_upper", "sum_upper"):
             fn = getattr(mag, name)
             monkeypatch.setattr(mag, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
         bp.mul_block(f, f, prec)

@@ -6,10 +6,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import ball_bounds, contains_fraction, mpf_fraction
+from conftest import ball_bounds, contains_fraction, mpf_fraction, round_fraction_oracle
 from midrad import ball, bigfloat as bf, elementary as el, magnitude as mag
 from midrad.ball import Ball
-from midrad.bigfloat import BigFloat
+from midrad.bigfloat import BigFloat, Rounding
 
 
 def exact(n):
@@ -364,7 +364,7 @@ def test_kernel_folds_argument_radius(fn, wp):
     c = 1 << 20  # a radius of 2^20 ulps
     for x in _fixed_inputs(fn, w)[:4]:
         rad = mag.mul(mag.from_man_exp_upper(c, -w), _LIPSCHITZ[fn])
-        b = el._fixed_ball(*el._series(_KINDS[fn], w, x), w, rad)
+        b = el._fixed_ball(*el._series(_KINDS[fn], w, x), w, rad, wp)
         blo, bhi = ball_bounds(b)
         for y in (x - c, x + c):
             lo, hi = series_bracket(fn, y, w)
@@ -600,10 +600,27 @@ def test_sub_multiple_is_exact():
     for _ in range(100):
         x = BigFloat.from_man_exp(rng.getrandbits(80) | 1, rng.randrange(-100, 20))
         k = rng.randrange(-10 ** 6, 10 ** 6)
-        xr = mag.pow2(rng.randrange(-120, -60))
-        t = el._sub_multiple(Ball(x, xr), c, k)
-        assert t.mid.to_fraction() == x.to_fraction() - k * c.mid.to_fraction()
-        assert t.rad.to_fraction() >= xr.to_fraction() + abs(k) * c.rad.to_fraction()
+        t = el._sub_multiple(x, c.mid, k)
+        assert t.to_fraction() == x.to_fraction() - k * c.mid.to_fraction()
+
+
+def test_fixed_ball_rounds_once():
+    # (s +/- err) 2^(h-w) +/- rad - k c, rounded to nearest at prec bits: the
+    # radius is the least 30-bit bound of the exact sum of err 2^(h-w), rad,
+    # |k| c.rad and the midpoint's actual rounding error
+    rng = random.Random(13)
+    c = el._pi_ball(200)
+    for _ in range(300):
+        w, h, prec = rng.randrange(60, 200), rng.randrange(-5, 5), rng.choice((2, 53, 100))
+        s, err = rng.getrandbits(w + 2) - (1 << (w + 1)), rng.randrange(0, 100)
+        rad = mag.pow2(rng.randrange(-w - 40, -w + 10)) if rng.random() < 0.8 else mag.ZERO
+        k = rng.choice((0, rng.randrange(-10 ** 6, 10 ** 6)))
+        b = el._fixed_ball(s, err, w, rad, prec, h, k, c)
+        exact = Fraction(s, 2 ** w) * Fraction(2) ** h - k * c.mid.to_fraction()
+        assert b.mid.to_fraction() == round_fraction_oracle(exact, prec, Rounding.NEAREST_EVEN)
+        bound = (Fraction(err, 2 ** w) * Fraction(2) ** h + rad.to_fraction()
+                 + abs(k) * c.rad.to_fraction() + abs(exact - b.mid.to_fraction()))
+        assert b.rad.to_fraction() == round_fraction_oracle(bound, 30, Rounding.UP)
 
 
 def test_tiny_arguments_stay_cheap():

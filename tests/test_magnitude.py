@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rand_magnitude, round_fraction_oracle
+from conftest import rand_bigfloat, rand_magnitude, round_fraction_oracle
 from midrad import bigfloat as bf
 from midrad import magnitude as mag
 from midrad.bigfloat import BigFloat, Rounding
@@ -51,23 +51,62 @@ class TestBasicOps:
             assert exact <= F(am) <= exact * TIGHT or exact == 0
 
 
-class TestAddManExp:
-    def test_least_bound_of_the_exact_sum(self):
+def least(exact: Fraction):
+    """The least magnitude >= a dyadic rational exact >= 0."""
+    return mag.from_man_exp_upper(exact.numerator, 1 - exact.denominator.bit_length())
+
+
+def exact_sum(terms) -> Fraction:
+    return sum((Fraction(m) * Fraction(2) ** l for m, l in terms), Fraction(0))
+
+
+class TestSumUpper:
+    """sum_upper is the least magnitude >= the exact sum of its int terms."""
+
+    def test_least_bound_of_random_sums(self):
+        # 1-6 terms of 1-70 bits, exponents spread over 300 bits, some zero
+        rng = random.Random(18)
+        for _ in range(3000):
+            terms = [(rng.getrandbits(rng.randrange(1, 71)) if rng.random() < 0.95 else 0,
+                      rng.randrange(-150, 150)) for _ in range(rng.randrange(1, 7))]
+            assert mag.sum_upper(terms) == least(exact_sum(terms)), terms
+
+    def test_magnitude_plus_a_term(self):
         # x + man 2^lsb rounded up once, with either term far below the other
         rng = random.Random(17)
         for _ in range(2000):
             x = rand_magnitude(rng) if rng.random() < 0.9 else mag.ZERO
             man = rng.getrandbits(rng.choice((1, 5, 30, 31, 90))) | 1
             lsb = (x.exp if x.is_regular() else 0) + rng.randrange(-160, 100)
-            exact = F(x) + Fraction(man) * Fraction(2) ** lsb
-            least = mag.from_man_exp_upper(exact.numerator, 1 - exact.denominator.bit_length()) \
-                if exact.denominator > 1 else mag.from_int_upper(exact.numerator)
-            assert mag.add_man_exp(x, man, lsb) == least, (x, man, lsb)
+            got = mag.sum_upper([(x.man, x.exp - 30), (man, lsb)])
+            assert got == least(F(x) + Fraction(man) * Fraction(2) ** lsb), (x, man, lsb)
+
+    def test_short_sum_then_far_terms(self):
+        # the sum so far has fewer than 30 bits, so its rounding point lies
+        # below its last bit: a sticky bit just below that bit would be exact
+        terms = [(414003, 33), (9, -26), (2995, -2)]
+        assert mag.sum_upper(terms) == mag.from_man_exp_upper(414003 * 2 ** 20 + 1, 13)
+        for order in (terms, terms[::-1], terms[1:] + terms[:1]):
+            assert mag.sum_upper(order) == least(exact_sum(terms))
 
     def test_top_mantissa_carries(self):
-        top = mag.from_man_exp_upper((1 << 30) - 1, 0)
-        assert mag.add_man_exp(top, 1, -100) == mag.pow2(30)
-        assert mag.add_man_exp(mag.INF, 1, 0) == mag.INF
+        # 2^30 - 1 and any term below its last bit give the next power of two
+        top = (1 << 30) - 1
+        for lsb in (-1, -31, -100, -10 ** 5):
+            assert mag.sum_upper([(top, 0), (1, lsb)]) == mag.pow2(30)
+            assert mag.sum_upper([(1, lsb), (top, 0)]) == mag.pow2(30)
+        assert mag.sum_upper([(top, 0), (1, -100), (1, -10 ** 4)]) == mag.pow2(30)
+
+    def test_zero_terms(self):
+        assert mag.sum_upper([]) == mag.ZERO
+        assert mag.sum_upper([(0, 5), (0, -10 ** 6)]) == mag.ZERO
+        assert mag.sum_upper([(0, 5), (3, 7), (0, -10 ** 6)]) == mag.from_int_upper(3 * 2 ** 7)
+
+    def test_add_is_the_two_term_sum(self):
+        rng = random.Random(19)
+        for _ in range(3000):
+            x, y = rand_magnitude(rng, 100), rand_magnitude(rng, 100)
+            assert mag.add(x, y) == mag.sum_upper([(x.man, x.exp - 30), (y.man, y.exp - 30)]), (x, y)
 
 
 class TestCarry:
@@ -178,6 +217,20 @@ class TestDotUpper:
         self.check(pairs)
         assert mag.dot_upper(pairs) == mag.from_man_exp_upper((1 << 29) + 1, 31)
         assert mag.dot_upper(pairs[:3]) == mag.pow2(60)
+
+    def test_bigfloat_factors_and_int_terms(self):
+        # a BigFloat factor counts with its absolute value; int terms m 2^l
+        # join the same exact sum
+        rng = random.Random(25)
+        for _ in range(1000):
+            x, b = rand_magnitude(rng), rand_bigfloat(rng, rng.choice((5, 64, 200)))
+            terms = [(rng.getrandbits(rng.randrange(0, 70)), rng.randrange(-200, 100))
+                     for _ in range(rng.randrange(0, 3))]
+            exact = F(x) * abs(b.to_fraction()) + sum(Fraction(m) * Fraction(2) ** l for m, l in terms)
+            assert F(mag.dot_upper([(x, b)], terms)) == round_fraction_oracle(exact, 30, Rounding.UP)
+        assert mag.dot_upper([(bf.NAN, mag.ONE)]).is_inf()
+        assert mag.dot_upper([(mag.ONE, bf.NEG_INF)], [(3, 0)]).is_inf()
+        assert mag.dot_upper([(bf.NAN, mag.ZERO), (bf.ZERO, mag.INF)], [(3, 0)]) == mag.from_int_upper(3)
 
     def test_addmul_is_a_two_term_dot(self):
         rng = random.Random(24)

@@ -112,6 +112,12 @@ def _ball(rng, m, out):
             out(b.add(x, y, 53), b.mul(x, y, 53), b.fma(x, y, y, 53), b.div(x, y, 53),
                 b.contains(x, y), b.overlaps(x, y))
         out(b.sqrt(x, 53), b.mul_int(x, 3, 53), b.div_int(x, 3, 53))
+    # last, so that every line above keeps its random draws: long radius
+    # sums, with radius exponents spread over 300 bits
+    for _ in range(400):
+        xs, ys = ([m.Ball(_rand_bigfloat(rng, m.BigFloat, 100, 40), _rand_mag(rng, m.magnitude, 150))
+                   for _ in range(n)] for n in [rng.randrange(2, 10)] * 2)
+        out(b.dot(xs, ys, rng.choice((2, 53, 64, 333)), _rand_ball(rng, m) if rng.random() < 0.3 else None))
 
 
 def _elementary(rng, m, out):
