@@ -309,7 +309,7 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
            or not all(x.is_finite() for x in f.coeffs + g.coeffs) for f, g in pairs):
         return _dot_schoolbook(pairs, prec)
     n = max((len(f) + len(g) - 1 for f, g in pairs), default=0)
-    mids, rads, c = [], [], 0
+    mids, rads = [], []
     for f, g in pairs:
         plan = plan_blocks(f, g, prec)
         c = plan.scale

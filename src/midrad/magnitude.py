@@ -302,7 +302,7 @@ def mul_int_upper(x: Magnitude, n: int) -> Magnitude:
     """Upper bound of x * n for n >= 0."""
     if n < 0:
         raise ValueError("negative scale")
-    return dot_upper([(x, BigFloat.from_int(n))])
+    return INF if x.kind == _POS_INF and n else sum_upper([(x.man * n, x.exp - _MBITS)])
 
 
 def div_int_upper(x: Magnitude, n: int) -> Magnitude:
