@@ -26,8 +26,8 @@ each of which doubles the error, so r more guard bits pay for them:
   z <= 2^-(3+h(w)).
 
 One routine, ``_halve``, takes both atan and atanh steps, z <- z / (1 + sqrt(1
-+- z^2)); h(w) is 0 below 256 bits and about sqrt(w)/4 above.  Results are
-rounded to the target precision once, and the input radius is added last.
++- z^2)); h(w) is 0 below 256 bits and about sqrt(w)/4 above.  A result and
+its radius are rounded once (``_fixed_ball``); the input radius comes last.
 
 Internal evaluation parameters are capped so that the work stays polynomial
 in the precision regardless of the input: beyond the cutoffs, sin/cos return

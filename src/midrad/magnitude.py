@@ -7,8 +7,8 @@ most a factor ``1 + 2**-28`` above it (a couple of ulps of the 30-bit
 mantissa).  There is no NaN; bounds are nonnegative by construction and
 ``+inf`` absorbs.
 
-``sum_upper`` is the one exact upward sum; ``dot_upper``, ``mul``, ``addmul``
-and the radius of every ball operation, rounding error included, go through it.
+``sum_upper`` is the one exact upward sum of int terms; ``dot_upper`` (and so
+``mul``, ``addmul`` and ``ball.rounded``) feeds it; ``add`` returns the same.
 """
 
 from __future__ import annotations
