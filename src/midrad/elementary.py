@@ -27,7 +27,9 @@ each of which doubles the error, so r more guard bits pay for them:
 
 One routine, ``_halve``, takes both atan and atanh steps, z <- z / (1 + sqrt(1
 +- z^2)); h(w) is 0 below 256 bits and about sqrt(w)/4 above.  A result and
-its radius are rounded once (``_fixed_ball``); the input radius comes last.
+its radius are rounded once (``_fixed_ball``): the series error, the reduced
+argument's radius and the input ball's radius, each times its bound on
+|f'|, go into one exact sum that is rounded up once.
 
 Internal evaluation parameters are capped so that the work stays polynomial
 in the precision regardless of the input: beyond the cutoffs, sin/cos return
@@ -199,16 +201,16 @@ def _series(f: _Series, w: int, x: int) -> tuple[int, int]:
     return (-s if neg and f.odd else s), err
 
 
-def _fixed_ball(s: int, err: int, w: int, rad: mag.Magnitude, prec: int,
+def _fixed_ball(s: int, err: int, w: int, pairs: list, prec: int,
                 h: int = 0, k: int = 0, c: Ball = ball.ZERO) -> Ball:
-    """(s +/- err) 2^(h-w) +/- rad - k c rounded to nearest at prec bits, its
-    radius, that error included, rounded up once; rad is where callers fold in
-    the reduced argument's radius times the function's Lipschitz bound."""
+    """(s +/- err) 2^(h-w) - k c, widened by sum |a b| over the (a, b) pairs,
+    rounded to nearest at prec bits, its radius, that error included, rounded
+    up once; the pairs are where callers put the reduced argument's and the
+    input's radii times the function's bounds on |f'|."""
     v = BigFloat.from_man_exp(s, h - w)
-    pairs = [(rad, mag.ONE)]
     if k:
         v = _sub_multiple(v, c.mid, k)
-        pairs.append((c.rad, BigFloat.from_int(k)))
+        pairs = [*pairs, (c.rad, BigFloat.from_int(k))]
     return ball.rounded(bf.round_to(v, prec, _NE), pairs, prec, v, [(err, h - w)])
 
 
@@ -221,10 +223,10 @@ def _sub_multiple(m: BigFloat, c: BigFloat, k: int) -> BigFloat:
 
 
 def _reduce(m: BigFloat, const: Callable[[], Ball], n0: int) -> tuple[int, Ball]:
-    """(k, m - k c) for c = const() and k nearest m / c; for |m| < 2^(n0 - 1),
-    k = 0 and const is not called."""
+    """(k, m - k c) for c = const() and k nearest m / c; for |m| < 2^(n0 - 1)
+    and for m = 0, k = 0 and const is not called."""
     n = m.exp
-    if n < n0:
+    if n < n0 or not m.is_regular():
         return 0, Ball(m)
     c = const()
     q, _ = bf.div(m, c.mid, max(32, n + 4), _NE)
@@ -258,8 +260,8 @@ def _expm1_upper(r: mag.Magnitude) -> mag.Magnitude:
     return mag.pow2(1 << (r.exp + 1))  # e^r <= 2^(2r) <= 2^(2^(exp+1))
 
 
-def _exp_point(m: BigFloat, prec: int) -> Ball:
-    """Tight enclosure of e^m for a regular midpoint m."""
+def _exp_point(m: BigFloat, xrad: mag.Magnitude, prec: int) -> Ball:
+    """Tight enclosure of e^(m + e) for a finite m and all |e| <= xrad."""
     n = m.exp
     wp = prec + (n if n > 0 else 0) + 16
     k, t = _reduce(m, lambda: _log2_ball(wp), 0)
@@ -273,9 +275,15 @@ def _exp_point(m: BigFloat, prec: int) -> Ball:
         # |s^2 - y^2| <= err (2 s + err) for |s - y| <= err, one ulp per floor
         err = ((2 * s + err) * err >> w) + 2
         s = s * s >> w
-    # |e^(t+d) - e^t| <= e^t (e^|d| - 1)
-    prop = mag.mul(mag.from_man_exp_upper(s + err, -w), _expm1_upper(rad))
-    return _fixed_ball(s, err, w, mag.mul_2exp(prop, k), prec, k)
+    # |e^(t+d+e) - e^t| <= E (e^|d| - 1) + E (e^|e| - 1) + E (e^|d| - 1)(e^|e| - 1)
+    # with e^t 2^k <= E
+    big_e = BigFloat.from_man_exp(s + err, k - w)
+    qa = _expm1_upper(rad)
+    pairs = [(big_e, qa)]
+    if not xrad.is_zero():
+        qb = _expm1_upper(xrad)
+        pairs += [(big_e, qb), (mag.dot_upper([(big_e, qa)]), qb)]
+    return _fixed_ball(s, err, w, pairs, prec, k)
 
 
 def exp(x: Ball, prec: int) -> Ball:
@@ -293,14 +301,7 @@ def exp(x: Ball, prec: int) -> Ball:
             t = 1 << cutoff
             return Ball(BigFloat.from_man_exp(1, -t - 1), mag.pow2(-t - 1))
         return ball.whole_line()
-    if m.is_zero():
-        point = Ball(bf.ONE)
-    else:
-        point = _exp_point(m, prec)
-    if x.rad.is_zero():
-        return point
-    prop = mag.mul(ball.upper_mag(point), _expm1_upper(x.rad))
-    return Ball(point.mid, mag.add(point.rad, prop))
+    return _exp_point(m, x.rad, prec)
 
 
 # -- sin / cos ------------------------------------------------------------------
@@ -317,14 +318,17 @@ def _double_angle(c: int, s: int, err: int, w: int, r: int) -> tuple[int, int, i
     return c, s, err
 
 
-def _sin_cos_point(m: BigFloat, prec: int) -> tuple[Ball, Ball]:
+def _sin_cos_point(m: BigFloat, xr: list, prec: int) -> tuple[Ball, Ball]:
+    """Enclosures of sin and cos at m, widened by sum |a b| over the (a, b)
+    pairs xr."""
     n = m.exp
     wp = prec + (n if n > 0 else 0) + 16
     k, t = _reduce(m, lambda: ball.scale_2exp(_pi_ball(wp), -1), 1)
     w = prec + 16 + _GUARD  # wp less the n bits that only k needs
     e = min(t.mid.exp, 0)
     ws = w - e  # sin t is about t: keep wp bits relative to t
-    r = max(0, math.isqrt(w) // 2 - 5 + e)
+    # at t = 0 both series are exact, and no doubling step may add error
+    r = max(0, math.isqrt(w) // 2 - 5 + e) if t.mid.is_regular() else 0
     if r:
         # sum both series at t 2^-r with r more guard bits and double the angle
         # r times; the steps mix sin and cos, so both run at ws bits, and 4
@@ -338,8 +342,8 @@ def _sin_cos_point(m: BigFloat, prec: int) -> tuple[Ball, Ball]:
     if r:
         c, s, es = _double_angle(c, s, es + ec, w + r, r)
         ec = es
-    sj = _fixed_ball(s, es, ws + r, rs, prec)  # |sin'|, |cos'| <= 1
-    cj = _fixed_ball(c, ec, w + r, rc, prec)
+    sj = _fixed_ball(s, es, ws + r, [(rs, mag.ONE), *xr], prec)  # |sin'|, |cos'| <= 1
+    cj = _fixed_ball(c, ec, w + r, [(rc, mag.ONE), *xr], prec)
     return ((sj, cj), (cj, -sj), (-sj, -cj), (-cj, sj))[k & 3]
 
 
@@ -347,8 +351,9 @@ _UNIT = Ball(bf.ZERO, mag.ONE)
 
 
 def _tighten_unit(b: Ball) -> Ball:
-    """sin/cos of a real always lies in [-1, 1]."""
-    if mag.compare(ball.upper_mag(b), mag.ONE) > 0:
+    """sin/cos of a real always lies in [-1, 1]: [0 +/- 1] for a radius of 1
+    or more, where it is no wider."""
+    if mag.compare(b.rad, mag.ONE) >= 0:
         return _UNIT
     return b
 
@@ -359,16 +364,10 @@ def sin_cos(x: Ball, prec: int) -> tuple[Ball, Ball]:
         return ball.indeterminate(), ball.indeterminate()
     if m.is_regular() and m.exp > max(65536, 4 * prec):
         return _UNIT, _UNIT
-    if m.is_zero():
-        s, c = Ball(bf.ZERO), Ball(bf.ONE)
-    else:
-        s, c = _sin_cos_point(m, prec)
     if x.rad.is_zero():
-        return s, c
-    prop = mag.min_(x.rad, mag.TWO)  # Lipschitz 1, range width 2
-    s = _tighten_unit(Ball(s.mid, mag.add(s.rad, prop)))
-    c = _tighten_unit(Ball(c.mid, mag.add(c.rad, prop)))
-    return s, c
+        return _sin_cos_point(m, [], prec)
+    s, c = _sin_cos_point(m, [(x.rad, mag.ONE)], prec)  # Lipschitz 1
+    return _tighten_unit(s), _tighten_unit(c)
 
 
 def sin(x: Ball, prec: int) -> Ball:
@@ -381,7 +380,9 @@ def cos(x: Ball, prec: int) -> Ball:
 
 # -- log --------------------------------------------------------------------------
 
-def _log_point(m: BigFloat, prec: int) -> Ball:
+def _log_point(m: BigFloat, xr: list, prec: int) -> Ball:
+    """Enclosure of log m for m > 0, widened by sum |a b| over the (a, b)
+    pairs xr."""
     e = m.exp
     wp = prec + abs(e).bit_length() + 16
     bl = m.man.bit_length()
@@ -398,7 +399,7 @@ def _log_point(m: BigFloat, prec: int) -> Ball:
     y, h = _halve(u, w, 2 + r, -1)
     # y is within 4 ulps after a step, u within 1 if floored; log a = 2^(h+1) atanh y
     urad = mag.mul_2exp(_ATANH_LIPSCHITZ, h + 1 + (2 - w if h else -w)) if h or rem else mag.ZERO
-    return _fixed_ball(*_series(_ATANH, w, y), w, urad, prec, h + 1,
+    return _fixed_ball(*_series(_ATANH, w, y), w, [(urad, mag.ONE), *xr], prec, h + 1,
                        *((-e, _log2_ball(wp)) if e else ()))
 
 
@@ -409,11 +410,9 @@ def log(x: Ball, prec: int) -> Ball:
         return ball.indeterminate()  # NaN, -inf, or the ball touches (-inf, 0]
     if m.is_inf():
         return Ball(bf.POS_INF)
-    point = _log_point(m, prec)
-    if x.rad.is_zero():
-        return point
-    prop = mag.div_lower_denominator(x.rad, lo)  # sup 1/t over the ball
-    return Ball(point.mid, mag.add(point.rad, prop))
+    # sup 1/t over the ball
+    xr = [] if x.rad.is_zero() else [(mag.div_lower_denominator(x.rad, lo), mag.ONE)]
+    return _log_point(m, xr, prec)
 
 
 # -- atan -------------------------------------------------------------------------
@@ -444,17 +443,18 @@ def _halve(z: int, w: int, k: int, sign: int) -> tuple[int, int]:
     return z, h
 
 
-def _atan_point(m: BigFloat, prec: int) -> Ball:
+def _atan_point(m: BigFloat, xr: list, prec: int) -> Ball:
+    """Enclosure of atan m for a finite m, widened by sum |a b| over the
+    (a, b) pairs xr."""
     wp = prec + 24
-    sign = m.sign
     a = abs(m)
-    if a == bf.ONE:
-        res = ball.round_to(ball.scale_2exp(_pi_ball(wp), -2), prec)
+    flip = bf.compare(a, bf.ONE)
+    if not flip:  # atan 1 = 0 - (-1) pi/4
+        res = _fixed_ball(0, 0, 0, xr, prec, 0, -1, ball.scale_2exp(_pi_ball(wp), -2))
     else:
-        flip = bf.compare(a, bf.ONE) > 0
         r = _halvings(wp + _GUARD)
         w = wp + _GUARD + r  # r guard bits for the 2^r the halvings scale by
-        if flip:  # atan a = pi/2 - atan(1/a)
+        if flip > 0:  # atan a = pi/2 - atan(1/a)
             z, rem = divmod(1 << (w - a.lsb), a.man)
             rad = mag.pow2(-w) if rem else mag.ZERO
         else:
@@ -464,34 +464,29 @@ def _atan_point(m: BigFloat, prec: int) -> Ball:
         if h:
             rad = mag.pow2(2 - w)
         s, err = _series(_ATAN, w, z)  # |atan'| <= 1; flipped, pi/2 - atan(1/a)
-        res = _fixed_ball(-s if flip else s, err, w, mag.mul_2exp(rad, h), prec, h,
-                          *((-1, ball.scale_2exp(_pi_ball(wp), -1)) if flip else ()))
-    return ball.neg(res) if sign < 0 else res
+        res = _fixed_ball(-s if flip > 0 else s, err, w, [(mag.mul_2exp(rad, h), mag.ONE), *xr],
+                          prec, h, *((-1, ball.scale_2exp(_pi_ball(wp), -1)) if flip > 0 else ()))
+    return ball.neg(res) if m.sign < 0 else res
+
+
+_FOUR = mag.from_int_upper(4)
 
 
 def atan(x: Ball, prec: int) -> Ball:
     m = x.mid
     if m.is_nan():
         return ball.indeterminate()
-    if m.is_inf():
-        point = ball.scale_2exp(_pi_ball(prec + 8), -1)
-        if m.signum() < 0:
-            point = ball.neg(point)
-        point = ball.round_to(point, prec)
-    elif m.is_zero():
-        point = Ball(bf.ZERO)
-    elif m.exp > prec + 8:
-        # |atan(m) - sign * pi/2| = atan(1/|m|) <= 2^(1 - exp)
-        ph = ball.round_to(ball.scale_2exp(_pi_ball(prec + 8), -1), prec)
-        if m.sign < 0:
-            ph = ball.neg(ph)
-        point = Ball(ph.mid, mag.add(ph.rad, mag.pow2(1 - m.exp)))
-    else:
-        point = _atan_point(m, prec)
-    if x.rad.is_zero():
-        return point
-    prop = mag.min_(x.rad, mag.from_int_upper(4))  # Lipschitz 1, range width pi
-    return Ball(point.mid, mag.add(point.rad, prop))
+    # Lipschitz 1, range width pi
+    xr = [] if x.rad.is_zero() else [(mag.min_(x.rad, _FOUR), mag.ONE)]
+    if m.is_inf() or m.exp > prec + 8:
+        # |atan(m) - sign * pi/2| = atan(1/|m|) <= 2^(1 - exp), and 0 for m = +-inf
+        ph = ball.scale_2exp(_pi_ball(prec + 8), -1)
+        v = ph.mid if m.signum() > 0 else -ph.mid
+        pairs = [(ph.rad, mag.ONE), *xr]
+        if m.is_regular():
+            pairs.append((mag.pow2(1 - m.exp), mag.ONE))
+        return ball.rounded(bf.round_to(v, prec, _NE), pairs, prec, v)
+    return _atan_point(m, xr, prec)
 
 
 # -- pow --------------------------------------------------------------------------

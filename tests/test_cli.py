@@ -40,6 +40,12 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "x*y", "--var", "x=1.5", "--var", "y=4")
         assert code == 0 and out.strip() == "6"
 
+    def test_sin_cos_of_a_tiny_radius_near_one_converge(self, capsys):
+        # |mid| + rad passes 1 here; a radius of 1e-30 must still print digits
+        for expr, x in (("cos(x)", "1e-30"), ("sin(x)", "[1.5707963267948966+/-1e-30]")):
+            code, out, _ = run(capsys, "eval", expr, "--var", f"x={x}", "--max-prec", "4096")
+            assert code == 0 and out.startswith("[1 +/- "), (expr, out)
+
     def test_unconverged_exit_2(self, capsys):
         code, out, err = run(capsys, "eval", "log(2)+log(3)-log(6)",
                              "--digits", "15", "--max-prec", "1024")

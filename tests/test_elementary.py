@@ -6,7 +6,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from conftest import ball_bounds, contains_fraction, mpf_fraction, round_fraction_oracle
+from conftest import (ball_bounds, contains_fraction, mpf_fraction, rand_ball,
+                      round_fraction_oracle)
 from midrad import ball, bigfloat as bf, elementary as el, magnitude as mag
 from midrad.ball import Ball
 from midrad.bigfloat import BigFloat, Rounding
@@ -104,6 +105,21 @@ class TestSinCos:
         s, _ = el.sin_cos(Ball(BigFloat.from_int(1), r), 53)
         slack = Fraction(1, 2 ** 36)
         assert s.rad.to_fraction() <= point_s.rad.to_fraction() + r.to_fraction() + slack
+
+    def test_tiny_radius_near_the_unit_bound(self):
+        # |mid| + rad passes 1 around 0 (cos) and +-pi/2 (sin), but a radius
+        # of 2^-200 keeps the ball near 1 instead of [0 +/- 1]
+        hp = ball.scale_2exp(el.const_pi(64), -1).mid
+        rad = mag.pow2(-200)
+        for f, ref, m in ((el.cos, mpmath.cos, BigFloat.from_man_exp(1, -100)),
+                          (el.cos, mpmath.cos, bf.ZERO),
+                          (el.sin, mpmath.sin, hp), (el.sin, mpmath.sin, -hp)):
+            r = f(Ball(m, rad), 53)
+            assert ball.rel_accuracy_bits(r) >= 50, (f, m)
+            for t in (m.to_fraction() - rad.to_fraction(), m.to_fraction() + rad.to_fraction()):
+                with mpmath.workprec(400):
+                    y = ref(mpmath.mpf(t.numerator) / t.denominator)
+                assert_encloses(r, mpf_fraction(y), f.__name__)
 
     def test_matches_mpmath(self):
         rng = random.Random(6)
@@ -363,8 +379,8 @@ def test_kernel_folds_argument_radius(fn, wp):
     w = wp + el._GUARD
     c = 1 << 20  # a radius of 2^20 ulps
     for x in _fixed_inputs(fn, w)[:4]:
-        rad = mag.mul(mag.from_man_exp_upper(c, -w), _LIPSCHITZ[fn])
-        b = el._fixed_ball(*el._series(_KINDS[fn], w, x), w, rad, wp)
+        pairs = [(BigFloat.from_man_exp(c, -w), _LIPSCHITZ[fn])]
+        b = el._fixed_ball(*el._series(_KINDS[fn], w, x), w, pairs, wp)
         blo, bhi = ball_bounds(b)
         for y in (x - c, x + c):
             lo, hi = series_bracket(fn, y, w)
@@ -604,21 +620,30 @@ def test_sub_multiple_is_exact():
         assert t.to_fraction() == x.to_fraction() - k * c.mid.to_fraction()
 
 
+def _rand_mag_below_one(rng):
+    return mag.from_man_exp_upper(rng.getrandbits(30) | 1, -rng.randrange(30, 60))
+
+
 def test_fixed_ball_rounds_once():
-    # (s +/- err) 2^(h-w) +/- rad - k c, rounded to nearest at prec bits: the
-    # radius is the least 30-bit bound of the exact sum of err 2^(h-w), rad,
-    # |k| c.rad and the midpoint's actual rounding error
+    # (s +/- err) 2^(h-w) - k c +/- sum |a b|, rounded to nearest at prec
+    # bits: the radius is the least 30-bit bound of the exact sum of
+    # err 2^(h-w), the |a b| of the pairs, |k| c.rad and the midpoint's
+    # actual rounding error
     rng = random.Random(13)
     c = el._pi_ball(200)
     for _ in range(300):
         w, h, prec = rng.randrange(60, 200), rng.randrange(-5, 5), rng.choice((2, 53, 100))
         s, err = rng.getrandbits(w + 2) - (1 << (w + 1)), rng.randrange(0, 100)
-        rad = mag.pow2(rng.randrange(-w - 40, -w + 10)) if rng.random() < 0.8 else mag.ZERO
+        # a radius as a magnitude, and an argument radius times an exact bound
+        pairs = [(mag.pow2(rng.randrange(-w - 40, -w + 10)), mag.ONE)] if rng.random() < 0.8 else []
+        pairs += [(BigFloat.from_man_exp(rng.getrandbits(70) + 1, -w - 70),
+                   _rand_mag_below_one(rng)) for _ in range(rng.randrange(3))]
         k = rng.choice((0, rng.randrange(-10 ** 6, 10 ** 6)))
-        b = el._fixed_ball(s, err, w, rad, prec, h, k, c)
+        b = el._fixed_ball(s, err, w, pairs, prec, h, k, c)
         exact = Fraction(s, 2 ** w) * Fraction(2) ** h - k * c.mid.to_fraction()
         assert b.mid.to_fraction() == round_fraction_oracle(exact, prec, Rounding.NEAREST_EVEN)
-        bound = (Fraction(err, 2 ** w) * Fraction(2) ** h + rad.to_fraction()
+        bound = (Fraction(err, 2 ** w) * Fraction(2) ** h
+                 + sum(abs(a.to_fraction()) * q.to_fraction() for a, q in pairs)
                  + abs(k) * c.rad.to_fraction() + abs(exact - b.mid.to_fraction()))
         assert b.rad.to_fraction() == round_fraction_oracle(bound, 30, Rounding.UP)
 
@@ -647,3 +672,37 @@ def test_huge_argument_series_at_target_precision(monkeypatch):
         xm = mpmath.mpf(12345) * mpmath.mpf(2) ** 60000
         assert_encloses(s, mpf_fraction(mpmath.sin(xm)), "sin")
         assert_encloses(c, mpf_fraction(mpmath.cos(xm)), "cos")
+
+
+def test_exp_rounds_the_input_radius_once():
+    # the input radius joins the point's own sum: never wider than the point
+    # ball times [1 +/- (e^r - 1)], which rounds the point and then the product
+    rng = random.Random(15)
+    for _ in range(3000):
+        m = BigFloat.from_man_exp(rng.getrandbits(64) | 1 | 1 << 63, rng.randrange(-72, -56))
+        x = Ball(-m if rng.random() < 0.5 else m, mag.pow2(-rng.randrange(60, 121)))
+        prec = rng.choice((53, 64, 333))
+        r = el.exp(x, prec)
+        fold = ball.mul(el.exp(Ball(x.mid), prec), Ball(bf.ONE, el._expm1_upper(x.rad)), prec)
+        assert r.mid == fold.mid, (x, prec)
+        assert mag.compare(r.rad, fold.rad) <= 0, (x, prec)
+
+
+@pytest.mark.parametrize("fn", ("sin", "cos", "log", "atan"))
+def test_input_radius_rounds_once(fn):
+    # the midpoint of the point value, and a radius no wider than the point's
+    # radius plus the input radius times sup |f'|, added after the rounding
+    rng = random.Random(16)
+    f = getattr(el, fn)
+    for _ in range(300):
+        x = rand_ball(rng, 64, 8, 1.0)
+        if fn == "log":
+            x = Ball(abs(x.mid), x.rad)
+        prec = rng.choice((53, 64, 333))
+        r, point = f(x, prec), f(Ball(x.mid), prec)
+        if r.is_indeterminate() or r.rad.to_fraction() >= 1:
+            continue
+        prop = (mag.div_lower_denominator(x.rad, ball.lower_bound(x, 32)) if fn == "log"
+                else x.rad)
+        assert r.mid == point.mid, (fn, x, prec)
+        assert mag.compare(r.rad, mag.add(point.rad, prop)) <= 0, (fn, x, prec)

@@ -48,6 +48,9 @@ def test_compare_counts_each_class(tmp_path):
            "ball (3*2^0; 1*2^-10)",
            "ball ((1*2^0; 0), (5*2^3; 7*2^-3))",
            "ball (nan; inf)",
+           "ball 536870913*2^-89",
+           "ball 536870913*2^-89",
+           "ball 536870913*2^-89",
            "complex '([1.5 +/- 2.00e-5]; [+/- 3.00e400000247])'",
            "complex '([1.5 +/- 2.00e-5]; [+/- 3.00e400000247])'",
            "decimal '0.1'",
@@ -59,6 +62,9 @@ def test_compare_counts_each_class(tmp_path):
            "ball (5*2^0; 1*2^-10)",               # midpoint changed
            "ball ((1*2^0; 0), (5*2^3; 13*2^-4))",  # narrower: 13/16 < 7/8
            "ball (0; inf)",                       # midpoint changed
+           "ball 1*2^-60",                        # bare magnitude, one unit narrower
+           "ball 268435457*2^-88",                # bare magnitude, one unit wider
+           "ball 4294967297*2^-89",               # 33 bits: no magnitude, changed
            "complex '([1.5 +/- 1.99e-5]; [+/- 1.00e400000003])'",  # narrower
            "complex '([1.5 +/- 2.00e-5]; [+/- 3.01e400000247])'",  # wider
            "decimal '0.2'",                       # changed
@@ -73,7 +79,7 @@ def test_compare_counts_each_class(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()}
     assert rows["section"] == ["identical", "narrower", "wider", "changed"]
-    assert rows["ball"] == ["1", "2", "1", "2"]
+    assert rows["ball"] == ["1", "3", "2", "3"]
     assert rows["complex"] == ["0", "1", "1", "0"]
     assert rows["decimal"] == ["0", "0", "0", "1"]
     assert rows["expreval"] == ["1", "0", "0", "1"]

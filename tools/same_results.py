@@ -13,8 +13,11 @@ it runs on older checkouts too.
 
 ``--compare`` reads two such outputs and prints, per section, how many
 results are identical, keep their midpoints with a narrower or a wider
-radius, or changed otherwise (a midpoint, a printed digit, an answer).  It
-parses only the text, so it compares outputs of any checkout.
+radius, or changed otherwise (a midpoint, a printed digit, an answer).  A
+result that is a bare magnitude on both sides (``0``, ``inf`` or ``M*2^E``
+with M below 2^30, such as ``ball.upper_mag``'s) counts as narrower or wider
+by its value.  It parses only the text, so it compares outputs of any
+checkout.
 """
 
 from __future__ import annotations
@@ -143,6 +146,15 @@ def _elementary(rng, m, out):
     for p in (3400, 10 ** 4):
         for x in (m.Ball.from_int(3), m.Ball.from_man_exp(5, -3), m.Ball.from_man_exp(12345, -20)):
             out(el.exp(x, p), el.log(x, p), el.sin_cos(x, p), el.atan(x, p))
+    # last as well: cos of balls around 0 and sin of balls around +-pi/2,
+    # where |mid| + rad passes 1, with radii from 2^-200 to 2^-10
+    half_pi = b.scale_2exp(el.const_pi(64), -1).mid
+    for p in (53, 333):
+        for _ in range(20):
+            rad = m.magnitude.pow2(-rng.randrange(10, 201))
+            d = m.BigFloat.from_man_exp(rng.getrandbits(30) - (1 << 29), -rng.randrange(30, 230))
+            out(el.cos(m.Ball(d, rad), p), el.sin(m.Ball(half_pi, rad), p),
+                el.sin(m.Ball(-half_pi, rad), p))
 
 
 def _poly(rng, m, out):
@@ -282,6 +294,8 @@ def digest(sections=SECTIONS, seed: int = 1611, echo=None) -> str:
 
 # (mid; rad) in exact text, and [mid +/- rad] printed in decimal
 _BALL = re.compile(r"\(([^()\[\];]+); ([^()\[\];]+)\)|\[([^\[\]]*?) ?\+/- ([^\[\]]+)\]")
+# a bare magnitude: 0, inf or M*2^E with M below 2^30
+_MAG = re.compile(r"0|inf|(\d{1,10})\*2\^-?\d+")
 CLASSES = ("identical", "narrower", "wider", "changed")
 
 
@@ -297,11 +311,19 @@ def _rad_key(text: str) -> tuple:
     return 1, int(e) + m.bit_length(), m << (64 - m.bit_length())
 
 
+def _is_mag(text: str) -> bool:
+    t = _MAG.fullmatch(text)
+    return bool(t) and (t[1] is None or int(t[1]) < 1 << 30)
+
+
 def classify(a: str, b: str) -> str:
     """One of CLASSES for the same result in two outputs: narrower or wider
-    when only radii differ (wider if any radius grew), changed otherwise."""
+    when only radii differ (wider if any radius grew) or when both are bare
+    magnitudes (wider if it grew), changed otherwise."""
     if a == b:
         return "identical"
+    if _is_mag(a) and _is_mag(b):
+        return "wider" if _rad_key(b) > _rad_key(a) else "narrower"
     balls_a, balls_b = _BALL.findall(a), _BALL.findall(b)
     if (not balls_a or _BALL.sub("", a) != _BALL.sub("", b) or len(balls_a) != len(balls_b)
             or any(x[0::2] != y[0::2] for x, y in zip(balls_a, balls_b))):
