@@ -4,32 +4,50 @@ Each function reduces its argument, then sums a Taylor series on plain ints
 and bounds the error once.  One kernel, ``_series``, serves exp, sin, cos,
 atanh (for log) and atan.  The reduced argument is an int with w fractional
 bits: the precision plus guard bits, plus for sin, atan and log near 1 as
-many bits as the argument lies below 1.  Terms come from integer multiplies,
-shifts and floor divisions; the floors cost at most 2 ulps (2^-w) a term,
-and the first unsummed term is within 2 ulps of 0, so the tail bound (that
-term for alternating series, q/(1-q) times it otherwise) adds a few more.
-The reduced argument's own radius -- the cached pi or log(2) radius times
-the reduction multiple, plus the floor to w bits -- is folded in once
-through the function's Lipschitz bound on the reduced range.
+many bits as the argument lies below 1.
+
+The kernel sums a short series term by term: integer multiplies, shifts
+and floor divisions, at most 2 ulps (2^-w) a term, and the first term that
+floors to 0 is within 2 ulps of 0, so the tail bound (that term for
+alternating series, q/(1-q) times it otherwise) adds a few more.  A long
+series -- at least 24 terms at w >= 2000 bits, its term count n fixed up
+front from a lower bound on each term -- is summed by rectangular splitting
+(Paterson and Stockmeyer; Johansson, arXiv:1410.7176): the powers y, y^2,
+..., y^m of y = x or x^2, m about sqrt(n), once; each block of m terms as
+one sum of small-int multiples of them over a common denominator, divided
+once; and the blocks chained by one full multiply by y^m each, so that
+about m + n/m of the n full-width multiplies remain.  The
+error of every power, floor, block division and chained multiply is
+tracked in integers, and comes to a few ulps; the first unsummed term is
+below 1 ulp.  Whether a series is long is decided by its term count, not by
+w alone: sin, atan and log raise w by the bits a tiny argument lies below
+1, where one or two terms suffice.  The reduced argument's own radius --
+the cached pi or log(2) radius times the reduction multiple, plus the floor
+to w bits -- is folded in once through the function's Lipschitz bound on
+the reduced range.
 
 The reduction balances the series length against r cheap steps on ints,
-each of which doubles the error, so r more guard bits pay for them:
+each of which doubles the error, so r more guard bits pay for them.  From
+2000 bits on, blocked terms are cheaper, and sin/cos and atan/log take
+half as many steps (measured with ``midrad bench elementary``):
 
 - exp: t = x - k log 2 with |t| <= log(2)/2; sum at t 2^-r, r about
   sqrt(w)/2 + t.exp, and square r times.
-- sin, cos: t = x - k pi/2 with |t| <= pi/4; sum both series at t 2^-r,
-  r about sqrt(w)/2 - 5 + t.exp (0 below 144 bits), and recover both by r
-  double-angle steps c + i s <- (c + i s)^2.
+- sin, cos: t = x - k pi/2 with |t| <= pi/4; sum at t 2^-r, r about
+  sqrt(w)/2 - 5 + t.exp (sqrt(w)/4 - 5 + t.exp from 2000 bits, 0 below 144
+  bits), and recover both by r double-angle steps c + i s <- (c + i s)^2.
+  With no step, only the requested one of sin t and cos t is summed.
 - log: x = a 2^e with a in [3/4, 3/2), log a = 2 atanh u for
   u = (a - 1)/(a + 1), |u| <= 1/5; halve atanh u until |u| <= 2^-(2+h(w)).
 - atan: atan x = pi/2 - atan(1/x) for x > 1; halve atan z until
   z <= 2^-(3+h(w)).
 
 One routine, ``_halve``, takes both atan and atanh steps, z <- z / (1 + sqrt(1
-+- z^2)); h(w) is 0 below 256 bits and about sqrt(w)/4 above.  A result and
-its radius are rounded once (``_fixed_ball``): the series error, the reduced
-argument's radius and the input ball's radius, each times its bound on
-|f'|, go into one exact sum that is rounded up once.
++- z^2)); h(w) is 0 below 256 bits, about sqrt(w)/4 above and sqrt(w)/8 from
+2000 bits.  A result and its radius are rounded once (``_fixed_ball``): the
+series error, the reduced argument's radius and the input ball's radius,
+each times its bound on |f'|, go into one exact sum that is rounded up
+once.
 
 Internal evaluation parameters are capped so that the work stays polynomial
 in the precision regardless of the input: beyond the cutoffs, sin/cos return
@@ -49,6 +67,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 from . import ball
@@ -164,41 +184,129 @@ _ATANH_LIPSCHITZ = mag.div_int_upper(mag.from_int_upper(25), 24)
 # Fraction bits the kernel carries beyond the caller's working precision.
 _GUARD = 16
 
+# Series of at least _BLOCK_TERMS terms at w >= _BLOCK_BITS bits are summed
+# in blocks, the rest term by term: below about 2000 bits a full multiply
+# costs little more than the small ones of a block, and the loop is as fast
+# or faster (measured on the reduced arguments of exp, log, sin and atan).
+_BLOCK_TERMS = 24
+_BLOCK_BITS = 2000
+
+
+def _term_bits(f: _Series, n: int, k: int) -> int:
+    """A lower bound on -log2 of term n, c_n (x 2^-w)^(o + s n), for
+    |x 2^-w| < 2^-k: 1/c_n is (o + s n)! for the factorial shapes and
+    o + s n otherwise (o = 1 for the odd shapes, s = 2 for the square ones)."""
+    t = f.odd + (n << f.square)
+    return (math.factorial(t) if f.factorial else t).bit_length() - 1 + t * k
+
+
+def _term_count(f: _Series, w: int, k: int) -> int:
+    """The least n with _term_bits(f, n, k) >= w, i.e. term n below 2^-w,
+    from a float estimate of o + s n; k >= 0, or k = -1 for exp."""
+    t = w / max(k, 1)
+    if f.factorial:  # log2 t! is about t log2(t / e)
+        for _ in range(4):
+            t = w / max(1.0, k + math.log2(t / math.e))
+    n = max(1, int(t) - f.odd >> f.square)
+    while _term_bits(f, n, k) < w:
+        n += 1
+    while n > 1 and _term_bits(f, n - 1, k) >= w:
+        n -= 1
+    return n
+
 
 def _series(f: _Series, w: int, x: int) -> tuple[int, int]:
     """(s, err) with |s - f(x 2^-w) 2^w| <= err.
 
-    |x| <= 2^w is required, and |x| <= 2^w / 5 for the power shape.  Each
-    computed term is within 2 ulps (2^-w) of its exact value: the floors of
-    one step cost at most 1 + (error carried in + 1 ulp of x^2) / divisor.
+    |x| <= 2^w is required, and |x| <= 2^w / 5 for the power shape.  Term j
+    is c_j x^o y^j with y = +-x^s (o = 1 and s = 2 for the odd and square
+    shapes), signs in y.
+
+    A short series is summed term by term: each computed term is within 2
+    ulps (2^-w) of its exact value, as the floors of one step cost at most
+    1 + (error carried in + 1 ulp of x^2) / divisor, and the first term that
+    floors to 0 is within 2 ulps of 0.
+
+    A long one, of n terms with term n below 1 ulp (``_term_count``), is
+    summed by rectangular splitting: y^0 .. y^m, m = isqrt(n), are computed
+    once, each block of m terms is one sum of small-int multiples of them
+    over a common denominator, and the blocks are chained from the top by
+    one full multiply by y^m each (Horner in y^m).  The factorial shapes
+    divide block j0 by c_j0, so its denominator is (o+s j1)! / (o+s j0)!;
+    the power shape's is the product of the block's o + s j.  The powers'
+    errors and the error of every floor, block division and chained
+    multiply are tracked in integers, so err is a few ulps.
     """
     neg = x < 0
     a = -x if neg else x
-    square, factorial = f.square, f.factorial
+    square, factorial, o = f.square, f.factorial, f.odd
     # odd powers of x < 0: the square shapes negate the sum at the end, the
     # step-1 shape alternates its signs
     alt = f.alternating or (neg and not square)
-    xm = a * a >> w if square else a
-    p = a if f.odd else 1 << w
-    j = 1 if f.odd else 0
-    dj = 2 if square else 1
-    s = p
-    n = 0
-    while True:
-        p = p * xm >> w
-        if factorial:
-            p //= (j + 1) * (j + 2) if square else j + 1
-            t = p
-        else:
-            t = p // (j + 2)
-        if not t:
-            break
-        j += dj
-        n += 1
-        s += -t if alt and n & 1 else t
-    # the first unsummed term is within 2 ulps of 0; for x = 0 all are 0
-    err = 2 * (n + (1 if f.alternating else 2)) if a else 0
-    return (-s if neg and f.odd else s), err
+    k = w - a.bit_length()  # |x 2^-w| < 2^-k
+    if w < _BLOCK_BITS or _term_bits(f, _BLOCK_TERMS - 1, k) >= w:
+        xm = a * a >> w if square else a
+        p = a if o else 1 << w
+        j = 1 if o else 0
+        dj = 2 if square else 1
+        s = p
+        n = 0
+        while True:
+            p = p * xm >> w
+            if factorial:
+                p //= (j + 1) * (j + 2) if square else j + 1
+                t = p
+            else:
+                t = p // (j + 2)
+            if not t:
+                break
+            j += dj
+            n += 1
+            s += -t if alt and n & 1 else t
+        # the first unsummed term is within 2 ulps of 0; for x = 0 all are 0
+        err = 2 * (n + (1 if f.alternating else 2)) if a else 0
+        return (-s if neg and o else s), err
+    n = _term_count(f, w, k)
+    m = math.isqrt(n)
+    # y and its powers, ys[i] within es[i] ulps of y^i 2^w
+    y = a * a >> w if square else a
+    ey = 1 if square else 0
+    if alt:
+        y = -y
+    ys, es = [1 << w, y], [0, ey]
+    for _ in range(m - 1):
+        yi, ei = ys[-1], es[-1]
+        ys.append(yi * y >> w)
+        es.append(((ei * abs(y) + ey * abs(yi) + ei * ey) >> w) + 2)
+    ym, em = ys[m], es[m]
+    s = 1 + square
+    # from the top block down, t within e ulps of T_j0 = the sum of terms j0
+    # .. n-1 over c_j0 y^j0 (factorial) or over y^j0 (power); each T_j0 is
+    # (sum of cs[i] y^i + mul y^m T_j1) / den
+    t = e = 0
+    for j0 in range((n - 1) // m * m, -1, -m):
+        j1 = min(j0 + m, n)
+        if factorial:  # cs[i] = (o + s j1)! / (o + s (j0 + i))!
+            cs = list(accumulate(range(o + s * j1, o + s * j0, -1), operator.mul))[s - 1::s]
+            cs.reverse()
+            den, mul = cs[0], 1
+        else:  # cs[i] = den / (o + s (j0 + i))
+            ds = range(o + s * j0, o + s * j1, s)
+            den = mul = math.prod(ds)
+            cs = [den // d for d in ds]
+        num = sum(map(operator.mul, cs, ys))
+        enum = sum(map(operator.mul, cs, es))
+        if j1 < n:
+            # |ym t - y^m T| <= em |t| + e |ym| + em e, and the floor 1
+            num += mul * (ym * t >> w)
+            enum += mul * (((em * (abs(t) + e) + e * abs(ym)) >> w) + 2)
+        t, e = num // den, -(-enum // den) + 1
+    if o:
+        t, e = a * t >> w, (a * e >> w) + 2
+    # term n is below 1 ulp, and so are the unsummed terms together
+    # (alternating) or, shrinking by at most 1/2, under 2
+    e += 1 if f.alternating else 2
+    return (-t if neg and o else t), e
 
 
 def _fixed_ball(s: int, err: int, w: int, pairs: list, prec: int,
@@ -318,9 +426,9 @@ def _double_angle(c: int, s: int, err: int, w: int, r: int) -> tuple[int, int, i
     return c, s, err
 
 
-def _sin_cos_point(m: BigFloat, xr: list, prec: int) -> tuple[Ball, Ball]:
-    """Enclosures of sin and cos at m, widened by sum |a b| over the (a, b)
-    pairs xr."""
+def _sin_cos_point(m: BigFloat, xr: list, prec: int, parts: tuple) -> tuple:
+    """Enclosures of sin (part 0) and cos (part 1) at m for each of parts,
+    widened by sum |a b| over the (a, b) pairs xr."""
     n = m.exp
     wp = prec + (n if n > 0 else 0) + 16
     k, t = _reduce(m, lambda: ball.scale_2exp(_pi_ball(wp), -1), 1)
@@ -328,23 +436,27 @@ def _sin_cos_point(m: BigFloat, xr: list, prec: int) -> tuple[Ball, Ball]:
     e = min(t.mid.exp, 0)
     ws = w - e  # sin t is about t: keep wp bits relative to t
     # at t = 0 both series are exact, and no doubling step may add error
-    r = max(0, math.isqrt(w) // 2 - 5 + e) if t.mid.is_regular() else 0
+    r = max(0, math.isqrt(w) // (2 if w < _BLOCK_BITS else 4) - 5 + e) if t.mid.is_regular() else 0
+    # part p of m = t + k pi/2 is +-sin t (q = 0) or +-cos t (q = 1),
+    # q = (k + p) & 1, negated when (k + p) & 2
+    qs = {(k + p) & 1 for p in parts}
     if r:
         # sum both series at t 2^-r with r more guard bits and double the angle
         # r times; the steps mix sin and cos, so both run at ws bits, and 4
         # more bits keep the error (both series' and 3 ulps a step) below
         # that of one series summed at t
         w = ws = ws + 4
-    xs, rs = _fixed(t, ws)
-    xc, rc = _fixed(t, w)
-    s, es = _series(_SIN, ws + r, xs)
-    c, ec = _series(_COS, w + r, xc)
+        qs = {0, 1}
+    sums = {}
+    for q, f, wq in ((0, _SIN, ws), (1, _COS, w)):
+        if q in qs:
+            xq, rq = _fixed(t, wq)
+            sums[q] = (*_series(f, wq + r, xq), wq + r, [(rq, mag.ONE), *xr])  # |sin'|, |cos'| <= 1
     if r:
-        c, s, es = _double_angle(c, s, es + ec, w + r, r)
-        ec = es
-    sj = _fixed_ball(s, es, ws + r, [(rs, mag.ONE), *xr], prec)  # |sin'|, |cos'| <= 1
-    cj = _fixed_ball(c, ec, w + r, [(rc, mag.ONE), *xr], prec)
-    return ((sj, cj), (cj, -sj), (-sj, -cj), (-cj, sj))[k & 3]
+        c, s, err = _double_angle(sums[1][0], sums[0][0], sums[0][1] + sums[1][1], w + r, r)
+        sums = {0: (s, err, *sums[0][2:]), 1: (c, err, *sums[1][2:])}
+    res = [_fixed_ball(*sums[(k + p) & 1], prec) for p in parts]
+    return tuple(-b if (k + p) & 2 else b for p, b in zip(parts, res))
 
 
 _UNIT = Ball(bf.ZERO, mag.ONE)
@@ -358,24 +470,27 @@ def _tighten_unit(b: Ball) -> Ball:
     return b
 
 
-def sin_cos(x: Ball, prec: int) -> tuple[Ball, Ball]:
+def _sin_cos(x: Ball, prec: int, parts: tuple) -> tuple:
     m = x.mid
     if m.is_nan() or m.is_inf():
-        return ball.indeterminate(), ball.indeterminate()
+        return (ball.indeterminate(),) * len(parts)
     if m.is_regular() and m.exp > max(65536, 4 * prec):
-        return _UNIT, _UNIT
+        return (_UNIT,) * len(parts)
     if x.rad.is_zero():
-        return _sin_cos_point(m, [], prec)
-    s, c = _sin_cos_point(m, [(x.rad, mag.ONE)], prec)  # Lipschitz 1
-    return _tighten_unit(s), _tighten_unit(c)
+        return _sin_cos_point(m, [], prec, parts)
+    return tuple(map(_tighten_unit, _sin_cos_point(m, [(x.rad, mag.ONE)], prec, parts)))  # Lipschitz 1
+
+
+def sin_cos(x: Ball, prec: int) -> tuple[Ball, Ball]:
+    return _sin_cos(x, prec, (0, 1))
 
 
 def sin(x: Ball, prec: int) -> Ball:
-    return sin_cos(x, prec)[0]
+    return _sin_cos(x, prec, (0,))[0]
 
 
 def cos(x: Ball, prec: int) -> Ball:
-    return sin_cos(x, prec)[1]
+    return _sin_cos(x, prec, (1,))[0]
 
 
 # -- log --------------------------------------------------------------------------
@@ -392,8 +507,8 @@ def _log_point(m: BigFloat, xr: list, prec: int) -> Ball:
     # a = man / 2^z, so u = (a - 1)/(a + 1) = (man - 2^z)/(man + 2^z)
     z = bl + e - m.exp
     num, den = m.man - (1 << z), m.man + (1 << z)
-    r = _halvings(wp + _GUARD)
-    w = wp + _GUARD + r + max(0, den.bit_length() - num.bit_length())
+    r, g = _halvings(wp + _GUARD)
+    w = wp + _GUARD + g + max(0, den.bit_length() - num.bit_length())
     u, rem = divmod(num << w, den)
     # log a = 2 atanh u = 2^(h+1) atanh y; for r = 0, |u| <= 1/5 needs no step
     y, h = _halve(u, w, 2 + r, -1)
@@ -417,11 +532,16 @@ def log(x: Ball, prec: int) -> Ball:
 
 # -- atan -------------------------------------------------------------------------
 
-def _halvings(w: int) -> int:
-    """How many bits below 1/8 (atan) or 1/4 (atanh) _halve takes its argument
-    at w bits: 0 below 256 bits, about sqrt(w)/4 above, where a step (one
-    isqrt) costs about as much as ten terms of the series."""
-    return max(0, math.isqrt(w) // 4 - 3)
+def _halvings(w: int) -> tuple[int, int]:
+    """(r, g) at w bits: _halve takes its argument r bits below 1/8 (atan) or
+    1/4 (atanh), and the series keeps g >= r guard bits for the 2^r that the
+    steps scale its error by.  g is 0 below 256 bits and about sqrt(w)/4
+    above, where a step (one isqrt) costs about as much as ten terms of the
+    series; r is g below _BLOCK_BITS and about sqrt(w)/8 from there on,
+    where blocked terms are cheaper.  Keeping g there keeps the radius of
+    an argument that needs no step."""
+    g = max(0, math.isqrt(w) // 4 - 3)
+    return (g if w < _BLOCK_BITS else max(0, math.isqrt(w) // 8 - 3)), g
 
 
 def _halve(z: int, w: int, k: int, sign: int) -> tuple[int, int]:
@@ -452,8 +572,8 @@ def _atan_point(m: BigFloat, xr: list, prec: int) -> Ball:
     if not flip:  # atan 1 = 0 - (-1) pi/4
         res = _fixed_ball(0, 0, 0, xr, prec, 0, -1, ball.scale_2exp(_pi_ball(wp), -2))
     else:
-        r = _halvings(wp + _GUARD)
-        w = wp + _GUARD + r  # r guard bits for the 2^r the halvings scale by
+        r, g = _halvings(wp + _GUARD)
+        w = wp + _GUARD + g
         if flip > 0:  # atan a = pi/2 - atan(1/a)
             z, rem = divmod(1 << (w - a.lsb), a.man)
             rad = mag.pow2(-w) if rem else mag.ZERO

@@ -83,3 +83,36 @@ def test_main_alternates_and_merges(tmp_path, monkeypatch):
             for r in runs] == [True, False, True]
     assert doc["benches"]["highprec seed=1611 trace=0"]["summary"]["ops_per_s"]["change_wins"] == 2
     assert len(calls) == 12
+
+
+def test_control_runs_in_every_pair(tmp_path, monkeypatch):
+    # the control is a second checkout of the parent's commit: it runs in
+    # each pair, the order reverses every other pair, and the summary gives
+    # its quartiles and its wins over the parent as it does the change's
+    dirs = {side: tmp_path / side for side in ("parent", "change", "control")}
+    for d in dirs.values():
+        d.mkdir()
+    (dirs["change"] / "BENCHMARK.json").write_text((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    rates = {"parent": 100.0, "change": 150.0, "control": 103.0}
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = next(s for s, d in dirs.items() if d == checkout)
+        calls.append(side)
+        return _run(rates[side] + len(calls) % 2, 1.0)
+
+    monkeypatch.setattr(bp, "run_once", fake_run)
+    monkeypatch.setattr(bp, "commit", lambda checkout: checkout.name)
+    out = tmp_path / "bench.json"
+    bp.main([str(dirs["parent"]), str(dirs["change"]), "--control", str(dirs["control"]),
+             "--workload", "decimal", "--pairs", "4", "--seed", "1611", "--out", str(out)])
+    assert calls == ["parent", "change", "control", "control", "change", "parent"] * 2
+    doc = json.loads(out.read_text())
+    assert doc["control"] == {"commit": "control"} and doc["parent"] == {"commit": "parent"}
+    bench = doc["benches"]["decimal seed=1611 trace=0"]
+    assert [r["first"] for r in bench["runs"]] == ["parent", "control"] * 2
+    s = bench["summary"]
+    assert s["ops_per_s"]["change_wins"] == 4 and s["ops_per_s"]["control_wins"] == 4
+    assert s["op_p50_ms"]["control_wins"] == 0  # ties
+    assert s["ops_per_s"]["control"]["median"] == 103.5
+    assert s["failed"] == {"parent": 0, "change": 0, "control": 0}

@@ -441,9 +441,10 @@ def _edge_inputs(prec):
     two = mpmath.mpf(2)
     # z is halved down to 2^-ha (atan) and u to 2^-hl (log); sin doubles
     # rs0 + t.exp times, so not at all for |t| < 2^-rs0 and once just above
-    ha = 3 + el._halvings(prec + 24 + el._GUARD)
-    hl = 2 + el._halvings(prec + 17 + el._GUARD)
-    rs0 = math.isqrt(prec + 16 + el._GUARD) // 2 - 5
+    ha = 3 + el._halvings(prec + 24 + el._GUARD)[0]
+    hl = 2 + el._halvings(prec + 17 + el._GUARD)[0]
+    w = prec + 16 + el._GUARD
+    rs0 = math.isqrt(w) // (2 if w < el._BLOCK_BITS else 4) - 5
     near = lambda v: [_dyadic(v * (1 - two ** -30), 100), _dyadic(v * (1 + two ** -30), 100)]
     with mpmath.workprec(200):
         ln2, pi = mpmath.log(2), mpmath.pi
@@ -550,7 +551,7 @@ def test_atan_halving_error_bound(wp):
     w = wp + el._GUARD
     with mpmath.workprec(w + 64):
         for sign, f, finv, vs in _HALVING:
-            for k in ((2 if sign < 0 else 3) + el._halvings(w), 40):
+            for k in ((2 if sign < 0 else 3) + el._halvings(w)[0], 40):
                 for v in vs:
                     z0 = math.floor(v * (1 << w))
                     for d in (-4, -1, 0, 1, 4):  # the exact argument is (z0 + d) 2^-w
@@ -563,8 +564,9 @@ def test_atan_halving_error_bound(wp):
 
 
 def test_halving_count_is_zero_at_round53_widths():
-    assert all(el._halvings(w) == 0 for w in range(2, 256))
-    assert el._halvings(1040) == 5 and el._halvings(10 ** 4 + 32) == 22
+    assert all(el._halvings(w) == (0, 0) for w in range(2, 256))
+    # fewer steps where the series is summed in blocks, the same guard bits
+    assert el._halvings(1040) == (5, 5) and el._halvings(10 ** 4 + 32) == (9, 22)
     # log's |u| <= 1/5 is below its no-halving threshold 1/4
     w = 93
     u = (1 << w) // 5
@@ -596,6 +598,89 @@ def test_double_angle_error_bound(wp):
                         # the 1-ulp argument error costs at most 2^r ulps at W bits
                         bound = Fraction(err + (1 << r), 1 << W)
                         assert abs(mpf_fraction(ref) - Fraction(got, 1 << W)) <= bound, (v, d)
+
+
+_MPMATH = {"exp": mpmath.exp, "sin": mpmath.sin, "cos": mpmath.cos,
+           "atanh": mpmath.atanh, "atan": mpmath.atan}
+
+
+def _loop_series(monkeypatch, f, w, x):
+    """The kernel with blocked summation switched off: term by term."""
+    with monkeypatch.context() as m:
+        m.setattr(el, "_BLOCK_BITS", math.inf)
+        return el._series(f, w, x)
+
+
+def _switch_inputs(f, w):
+    """Arguments 2^(w-k) - 1 whose term count is the largest below
+    _BLOCK_TERMS and the least at or above it."""
+    k = 0 if f.factorial else 3  # |x| < 2^(w-k), below 2^w / 5 for the power shape
+    while el._term_count(f, w, k + 1) >= el._BLOCK_TERMS:
+        k += 1
+    return (1 << (w - k - 1)) - 1, (1 << (w - k)) - 1
+
+
+@pytest.mark.parametrize("w", (2000, 3400, 10 ** 4))
+@pytest.mark.parametrize("fn", sorted(_MPMATH))
+def test_blocked_kernel_against_mpmath(fn, w, monkeypatch):
+    # |s - f(x 2^-w) 2^w| <= err against mpmath at w + 200 bits, and err no
+    # more than the term-by-term loop's, at 0, both signs, the top of the
+    # shape's range (|x| <= 2^w, or 2^w / 5 for the power shape) and the
+    # term counts on both sides of the switch
+    f = _KINDS[fn]
+    top = (1 << w) // (1 if f.factorial else 5)
+    below, above = _switch_inputs(f, w)
+    assert el._term_count(f, w, w - below.bit_length()) < el._BLOCK_TERMS
+    xs = [0, 3, top, -top, top >> 7, -(top >> 30), 12345 << (w - 40), below, -below, above, -above]
+    with mpmath.workprec(w + 200):
+        for x in xs:
+            s, err = el._series(f, w, x)
+            ref = _MPMATH[fn](mpmath.mpf(x) / mpmath.mpf(2) ** w) * mpmath.mpf(2) ** w
+            assert abs(mpf_fraction(ref) - s) <= err, (fn, w, x)
+            loop = _loop_series(monkeypatch, f, w, x)
+            assert err <= loop[1], (fn, w, x)
+            if abs(x) in (0, 3, below):  # a short series takes the loop
+                assert (s, err) == loop, (fn, w, x)
+            else:  # blocks: a few ulps, against about 2 a term
+                assert err <= 8 < loop[1], (fn, w, x)
+
+
+# sin, cos and atan of arguments near 2^-5000, which raise sin's and atan's
+# width by 5000 bits for a series of one or two terms: the balls of the
+# term-by-term kernel, which must not change
+_TINY_BALLS = {
+    (53, 0): ("(3*2^-5002; 1*2^-5084)", "(1*2^0; 1*2^-85)", "(3*2^-5002; 1*2^-5092)"),
+    (53, 1): ("(3*2^-5002; 536870913*2^-5113)", "(1*2^0; 536870913*2^-114)",
+              "(3*2^-5002; 536870913*2^-5121)"),
+    (53, 2): ("(-1*2^-5000; 8193*2^-5083)", "(1*2^0; 3*2^-85)", "(-1*2^-5000; 2097153*2^-5091)"),
+    (53, 3): ("(-1*2^-5000; 536936449*2^-5099)", "(1*2^0; 805306369*2^-113)",
+              "(-1*2^-5000; 536871169*2^-5099)"),
+    (2000, 0): ("(3*2^-5002; 1*2^-7031)", "(1*2^0; 1*2^-2032)", "(3*2^-5002; 1*2^-7047)"),
+    (2000, 1): ("(3*2^-5002; 536870913*2^-5229)", "(1*2^0; 536870913*2^-2061)",
+                "(3*2^-5002; 536870913*2^-5229)"),
+    (2000, 2): ("(-1180591620717411303425*2^-5070; 1*2^-7030)", "(1*2^0; 3*2^-2032)",
+                "(-1180591620717411303425*2^-5070; 1*2^-7046)"),
+    (2000, 3): ("(-1180591620717411303425*2^-5070; 536870913*2^-5229)",
+                "(1*2^0; 805306369*2^-2060)",
+                "(-1180591620717411303425*2^-5070; 536870913*2^-5229)"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_TINY_BALLS), ids=str)
+def test_tiny_arguments_keep_their_balls(key):
+    prec, i = key
+    mid = (BigFloat.from_man_exp(3, -5002), BigFloat.from_man_exp(-(2 ** 70 + 1), -5070))[i // 2]
+    x = Ball(mid, mag.pow2(-5200) if i & 1 else mag.ZERO)
+    got = tuple(str(f(x, prec).to_exact_text()) for f in (el.sin, el.cos, el.atan))
+    assert got == _TINY_BALLS[key]
+
+
+def test_sin_and_cos_alone_match_sin_cos():
+    rng = random.Random(17)
+    for _ in range(300):
+        x = rand_ball(rng, 64, 6, 0.5)
+        prec = rng.choice((53, 64, 333, 2400))
+        assert (el.sin(x, prec), el.cos(x, prec)) == el.sin_cos(x, prec), (x, prec)
 
 
 def test_fixed_point_conversion():
