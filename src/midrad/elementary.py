@@ -435,25 +435,30 @@ def _sin_cos_point(m: BigFloat, xr: list, prec: int, parts: tuple) -> tuple:
     w = prec + 16 + _GUARD  # wp less the n bits that only k needs
     e = min(t.mid.exp, 0)
     ws = w - e  # sin t is about t: keep wp bits relative to t
-    # at t = 0 both series are exact, and no doubling step may add error
-    r = max(0, math.isqrt(w) // (2 if w < _BLOCK_BITS else 4) - 5 + e) if t.mid.is_regular() else 0
+    # g guard bits for about sqrt(w)/2 doubling steps, of which r are taken:
+    # all of them below _BLOCK_BITS, about sqrt(w)/4 from there on, where
+    # blocked terms are cheaper; at t = 0 both series are exact, and no
+    # doubling step may add error
+    g = max(0, math.isqrt(w) // 2 - 5 + e) if t.mid.is_regular() else 0
+    r = g if w < _BLOCK_BITS else min(g, max(0, math.isqrt(w) // 4 - 5 + e))
     # part p of m = t + k pi/2 is +-sin t (q = 0) or +-cos t (q = 1),
     # q = (k + p) & 1, negated when (k + p) & 2
     qs = {(k + p) & 1 for p in parts}
-    if r:
-        # sum both series at t 2^-r with r more guard bits and double the angle
-        # r times; the steps mix sin and cos, so both run at ws bits, and 4
-        # more bits keep the error (both series' and 3 ulps a step) below
-        # that of one series summed at t
+    if g:
+        # sum at t 2^-r with g more guard bits; the doubling steps mix sin
+        # and cos, so both run at ws bits, and 4 more bits keep the error
+        # (both series' and 3 ulps a step) below that of one series summed
+        # at t
         w = ws = ws + 4
+    if r:
         qs = {0, 1}
     sums = {}
     for q, f, wq in ((0, _SIN, ws), (1, _COS, w)):
         if q in qs:
-            xq, rq = _fixed(t, wq)
-            sums[q] = (*_series(f, wq + r, xq), wq + r, [(rq, mag.ONE), *xr])  # |sin'|, |cos'| <= 1
+            xq, rq = _fixed(t, wq + g - r)
+            sums[q] = (*_series(f, wq + g, xq), wq + g, [(rq, mag.ONE), *xr])  # |sin'|, |cos'| <= 1
     if r:
-        c, s, err = _double_angle(sums[1][0], sums[0][0], sums[0][1] + sums[1][1], w + r, r)
+        c, s, err = _double_angle(sums[1][0], sums[0][0], sums[0][1] + sums[1][1], w + g, r)
         sums = {0: (s, err, *sums[0][2:]), 1: (c, err, *sums[1][2:])}
     res = [_fixed_ball(*sums[(k + p) & 1], prec) for p in parts]
     return tuple(-b if (k + p) & 2 else b for p, b in zip(parts, res))

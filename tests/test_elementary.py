@@ -675,6 +675,37 @@ def test_tiny_arguments_keep_their_balls(key):
     assert got == _TINY_BALLS[key]
 
 
+@pytest.mark.parametrize("prec", (2000, 3400))
+def test_blocks_keep_midpoints_and_narrow_radii(prec, monkeypatch):
+    # with the blocks switched off, the kernel and the reduction counts are
+    # the term-by-term ones: the same midpoints, and no radius wider, also
+    # where fewer doubling steps leave the guard bits (t near 0: sin near
+    # 3 pi/2, cos near pi/2)
+    with mpmath.workprec(200):
+        pts = [mpmath.mpf(v) for v in ("4.7117617948061043080", 3, 0.625, -2.5, 100.25, 1e-3)]
+        pts += [3 * mpmath.pi / 2 + mpmath.mpf(2) ** -10, mpmath.pi / 2 - mpmath.mpf(2) ** -40]
+    xs = [_dyadic(v, 120) for v in pts]
+    fns = (el.exp, el.sin, el.cos, el.atan, lambda x, p: el.log(Ball(abs(x.mid)), p))
+    got = [f(x, prec) for f in fns for x in xs]
+    monkeypatch.setattr(el, "_BLOCK_BITS", math.inf)
+    for (f, x), b in zip([(f, x) for f in fns for x in xs], got):
+        old = f(x, prec)
+        assert b.mid == old.mid and mag.compare(b.rad, old.rad) <= 0, (x, prec)
+
+
+def test_blocks_keep_the_radius_of_a_1000_digit_sin(monkeypatch):
+    # highprec's sin near 3 pi/2: summed in blocks with the full doubling
+    # count's guard bits kept, its radius is no wider than the term-by-term
+    # one (with the guard bits of the fewer steps alone it was)
+    from midrad import expreval
+    expr = expreval.parse_expr("sin(4.7117617948061043080)")
+    cfg = expreval.EvalConfig.for_digits(1000)
+    got = expreval.eval_adaptive(expr, {}, cfg).value
+    monkeypatch.setattr(el, "_BLOCK_BITS", math.inf)
+    old = expreval.eval_adaptive(expr, {}, cfg).value
+    assert got.mid == old.mid and mag.compare(got.rad, old.rad) <= 0
+
+
 def test_sin_and_cos_alone_match_sin_cos():
     rng = random.Random(17)
     for _ in range(300):
