@@ -29,12 +29,13 @@ the reduced range.
 The reduction balances the series length against r cheap steps on ints,
 each of which doubles the error, so r more guard bits pay for them.  From
 2000 bits on, blocked terms are cheaper, and sin/cos and atan/log take
-half as many steps (measured with ``midrad bench elementary``):
+half as many steps (measured with ``midrad bench elementary``) but keep
+the guard bits of the full count, so that no radius gets wider:
 
 - exp: t = x - k log 2 with |t| <= log(2)/2; sum at t 2^-r, r about
   sqrt(w)/2 + t.exp, and square r times.
 - sin, cos: t = x - k pi/2 with |t| <= pi/4; sum at t 2^-r, r about
-  sqrt(w)/2 - 5 + t.exp (sqrt(w)/4 - 5 + t.exp from 2000 bits, 0 below 144
+  sqrt(w)/2 - 5 + t.exp (0 below 144 bits, sqrt(w)/4 - 5 + t.exp from 2000
   bits), and recover both by r double-angle steps c + i s <- (c + i s)^2.
   With no step, only the requested one of sin t and cos t is summed.
 - log: x = a 2^e with a in [3/4, 3/2), log a = 2 atanh u for
