@@ -8,12 +8,14 @@ ties to even) and a half-ulp bound on that rounding error is folded into the
 radius whenever rounding was inexact; ``round_to`` adds the actual error.
 That fold is one function, ``rounded``: it takes the (mid, inexact) pair a
 bigfloat operation returns and the rest of the radius as terms of an exact
-sum, rounded up once with the rounding error; every ball operation here, the
-schoolbook polynomial products, the constants and the decimal parser use it.
+sum, rounded up once with the rounding error by ``magnitude.sum_upper``;
+every ball operation here, the schoolbook polynomial products, the
+constants and the decimal parser use it.
 
 A sum of products is one operation too: ``dot`` rounds the exact midpoint
-sum once, and its radius sums every product's |x| ry + |y| rx + rx ry, taken
-from the exact mantissas, with the half ulp; ``mul`` is a one-product dot.
+sum once (``bigfloat.vector_sum``, over the kernel under ``sum_upper``),
+and its radius sums every product's |x| ry + |y| rx + rx ry, taken from the
+exact mantissas, with the half ulp; ``mul`` is a one-product dot.
 
 A NaN midpoint means "indeterminate / whole extended line"; an infinite
 radius with a finite midpoint means "the whole real line".  Predicates
@@ -211,12 +213,6 @@ def fma(z: Ball, x: Ball, y: Ball, prec: int) -> Ball:
     return dot([x], [y], prec, z)
 
 
-def _sign_sum(terms) -> int:
-    """Exact sign of an exact sum of BigFloats."""
-    r, _ = bf.vector_sum(terms, 4, Rounding.TOWARD_ZERO)
-    return r.signum()
-
-
 def div(x: Ball, y: Ball, prec: int) -> Ball:
     if x.mid.is_nan() or y.mid.is_nan():
         return indeterminate()
@@ -300,8 +296,10 @@ def upper_bound(x: Ball, prec: int = 64) -> BigFloat:
 # -- predicates (decided exactly) ---------------------------------------------
 
 def _within(a: BigFloat, b: BigFloat, r: list) -> bool:
-    """|a - b| <= sum(r), decided exactly."""
-    return _sign_sum(r + [a, -b]) >= 0 and _sign_sum(r + [b, -a]) >= 0
+    """|a - b| <= sum(r), decided exactly: a directed rounding keeps the
+    exact sign of each sum."""
+    return all(bf.vector_sum(r + d, 4, Rounding.TOWARD_ZERO)[0].signum() >= 0
+               for d in ([a, -b], [b, -a]))
 
 
 def contains(x: Ball, y: Ball) -> bool:

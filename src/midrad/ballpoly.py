@@ -253,10 +253,12 @@ def _conv_rounded(products: list, n: int, prec: int, rnd: int) -> list:
     true exponents, into an exact (man, lsb) sum per output as they are
     produced; one lying more than _FOLD_GAP bits away from that sum is kept
     as a separate term instead, so that far-apart exponents never widen an
-    integer.  The exact total is then rounded once.  A product whose gterms
-    and gblocks are its fterms and fblocks is a square: its blocks are
-    converted once, and a block pair on the diagonal passes the same list
-    twice.
+    integer.  The fold exists to bound memory, not to round: no output keeps
+    a list of every coefficient it receives.  Each output's exact total is
+    then rounded once, by bf.vector_sum when terms were kept apart.  A
+    product whose gterms and gblocks are its fterms and fblocks is a square:
+    its blocks are converted once, and a block pair on the diagonal passes
+    the same list twice.
     """
     mans = [0] * n
     lsbs = [0] * n

@@ -10,6 +10,10 @@ state, and arithmetic operations return ``(result, inexact)``.  Exponents are
 plain Python ints, so overflow and underflow cannot occur; the only
 non-finite results come from domain errors (NaN) and infinite operands.
 
+Every exact sum of many terms is one kernel, ``_exact_sum``, which
+``vector_sum`` rounds and ``magnitude.sum_upper`` rounds up; ``add`` keeps
+its own two-operand sum, ``_add2_regular``, which is cheaper for two terms.
+
 All operations are pure functions of their arguments and values are
 immutable, so everything here is safe for unrestricted concurrent use.
 """
@@ -422,17 +426,16 @@ def vector_sum(xs, prec: int, rnd: int) -> tuple[BigFloat, bool]:
     """Correctly rounded sum of a sequence, as if computed exactly.
 
     Any NaN operand, or the presence of both infinities, gives NaN.  The
-    result and the inexact flag are those of the exact mathematical sum;
-    widely separated terms are summarized by a one-sided nudge instead of
-    being materialized, so mixed-exponent sums stay cheap.
+    result and the inexact flag are those of the exact mathematical sum,
+    which ``_exact_sum`` forms.
     """
     _check_prec(prec)
     pos_inf = neg_inf = False
-    regs = []
+    terms = []
     for t in xs:
         k = t.kind
         if k == _REGULAR:
-            regs.append(t)
+            terms.append((t.sign * t.man, t.exp - t.man.bit_length()))
         elif k == _NAN:
             return _EXACT_NAN
         elif k == _POS_INF:
@@ -445,58 +448,66 @@ def vector_sum(xs, prec: int, rnd: int) -> tuple[BigFloat, bool]:
         return POS_INF, False
     if neg_inf:
         return NEG_INF, False
-    if not regs:
+    man, lsb = _exact_sum(terms, prec)
+    if not man:
         return ZERO, False
-    return _sum_regulars(regs, prec, rnd)
+    return _round_from(1 if man > 0 else -1, abs(man), lsb, prec, rnd)
 
 
-def _head_sum(regs: list, prec: int) -> tuple[int, int, int, int, int]:
-    """Exact sum of the leading terms of regs (sorted by decreasing exponent).
-
-    Returns (sign, man, lsb, i, pos): terms before index i are summed, and
-    the terms from i on total less than 2^pos, which lies at least 4 bits
-    below the sum's last bit and its prec-bit rounding point, so they cannot
-    change the sum's sign.  i == len(regs) when every term was summed.
-    """
-    n = len(regs)
-    first = regs[0]
-    s_sign, s_man, s_lsb = first.sign, first.man, first.lsb
-    i = 1
-    while i < n:
-        t = regs[i]
-        if s_man == 0:
-            s_sign, s_man, s_lsb = t.sign, t.man, t.lsb
-            i += 1
+def _exact_sum(terms: list, prec: int) -> tuple[int, int]:
+    """The sum man * 2^lsb of the signed (m, l) int terms m * 2^l for
+    rounding to prec bits: exact, or with the terms that cannot reach the
+    rounding point replaced by one unit 2^pos of their sum's sign below it.
+    Terms are added in order while each lies within 64 bits of the sum so
+    far; at the first that does not, the sum starts again over the terms
+    sorted by top bit and stops where the rest total less than 2^pos."""
+    s = lo = 0
+    for m, l in terms:
+        if not m:
             continue
-        s_top = s_lsb + s_man.bit_length()
-        pos = min(s_lsb, s_top - prec - 4) - 4
-        if t.exp + (n - i).bit_length() <= pos:
-            return s_sign, s_man, s_lsb, i, pos
-        l = s_lsb if s_lsb < t.lsb else t.lsb
-        v = s_sign * (s_man << (s_lsb - l)) + t.sign * (t.man << (t.lsb - l))
-        if v == 0:
-            s_man = 0
-        elif v > 0:
-            s_sign, s_man, s_lsb = 1, v, l
+        if not s:
+            s, lo = m, l
+        elif l >= lo:
+            if l - lo > s.bit_length() + 64:
+                break
+            s += m << (l - lo)
+        elif l + m.bit_length() + 64 < lo:
+            break
         else:
-            s_sign, s_man, s_lsb = -1, -v, l
+            s, lo = (s << (lo - l)) + m, l
+    else:
+        return s, lo
+    terms = sorted((t for t in terms if t[0]), key=lambda t: t[1] + t[0].bit_length(),
+                   reverse=True)
+    s, lo, i, pos = _head_sum(terms, 0, prec)
+    if i < len(terms):
+        rest = _head_sum(terms, i, 1)[0]
+        if rest:
+            return (s << (lo - pos)) + (1 if rest > 0 else -1), pos
+    return s, lo
+
+
+def _head_sum(terms: list, i: int, prec: int) -> tuple[int, int, int, int]:
+    """(s, lo, j, pos): the exact sum s * 2^lo of terms[i:j], of nonzero
+    terms sorted by decreasing top bit, where terms[j:] total less than
+    2^pos, 4 bits below both lo and the sum's prec-bit rounding point, so
+    they cannot change its sign.  j == len(terms) when all were summed."""
+    n = len(terms)
+    s = lo = 0
+    while i < n:
+        m, l = terms[i]
+        if not s:
+            s, lo = m, l
+        else:
+            pos = min(lo, lo + s.bit_length() - prec - 4) - 4
+            if l + m.bit_length() + (n - i).bit_length() <= pos:
+                return s, lo, i, pos
+            if l < lo:
+                s, lo = (s << (lo - l)) + m, l
+            else:
+                s += m << (l - lo)
         i += 1
-    return s_sign, s_man, s_lsb, n, s_lsb
-
-
-def _sum_regulars(regs: list, prec: int, rnd: int) -> tuple[BigFloat, bool]:
-    regs = sorted(regs, key=lambda t: t.exp, reverse=True)
-    s_sign, s_man, s_lsb, i, pos = _head_sum(regs, prec)
-    if i < len(regs):
-        # The rest only nudges the sum by less than 2^pos, in the direction of
-        # its own sign, which is the sign of its head sum.
-        t_sign, t_man = _head_sum(regs[i:], 1)[:2]
-        if t_man:
-            s_man = (s_man << (s_lsb - pos)) + t_sign * s_sign
-            s_lsb = pos
-    if s_man == 0:
-        return ZERO, False
-    return _round_from(s_sign, s_man, s_lsb, prec, rnd)
+    return s, lo, n, lo
 
 
 # -- comparison ---------------------------------------------------------------

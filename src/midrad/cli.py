@@ -57,12 +57,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_bindings(pairs) -> dict:
+    """NAME=VALUE bindings; NAME must parse as a variable, not a constant."""
     bindings = {}
     for item in pairs:
         name, sep, value = item.partition("=")
-        if not sep or not name:
+        if not sep:
             raise decimal_io.ParseError(f"expected NAME=VALUE, got {item!r}", 0)
-        bindings[name.strip()] = decimal_io.from_decimal(value)
+        name = name.strip()
+        try:
+            is_var = expreval.parse_expr(name) == expreval.Var(name)
+        except decimal_io.ParseError:
+            is_var = False
+        if not is_var:
+            raise decimal_io.ParseError(f"cannot bind {name!r}: not a variable name", 0)
+        bindings[name] = decimal_io.from_decimal(value)
     return bindings
 
 

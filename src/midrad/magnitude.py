@@ -7,8 +7,9 @@ most a factor ``1 + 2**-28`` above it (a couple of ulps of the 30-bit
 mantissa).  There is no NaN; bounds are nonnegative by construction and
 ``+inf`` absorbs.
 
-``sum_upper`` is the one exact upward sum of int terms; ``dot_upper`` (and so
-``mul``, ``addmul`` and ``ball.rounded``) feeds it; ``add`` returns the same.
+``sum_upper`` is the one exact upward sum (bigfloat's ``_exact_sum``, rounded
+up once); ``dot_upper`` (and so ``mul``, ``addmul`` and ``ball.rounded``)
+feeds it; ``add`` returns the same by its own two-term rule.
 """
 
 from __future__ import annotations
@@ -203,36 +204,11 @@ def dot_upper(pairs, terms=()) -> Magnitude:
     return sum_upper(terms)
 
 
-def sum_upper(terms) -> Magnitude:
+def sum_upper(terms: list) -> Magnitude:
     """The least magnitude >= sum m * 2**l over a list of (m, l) int terms,
-    m >= 0: the exact sum, rounded up once.  A term more than 64 bits below
-    the sum so far is set aside; if those total less than 2**p, with p at or
-    below both the sum's last bit and its 30-bit rounding point, one sticky
-    bit below p rounds the sum up as they would.  If not, or if a term lies
-    more than 64 bits above the sum before it, the terms are added again
-    highest first, where neither can happen."""
-    s = lo = n = top = 0  # the sum s * 2^lo; n terms set aside, each below 2^top
-    for m, l in terms:
-        if not m:
-            continue
-        if not s:
-            s, lo = m, l
-        elif l >= lo:
-            if l - lo > s.bit_length() + 64:
-                break
-            s += m << (l - lo)
-        elif l + m.bit_length() + 64 < lo:
-            top = max(top, l + m.bit_length()) if n else l + m.bit_length()
-            n += 1
-        else:
-            s, lo = (s << (lo - l)) + m, l
-    else:
-        if not n:
-            return _norm_up(s, lo) if s else ZERO
-        p = lo + min(0, s.bit_length() - _MBITS)
-        if top + n.bit_length() <= p:
-            return _norm_up((s << (lo - p + 1)) | 1, p - 1)
-    return sum_upper(sorted(terms, key=lambda t: t[1] + t[0].bit_length(), reverse=True))
+    m >= 0: the exact sum of ``bigfloat._exact_sum``, rounded up once."""
+    man, lsb = bigfloat._exact_sum(terms, _MBITS)
+    return _norm_up(man, lsb) if man else ZERO
 
 
 def compare(x: Magnitude, y: Magnitude) -> int:

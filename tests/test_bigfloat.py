@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_MODES, round_fraction_oracle
 from midrad import bigfloat as bf
+from midrad import magnitude as mag
 from midrad.bigfloat import NAN, NEG_INF, ONE, POS_INF, ZERO, BigFloat, Rounding
 
 NE = Rounding.NEAREST_EVEN
@@ -208,6 +209,87 @@ class TestVectorSum:
             got, inexact = bf.vector_sum(xs, 53, rnd)
             exact = sum((F(x) for x in xs), Fraction(0))
             assert F(got) == round_fraction_oracle(exact, 53, rnd) and inexact
+
+def _kernel_term_lists(rng):
+    """Signed (m, l) int term lists, in the given order, for each way through
+    bigfloat._exact_sum: in-order exact sums; a term far above; far-below
+    terms of both signs; cancellation to 0 followed by far terms; and a tiny
+    head left by cancellation, with far tails."""
+    def term(bits, l):
+        return rng.choice((1, -1)) * (rng.getrandbits(bits) | 1), l
+
+    def tails(top, k):
+        return [term(rng.randrange(1, 80), top - rng.randrange(70, 3000)) for _ in range(k)]
+
+    l = rng.randrange(-200, 200)
+    near = [term(rng.randrange(1, 120), l + rng.randrange(-60, 60)) for _ in range(rng.randrange(1, 8))]
+    yield near
+    yield near + [term(rng.randrange(1, 60), l + rng.randrange(200, 3000))]
+    yield near + tails(l, rng.randrange(1, 6))
+    yield tails(l, rng.randrange(2, 6)) + near
+    x = term(rng.randrange(1, 200), l)
+    yield [x, (-x[0], l)] + tails(l, rng.randrange(2, 6))
+    yield tails(l, 2) + [x] + tails(l, 2) + [(-x[0], l)]
+    k = l - rng.randrange(1, 300)
+    y = ((-x[0] << (l - k)) + rng.choice((1, -1)), k)  # x + y = +-2^k
+    yield [x, y] + tails(k, rng.randrange(1, 6))
+    yield tails(k, 3) + [y, x]
+
+
+class TestExactSumKernel:
+    """bigfloat._exact_sum, through vector_sum and magnitude.sum_upper,
+    against a Fraction oracle."""
+
+    @pytest.mark.parametrize("rnd", ALL_MODES)
+    def test_every_branch_against_fractions(self, rnd, monkeypatch):
+        seen = {"calls": 0, "sorted": 0, "cut": 0, "up": 0, "down": 0}
+        kernel, head_sum = bf._exact_sum, bf._head_sum
+
+        def spy_kernel(terms, prec):
+            seen["calls"] += 1
+            return kernel(terms, prec)
+
+        def spy_head_sum(terms, i, prec):
+            r = head_sum(terms, i, prec)
+            if i == 0:
+                seen["sorted"] += 1
+                seen["cut"] += r[2] < len(terms)
+            else:  # the sign of the far terms' nudge
+                seen["up" if r[0] > 0 else "down"] += 1
+            return r
+
+        monkeypatch.setattr(bf, "_exact_sum", spy_kernel)
+        monkeypatch.setattr(bf, "_head_sum", spy_head_sum)
+        rng = random.Random(int(rnd) + 1611)
+        for _ in range(60):
+            for terms in _kernel_term_lists(rng):
+                prec = rng.randrange(2, 301)
+                exact = sum((Fraction(m) * Fraction(2) ** l for m, l in terms), Fraction(0))
+                got, inexact = bf.vector_sum([BigFloat.from_man_exp(m, l) for m, l in terms],
+                                             prec, rnd)
+                if exact == 0:
+                    assert got.is_zero() and not inexact, terms
+                else:
+                    assert F(got) == round_fraction_oracle(exact, prec, rnd), (terms, prec)
+                    assert inexact == (F(got) != exact)
+                up = [(abs(m), l) for m, l in terms]
+                total = sum((Fraction(m) * Fraction(2) ** l for m, l in up), Fraction(0))
+                assert mag.sum_upper(up) == mag.from_man_exp_upper(
+                    total.numerator, 1 - total.denominator.bit_length()), up
+        assert seen["sorted"] < seen["calls"]  # some sums finish in order
+        assert min(seen["cut"], seen["up"], seen["down"]) > 0, seen
+
+    def test_ten_thousand_far_apart_terms(self):
+        # 10^4 terms 100 bits apart, in both orders: one sort, no recursion
+        terms = [(3 * (-1) ** (k // 3), -100 * k) for k in range(10 ** 4)]
+        exact = Fraction(sum(m << (100 * 10 ** 4 + l) for m, l in terms), 2 ** (100 * 10 ** 4))
+        for order in (terms, terms[::-1]):
+            for rnd in ALL_MODES:
+                got, inexact = bf.vector_sum([BigFloat.from_man_exp(m, l) for m, l in order], 53, rnd)
+                assert F(got) == round_fraction_oracle(exact, 53, rnd) and inexact
+            got = mag.sum_upper([(abs(m), l) for m, l in order])
+            assert got == mag.from_man_exp_upper(3 * 2 ** 28 + 1, -28)
+
 
 class TestCompare:
     def test_exact_across_lengths(self):

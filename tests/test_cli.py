@@ -76,6 +76,13 @@ class TestEval:
     def test_bad_binding_exit_1(self, capsys):
         code, _, err = run(capsys, "eval", "x", "--var", "x")
         assert code == 1
+        # a constant cannot be rebound, and 1x is no name an expression can use
+        for cmd, expr, var in (("eval", "pi", "pi=3"), ("round", "pi", "pi=3"),
+                               ("eval", "x", "1x=2"), ("eval", "x", "=2"),
+                               ("eval", "x", "x+y=2")):
+            code, out, err = run(capsys, cmd, expr, "--var", var)
+            assert code == 1 and not out and "not a variable name" in err, var
+        assert run(capsys, "eval", "x_1 * 2", "--var", " x_1 =3")[:2] == (0, "6\n")
 
 
 class TestPrecisionOptions:

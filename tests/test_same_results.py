@@ -3,9 +3,14 @@ must itself be deterministic: the same digest in a fresh interpreter with
 cold constant caches and another hash seed as in this warm one."""
 
 import importlib.util
+import math
 import os
+import random
 import subprocess
 import sys
+import types
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import midrad
@@ -76,7 +81,7 @@ def test_compare_counts_each_class(tmp_path):
     b.write_text("\n".join(new) + "\n")
     proc = subprocess.run([sys.executable, str(TOOL), "--compare", str(a), str(b)],
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 1, proc.stderr  # some results are wider or changed
     rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()}
     assert rows["section"] == ["identical", "narrower", "wider", "changed"]
     assert rows["ball"] == ["1", "3", "2", "3"]
@@ -84,3 +89,52 @@ def test_compare_counts_each_class(tmp_path):
     assert rows["decimal"] == ["0", "0", "0", "1"]
     assert rows["expreval"] == ["1", "0", "0", "1"]
     assert "sha256" not in rows
+
+
+def test_compare_exits_1_on_a_wider_or_changed_result(tmp_path):
+    tool = _load_tool()
+    old = ["ball (3*2^0; 1*2^-10)", "decimal '0.1'", "sha256 0123"]
+    for new, code in ((old, 0),
+                      (["ball (3*2^0; 1*2^-11)", "decimal '0.1'", "sha256 4567"], 0),
+                      (["ball (3*2^0; 3*2^-11)", "decimal '0.1'", "sha256 4567"], 1),
+                      (["ball (3*2^0; 1*2^-10)", "decimal '0.2'", "sha256 4567"], 1),
+                      (["ball (3*2^0; 1*2^-10)", "sha256 4567"], 1)):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("\n".join(old) + "\n")
+        b.write_text("\n".join(new) + "\n")
+        assert tool.main(["same_results.py", "--compare", str(a), str(b)]) == code, new
+
+
+def test_bigfloat_section_sums_near_cancellations_and_far_tails():
+    # the section's last cases: x + y and x - (-y) with x + y = +-2^k far
+    # below x, and vector sums whose tails of both signs lie far below the
+    # head, or below a head that cancels to 0
+    tool = _load_tool()
+    calls = []
+
+    class Spy:
+        def __getattr__(self, name):
+            fn = getattr(midrad.bigfloat, name)
+            return lambda *a: calls.append((name, a)) or fn(*a)
+
+    m = types.SimpleNamespace(bigfloat=Spy(), BigFloat=midrad.BigFloat, Rounding=midrad.Rounding)
+    tool._bigfloat(random.Random(0), m, lambda *values: None)
+
+    def top(x):
+        return x.exp if x.is_regular() else -math.inf
+
+    cancel, tails = Counter(), Counter()
+    for name, args in calls:
+        if name in ("add", "sub"):
+            x, y = args[0].to_fraction(), args[1].to_fraction()
+            exact = x + y if name == "add" else x - y
+            if exact and abs(exact) < Fraction(2) ** (top(args[0]) - 100):
+                cancel[name] += 1
+        elif name == "vector_sum":
+            xs = args[0]
+            exact = sum((x.to_fraction() for x in xs), Fraction(0))
+            head = max(top(x) for x in xs)
+            far = [x.signum() for x in xs if top(x) < head - 1000]
+            tails[exact == 0 or abs(exact) < Fraction(2) ** (head - 100), 1 in far, -1 in far] += 1
+    assert cancel["add"] > 0 and cancel["sub"] > 0, cancel
+    assert tails[False, True, True] > 0 and tails[True, True, True] > 0, tails

@@ -17,7 +17,7 @@ radius, or changed otherwise (a midpoint, a printed digit, an answer).  A
 result that is a bare magnitude on both sides (``0``, ``inf`` or ``M*2^E``
 with M below 2^30, such as ``ball.upper_mag``'s) counts as narrower or wider
 by its value.  It parses only the text, so it compares outputs of any
-checkout.
+checkout.  It exits 1 when any result is wider or changed, else 0.
 """
 
 from __future__ import annotations
@@ -70,6 +70,24 @@ def _bigfloat(rng, m, out):
         out(bf.sqrt(abs(x), p, r), bf.round_to(x, p, r))
         xs = [_rand_bigfloat(rng, m.BigFloat, 100, 2000) for _ in range(rng.randrange(1, 12))]
         out(bf.vector_sum(xs, p, r))
+    # last, so that every line above keeps its random draws: near
+    # cancellation, x + (-x +- 2^k), and sums with tails of both signs far
+    # below their heads, in any order
+    for _ in range(300):
+        x = _rand_bigfloat(rng, m.BigFloat, 200)
+        p, r = rng.randrange(2, 300), rng.choice(modes)
+        k = x.exp - rng.randrange(0, 400)
+        lsb = min(x.lsb, k)
+        y = m.BigFloat.from_man_exp((-x.sign * x.man << (x.lsb - lsb))
+                                    + (rng.choice((-1, 1)) << (k - lsb)), lsb)
+        out(bf.add(x, y, p, r), bf.sub(x, -y, p, r), bf.sub(y, -x, p, r))
+        tails = [m.BigFloat.from_man_exp(rng.choice((-1, 1)) * (rng.getrandbits(60) | 1),
+                                         k - rng.randrange(70, 3000))
+                 for _ in range(rng.randrange(1, 6))]
+        xs = [x, y] + tails
+        rng.shuffle(xs)
+        out(bf.vector_sum(xs, p, r), bf.vector_sum([x] + tails, p, r),
+            bf.vector_sum([x, -x] + tails, p, r), bf.vector_sum(tails[::-1] + [x, y], p, r))
 
 
 def _magnitude(rng, m, out):
@@ -360,7 +378,7 @@ def main(argv) -> int:
         print(f"{'section':<12}" + "".join(f"{c:>11}" for c in CLASSES))
         for section, c in counts.items():
             print(f"{section:<12}" + "".join(f"{c[k]:>11}" for k in CLASSES))
-        return 0
+        return 1 if any(c["wider"] or c["changed"] for c in counts.values()) else 0
     if len(argv) != 2:
         print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 1
