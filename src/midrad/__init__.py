@@ -11,7 +11,8 @@ Submodules:
 - ``ballpoly``   interval polynomials; every product is one dot of midpoints
                  and radii over exact integer convolutions, rounded once
 - ``intpoly``    exact integer polynomial products (schoolbook, or Kronecker
-                 substitution with a single big multiplication)
+                 substitution with a single big multiplication: an int one,
+                 or for big products a libmpdec (``decimal``) one)
 - ``expreval``   expression parser and adaptive-precision evaluation
 - ``cli``        the ``midrad`` command-line tool
 """

@@ -224,12 +224,12 @@ def div(x: Ball, y: Ball, prec: int) -> Ball:
     if x.mid.is_inf():
         q, _ = bf.div(x.mid, y.mid, prec, _NE)
         return Ball(q)
-    num = x.rad
-    if not y.rad.is_zero():
-        qu = mag.div_lower_denominator(mag.from_bigfloat_upper(x.mid), abs(y.mid))
-        num = mag.addmul(num, qu, y.rad)
-    q = mag.div_lower_denominator(num, lo)
-    return rounded(bf.div(x.mid, y.mid, prec, _NE), [(q, mag.ONE)], prec)
+    # |s/t - mx/my| = |(s - mx) my - mx (t - my)| / |t my|
+    #              <= (rx |my| + |mx| ry) / (|my| lo), one upward quotient;
+    # lo is 32 bits, so |my| lo costs linear time at any precision
+    m = y.mid
+    q = mag.div_upper((m.man * lo.man, m.lsb + lo.lsb), [(x.rad, m), (x.mid, y.rad)])
+    return rounded(bf.div(x.mid, m, prec, _NE), [(q, mag.ONE)], prec)
 
 
 def sqrt(x: Ball, prec: int) -> Ball:
@@ -241,7 +241,7 @@ def sqrt(x: Ball, prec: int) -> Ball:
     if not rad.is_zero():
         # |sqrt(t) - sqrt(m)| = |t - m| / (sqrt(t) + sqrt(m)) <= rad / sqrt(m)
         root_lo, _ = bf.sqrt(m, 32, Rounding.DOWN)
-        rad = mag.div_lower_denominator(rad, root_lo)
+        rad = mag.div_upper(root_lo, [(rad, mag.ONE)])
     return rounded(bf.sqrt(m, prec, _NE), [(rad, mag.ONE)], prec)
 
 
@@ -263,7 +263,7 @@ def div_int(x: Ball, n: int, prec: int) -> Ball:
     if n == 0:
         return indeterminate()
     return rounded(bf.div(x.mid, BigFloat.from_int(n), prec, _NE),
-                   [(mag.div_int_upper(x.rad, abs(n)), mag.ONE)], prec)
+                   [(mag.div_upper((abs(n), 0), [(x.rad, mag.ONE)]), mag.ONE)], prec)
 
 
 def round_to(x: Ball, prec: int) -> Ball:

@@ -32,20 +32,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="midrad",
                                 description="guaranteed-accuracy expression evaluation")
     sub = p.add_subparsers(dest="command", required=True)
+    # the options eval and round share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--max-prec", type=int, default=1 << 24)
+    common.add_argument("--var", action="append", default=[], metavar="NAME=VALUE",
+                        help="bind a variable (decimal or ball literal); repeatable")
 
-    pe = sub.add_parser("eval", help="evaluate to a guaranteed number of digits")
+    pe = sub.add_parser("eval", parents=[common], help="evaluate to a guaranteed number of digits")
     pe.add_argument("expr")
     pe.add_argument("--digits", type=int, default=15)
-    pe.add_argument("--max-prec", type=int, default=1 << 24)
-    pe.add_argument("--var", action="append", default=[], metavar="NAME=VALUE",
-                    help="bind a variable (decimal or ball literal); repeatable")
 
-    pr = sub.add_parser("round", help="correctly rounded dyadic value")
+    pr = sub.add_parser("round", parents=[common], help="correctly rounded dyadic value")
     pr.add_argument("expr")
     pr.add_argument("--bits", type=int, default=53)
     pr.add_argument("--mode", choices=sorted(_MODES), default="nearest")
-    pr.add_argument("--max-prec", type=int, default=1 << 24)
-    pr.add_argument("--var", action="append", default=[], metavar="NAME=VALUE")
 
     pb = sub.add_parser("bench", help="emit CSV benchmark grids")
     pb.add_argument("which", choices=["factorial", "falling-factorial", "polymul", "elementary"])
@@ -70,7 +70,12 @@ def _parse_bindings(pairs) -> dict:
             is_var = False
         if not is_var:
             raise decimal_io.ParseError(f"cannot bind {name!r}: not a variable name", 0)
-        bindings[name] = decimal_io.from_decimal(value)
+        if name in bindings:
+            raise ValueError(f"variable {name!r} bound twice")
+        try:
+            bindings[name] = decimal_io.from_decimal(value)
+        except decimal_io.ParseError as ex:  # its position is inside the value
+            raise ValueError(f"--var {item}: {ex}") from None
     return bindings
 
 

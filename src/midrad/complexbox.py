@@ -151,7 +151,8 @@ def sqrt(x: ComplexBox, prec: int) -> ComplexBox:
     v2lo = ball.lower_bound(v2, 32)
     if v2lo.signum() <= 0:
         return indeterminate()
-    uhi = mag.div_lower_denominator(ball.upper_mag(b), bf.mul_exact(v2lo, bf.BigFloat.from_int(2)))
+    uhi = mag.div_upper(bf.mul_exact(v2lo, bf.BigFloat.from_int(2)),
+                        [(b.mid, mag.ONE), (b.rad, mag.ONE)])
     return ComplexBox(Ball(bf.ZERO, uhi), Ball(bf.ZERO, vhi))
 
 

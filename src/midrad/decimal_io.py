@@ -94,16 +94,6 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def _ratio_upper(num: int, den: int) -> Magnitude:
-    """Upper bound of num/den for nonnegative num, positive den."""
-    if num == 0:
-        return mag.ZERO
-    s = den.bit_length() + 34 - num.bit_length()  # a quotient of 34+ bits
-    if s < 0:
-        return mag.from_man_exp_upper(_ceil_div(num, den << -s), -s)
-    return mag.from_man_exp_upper(_ceil_div(num << s, den), -s)
-
-
 def _rad_to_decimal_upper(r: Magnitude) -> tuple[int, int]:
     """(R, G) with 100 <= R <= 999 and R * 10^G an upper bound of r; beyond
     the cap, the crude 10^(G+2) bound of 2^r.exp."""
@@ -205,7 +195,7 @@ def to_decimal(x: Ball, digits: int) -> str:
         return _bound_str(ballmod.upper_mag(x))
     d, e10, err, den = _mid_to_decimal(man, lsb, q, e10)
     f = e10 - q + 1
-    conv = _ratio_upper(err * 10 ** f, den) if f >= 0 else _ratio_upper(err, den * 10 ** (-f))
+    conv = mag.div_upper((den * 5 ** max(0, -f), 0), terms=[(err * 5 ** max(0, f), f)])
     total = mag.add(rad, conv)
     mid_str = _fmt_mid(mid.sign, d, e10)
     if total.is_zero():
@@ -288,9 +278,7 @@ def _posnumber_to_mag(r: int, e10: int) -> Magnitude:
         return mag.ZERO
     if abs(e10) > _POW_CAP:
         return mag.pow2(_crude_pow2_upper_exp(r.bit_length(), e10))
-    if e10 >= 0:
-        return mag.from_int_upper(r * 10 ** e10)
-    return _ratio_upper(r, 10 ** (-e10))
+    return mag.div_upper((5 ** max(0, -e10), 0), terms=[(r * 5 ** max(0, e10), e10)])
 
 
 def from_decimal(s: str) -> Ball:

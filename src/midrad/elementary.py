@@ -115,8 +115,7 @@ def _arctan_inv(m: int, wp: int, alternating: bool) -> Ball:
     p, q = _binsplit(0, n, m * m, alternating)
     # the unsummed terms add up to at most the first of them, or (terms
     # shrinking by m^2 >= 4) to twice it
-    tail = mag.div_lower_denominator(mag.ONE if alternating else mag.TWO,
-                                     BigFloat.from_int((2 * n + 1) * m ** (2 * n + 1)))
+    tail = mag.div_upper(((2 * n + 1) * m ** (2 * n + 1), 0), terms=[(1 if alternating else 2, 0)])
     return ball.rounded(bf.div(BigFloat.from_int(p), BigFloat.from_int(q * m), wp, _NE),
                         [(tail, mag.ONE)], wp)
 
@@ -180,7 +179,7 @@ _ATANH = _Series(True, True, False, False)
 _ATAN = _Series(True, True, False, True)
 
 # |atanh'(u)| = 1/(1 - u^2) <= 25/24 for |u| <= 1/5
-_ATANH_LIPSCHITZ = mag.div_int_upper(mag.from_int_upper(25), 24)
+_ATANH_LIPSCHITZ = mag.div_upper((24, 0), terms=[(25, 0)])
 
 # Fraction bits the kernel carries beyond the caller's working precision.
 _GUARD = 16
@@ -532,7 +531,7 @@ def log(x: Ball, prec: int) -> Ball:
     if m.is_inf():
         return Ball(bf.POS_INF)
     # sup 1/t over the ball
-    xr = [] if x.rad.is_zero() else [(mag.div_lower_denominator(x.rad, lo), mag.ONE)]
+    xr = [] if x.rad.is_zero() else [(mag.div_upper(lo, [(x.rad, mag.ONE)]), mag.ONE)]
     return _log_point(m, xr, prec)
 
 

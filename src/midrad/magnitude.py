@@ -7,9 +7,12 @@ most a factor ``1 + 2**-28`` above it (a couple of ulps of the 30-bit
 mantissa).  There is no NaN; bounds are nonnegative by construction and
 ``+inf`` absorbs.
 
-``sum_upper`` is the one exact upward sum (bigfloat's ``_exact_sum``, rounded
-up once); ``dot_upper`` (and so ``mul``, ``addmul`` and ``ball.rounded``)
-feeds it; ``add`` returns the same by its own two-term rule.
+There are two upward roundings.  ``sum_upper`` is the one exact upward sum
+(bigfloat's ``_exact_sum``, rounded up once); ``dot_upper`` (and so ``mul``,
+``addmul`` and ``ball.rounded``) feeds it; ``add`` returns the same by its
+own two-term rule.  ``div_upper`` is the one upward quotient: the same exact
+sum over an exact dyadic denominator, rounded up once.  Both return the
+least 30-bit magnitude at or above the exact value.
 """
 
 from __future__ import annotations
@@ -30,14 +33,12 @@ __all__ = [
     "compare",
     "from_bigfloat_upper",
     "to_bigfloat",
-    "div_lower_denominator",
     "from_int_upper",
     "mul_int_upper",
-    "div_int_upper",
+    "div_upper",
     "mul_2exp",
     "pow2",
     "min_",
-    "max_",
 ]
 
 _MBITS = 30
@@ -189,19 +190,27 @@ def addmul(z: Magnitude, x: Magnitude, y: Magnitude) -> Magnitude:
     return dot_upper([(z, ONE), (x, y)])
 
 
-def dot_upper(pairs, terms=()) -> Magnitude:
-    """sum_upper of |x*y| over the (x, y) pairs and the (m, l) int terms.  A
-    factor is a Magnitude or a BigFloat; a zero factor adds nothing (0 * inf
-    too), and any other that is not regular (inf, NaN) gives INF."""
+def _pair_terms(pairs, terms) -> list | None:
+    """The (m, l) int terms of sum |x*y| over the (x, y) pairs and of the
+    given terms, or None when the sum is infinite.  A factor is a Magnitude
+    or a BigFloat; a zero factor adds nothing (0 * inf too), and any other
+    that is not regular (inf, NaN) makes the sum infinite."""
     terms = list(terms)
     for x, y in pairs:
         if x.kind != _REGULAR or y.kind != _REGULAR:
             if x.kind == _ZERO or y.kind == _ZERO:
                 continue
-            return INF
+            return None
         # either kind of factor is man * 2^(exp - bits(man))
         terms.append((x.man * y.man, x.exp + y.exp - x.man.bit_length() - y.man.bit_length()))
-    return sum_upper(terms)
+    return terms
+
+
+def dot_upper(pairs, terms=()) -> Magnitude:
+    """sum_upper of |x*y| over the (x, y) pairs and the (m, l) int terms; INF
+    when a factor other than zero is inf or NaN."""
+    terms = _pair_terms(pairs, terms)
+    return INF if terms is None else sum_upper(terms)
 
 
 def sum_upper(terms: list) -> Magnitude:
@@ -231,10 +240,6 @@ def min_(x: Magnitude, y: Magnitude) -> Magnitude:
     return x if compare(x, y) <= 0 else y
 
 
-def max_(x: Magnitude, y: Magnitude) -> Magnitude:
-    return x if compare(x, y) >= 0 else y
-
-
 def from_bigfloat_upper(x: BigFloat) -> Magnitude:
     """Upper bound of |x|; exact when the mantissa fits in 30 bits."""
     if x.is_regular():
@@ -255,23 +260,33 @@ def to_bigfloat(x: Magnitude) -> BigFloat:
     return BigFloat.from_man_exp(x.man, x.exp - _MBITS)
 
 
-def div_lower_denominator(x: Magnitude, lo: BigFloat) -> Magnitude:
-    """Upper bound of x / lo given a certified lower bound lo > 0."""
-    if lo.is_nan() or lo.signum() <= 0:
-        raise ValueError("denominator not bounded away from zero")
-    if x.kind == _ZERO:
-        return ZERO
-    if x.kind == _POS_INF:
-        return INF
-    if lo.is_inf():
-        return ZERO
-    bl = lo.man.bit_length()
-    if bl <= _MBITS:
-        ld = lo.man << (_MBITS - bl)
+def div_upper(den, pairs=(), terms=()) -> Magnitude:
+    """The least magnitude >= N / D, rounded up once: N is dot_upper's exact
+    sum over the pairs and terms, D > 0 a BigFloat or (d, e) for d * 2**e
+    with an int d > 0.  An infinite N gives INF, and else an infinite D ZERO.
+    """
+    if isinstance(den, BigFloat):
+        if den.is_nan() or den.signum() <= 0:
+            raise ValueError("denominator not bounded away from zero")
+        d, e = (den.man, den.lsb) if den.is_regular() else (0, 0)
     else:
-        ld = lo.man >> (bl - _MBITS)  # floor: still a lower bound
-    q = -((-x.man << (_MBITS + 2)) // ld)
-    return _norm_up(q, x.exp - lo.exp - _MBITS - 2)
+        d, e = den
+        if d <= 0:
+            raise ValueError("nonpositive denominator")
+    terms = _pair_terms(pairs, terms)
+    if terms is None:
+        return INF
+    if not d:  # den = +inf
+        return ZERO
+    # _exact_sum may stand one unit 2^pos in for terms below 2^pos, with pos
+    # 8 bits below N's rounding point at 30 + bits(d) bits, so below the
+    # 30-bit grid of N / d: no grid point times d lies between the exact sum
+    # and the one it returns, and the least bound of the quotient is the same
+    n, lsb = bigfloat._exact_sum(terms, _MBITS + d.bit_length())
+    s = d.bit_length() - n.bit_length() + _MBITS + 1  # a quotient q >= 2^30
+    q = -(-(n << s) // d) if s >= 0 else -(-n // (d << -s))
+    # q is a ceiling on a finer grid than 30 bits, so this rounds up once
+    return _norm_up(q, lsb - e - s) if n else ZERO
 
 
 def mul_int_upper(x: Magnitude, n: int) -> Magnitude:
@@ -279,13 +294,3 @@ def mul_int_upper(x: Magnitude, n: int) -> Magnitude:
     if n < 0:
         raise ValueError("negative scale")
     return INF if x.kind == _POS_INF and n else sum_upper([(x.man * n, x.exp - _MBITS)])
-
-
-def div_int_upper(x: Magnitude, n: int) -> Magnitude:
-    """Upper bound of x / n for n > 0."""
-    if n <= 0:
-        raise ValueError("nonpositive divisor")
-    if x.kind != _REGULAR:
-        return x
-    q = -((-x.man << (_MBITS + 2)) // n)
-    return _norm_up(q, x.exp - 2 * _MBITS - 2)

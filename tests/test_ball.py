@@ -375,6 +375,38 @@ class TestDivSqrt:
                 continue
             assert contains_fraction(d, sample_in_ball(x, rng) / py)
 
+    def test_div_radius_is_one_quotient(self):
+        # every corner quotient is inside, and the radius is the propagated
+        # (rx |my| + |mx| ry) / (|my| (|my| - ry)) plus the half ulp, up to
+        # the 32-bit lower bound of |my| - ry and one rounding to 30 bits
+        rng = random.Random(79)
+        for _ in range(600):
+            x, y = spread_ball(rng), spread_ball(rng)
+            prec = rng.choice((2, 53, 64, 333))
+            d = ball.div(x, y, prec)
+            if d.is_indeterminate():
+                continue
+            mx, my = x.mid.to_fraction(), y.mid.to_fraction()
+            rx, ry = x.rad.to_fraction(), y.rad.to_fraction()
+            assert d.mid == bf.div(x.mid, y.mid, prec, Rounding.NEAREST_EVEN)[0]
+            for s in (mx - rx, mx + rx):
+                for t in (my - ry, my + ry):
+                    assert contains_fraction(d, s / t), (x, y, prec)
+            prop = (rx * abs(my) + abs(mx) * ry) / (abs(my) * (abs(my) - ry))
+            half = Fraction(2) ** (d.mid.exp - prec - 1) if d.mid.to_fraction() != mx / my else 0
+            assert d.rad.to_fraction() <= (prop * (1 + Fraction(1, 2 ** 29)) + half) * TIGHT26
+
+    def test_div_int_by_a_divisor_above_2_to_the_32(self):
+        # the radius stays the propagated bound plus the half ulp, rounded up
+        # to 30 bits, for divisors of any size
+        TIGHT = 1 + Fraction(1, 2 ** 28)
+        for n in (3 ** 40, -(3 ** 40), 2 ** 32 + 1, 10 ** 30 + 7):
+            for x in (Ball(bf.ONE, mag.pow2(-40)), Ball(BigFloat.from_int(10 ** 9 + 7), mag.ONE)):
+                r = ball.div_int(x, n, 64)
+                prop = x.rad.to_fraction() / abs(n)
+                half = Fraction(2) ** (r.mid.exp - 65)
+                assert prop <= r.rad.to_fraction() <= (prop + half) * TIGHT, (x, n)
+
     def test_sqrt_containment_random(self):
         rng = random.Random(88)
         for _ in range(300):

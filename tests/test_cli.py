@@ -85,6 +85,24 @@ class TestEval:
         assert run(capsys, "eval", "x_1 * 2", "--var", " x_1 =3")[:2] == (0, "6\n")
 
 
+    def test_repeated_binding_exit_1(self, capsys):
+        for cmd in ("eval", "round"):
+            code, out, err = run(capsys, cmd, "x", "--var", "x=1", "--var", " x =2")
+            assert code == 1 and not out, cmd
+            assert err == "error: variable 'x' bound twice\n", err
+
+    def test_bad_binding_value_names_the_binding(self, capsys):
+        for cmd in ("eval", "round"):
+            code, out, err = run(capsys, cmd, "x", "--var", "x=1.5e")
+            assert code == 1 and not out, cmd
+            assert err == "error: --var x=1.5e: expected exponent digits (at position 4)\n", err
+
+    def test_eval_and_round_share_the_binding_help(self, capsys):
+        helps = [run(capsys, cmd, "--help")[1] for cmd in ("eval", "round")]
+        for h in helps:
+            assert "--max-prec" in h and "bind a variable (decimal or ball literal)" in h
+
+
 class TestPrecisionOptions:
     def test_start_prec_is_gone(self, capsys):
         for cmd in ("eval", "round"):

@@ -370,7 +370,7 @@ def test_kernel_against_exact_series(fn, wp):
 
 # |f'| on the reduced ranges of the functions whose radius the callers fold
 _LIPSCHITZ = {"sin": mag.ONE, "cos": mag.ONE, "atan": mag.ONE,
-              "atanh": mag.div_int_upper(mag.from_int_upper(25), 24)}
+              "atanh": mag.div_upper((24, 0), terms=[(25, 0)])}
 
 
 @pytest.mark.parametrize("wp", (53, 1000))
@@ -818,7 +818,7 @@ def test_input_radius_rounds_once(fn):
         r, point = f(x, prec), f(Ball(x.mid), prec)
         if r.is_indeterminate() or r.rad.to_fraction() >= 1:
             continue
-        prop = (mag.div_lower_denominator(x.rad, ball.lower_bound(x, 32)) if fn == "log"
+        prop = (mag.div_upper(ball.lower_bound(x, 32), [(x.rad, mag.ONE)]) if fn == "log"
                 else x.rad)
         assert r.mid == point.mid, (fn, x, prec)
         assert mag.compare(r.rad, mag.add(point.rad, prop)) <= 0, (fn, x, prec)

@@ -267,26 +267,88 @@ class TestConversions:
 
 
 class TestDivLower:
+    """div_upper over a BigFloat lower bound of a denominator, the way
+    ball.div, ball.sqrt and elementary.log call it."""
+
     def test_simple(self):
-        v = F(mag.div_lower_denominator(mag.ONE, BigFloat.from_int(2)))
+        v = F(mag.div_upper(BigFloat.from_int(2), [(mag.ONE, mag.ONE)]))
         assert Fraction(1, 2) <= v <= Fraction(1, 2) * TIGHT
 
     def test_zero_numerator(self):
-        assert mag.div_lower_denominator(mag.ZERO, BigFloat.from_int(5)).is_zero()
+        assert mag.div_upper(BigFloat.from_int(5), [(mag.ZERO, mag.ONE)]).is_zero()
 
     def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError):
-            mag.div_lower_denominator(mag.ONE, bf.ZERO)
-        with pytest.raises(ValueError):
-            mag.div_lower_denominator(mag.ONE, BigFloat.from_int(-1))
+        for den in (bf.ZERO, BigFloat.from_int(-1), bf.NAN, bf.NEG_INF, (0, 3), (-1, 0)):
+            with pytest.raises(ValueError):
+                mag.div_upper(den, [(mag.ONE, mag.ONE)])
 
     def test_soundness_random(self):
         rng = random.Random(4)
         for _ in range(2000):
             x = rand_magnitude(rng)
             lo = BigFloat.from_man_exp(rng.randrange(1, 1 << 70), rng.randrange(-40, 40))
-            got = mag.div_lower_denominator(x, lo)
+            got = mag.div_upper(lo, [(x, mag.ONE)])
             assert F(got) >= F(x) / lo.to_fraction()
+
+
+def below(m):
+    """The magnitude one ulp below a regular m, as a Fraction."""
+    ulp = Fraction(2) ** (m.exp - 30 - (m.man == 1 << 29))
+    return F(m) - ulp
+
+
+class TestDivUpper:
+    """div_upper is the least magnitude >= the exact quotient: the result is
+    at or above it, and the magnitude one ulp below is under it."""
+
+    def assert_least(self, got, exact):
+        assert got.is_regular() and F(got) >= exact > below(got), (got, exact)
+
+    def test_least_bound_of_random_quotients(self):
+        # numerators of 1-4 terms and denominators of 1-200 bits, some of
+        # them 2^32 and more, given as an int pair or as a BigFloat
+        rng = random.Random(23)
+        for i in range(3000):
+            terms = [(rng.getrandbits(rng.randrange(1, 201)) | 1, rng.randrange(-120, 120))
+                     for _ in range(rng.randrange(1, 5))]
+            d, e = rng.getrandbits(rng.randrange(1, 201)) | 1, rng.randrange(-90, 90)
+            den = (d, e) if i % 2 else BigFloat.from_man_exp(d, e)
+            got = mag.div_upper(den, terms=terms)
+            self.assert_least(got, exact_sum(terms) / (d * Fraction(2) ** e))
+
+    def test_pairs_and_terms_sum_exactly(self):
+        rng = random.Random(24)
+        for _ in range(1000):
+            x, y = rand_magnitude(rng, 100), rand_bigfloat(rng, 150, 100)
+            term = (rng.getrandbits(rng.randrange(1, 90)), rng.randrange(-300, 100))
+            d = rng.getrandbits(rng.randrange(1, 201)) | 1
+            got = mag.div_upper((d, -7), [(x, y), (y, mag.ONE)], [term])
+            exact = F(x) * abs(F(y)) + abs(F(y)) + exact_sum([term])
+            if exact:
+                self.assert_least(got, exact / d * 2 ** 7)
+            else:
+                assert got.is_zero()
+
+    def test_divisors_of_2_to_the_32_and_more(self):
+        for n in (2 ** 32 + 1, 3 ** 21, 3 ** 40, 10 ** 30 + 7, (1 << 200) - 1):
+            for num in (1, 3, 10 ** 9 + 7, (1 << 30) - 1, 1 << 100):
+                self.assert_least(mag.div_upper((n, 0), terms=[(num, 0)]), Fraction(num, n))
+
+    def test_far_apart_terms(self):
+        # terms far below the head reach the quotient only as a sticky bit
+        for lsb in (-100, -10 ** 4):
+            for d in (3, 2 ** 40 + 1, 3 ** 100):
+                terms = [((1 << 30) - 1, 0), (1, lsb)]
+                self.assert_least(mag.div_upper((d, 0), terms=terms),
+                                  exact_sum(terms) / d)
+                self.assert_least(mag.div_upper((d, 0), terms=terms[::-1]),
+                                  exact_sum(terms) / d)
+
+    def test_infinities(self):
+        assert mag.div_upper(BigFloat.from_int(3), [(mag.INF, mag.ONE)]).is_inf()
+        assert mag.div_upper(bf.POS_INF, [(mag.INF, mag.ONE)]).is_inf()
+        assert mag.div_upper(bf.POS_INF, [(mag.ONE, mag.ONE)]).is_zero()
+        assert mag.div_upper((3, 0), [(mag.ZERO, mag.INF)]).is_zero()
 
 
 class TestCompare:
@@ -312,12 +374,12 @@ class TestHelpers:
     def test_mul_div_int(self):
         x = mag.from_int_upper(10)
         assert 30 <= F(mag.mul_int_upper(x, 3)) <= 30 * TIGHT
-        assert Fraction(10, 3) <= F(mag.div_int_upper(x, 3)) <= Fraction(10, 3) * TIGHT
+        assert Fraction(10, 3) <= F(mag.div_upper((3, 0), [(x, mag.ONE)])) <= Fraction(10, 3) * TIGHT
         assert mag.mul_int_upper(x, 0).is_zero()
 
     def test_min_max(self):
         a, b = mag.from_int_upper(2), mag.from_int_upper(5)
-        assert mag.min_(a, b) == a and mag.max_(a, b) == b
+        assert mag.min_(a, b) == a
 
     def test_text_round_trip(self):
         rng = random.Random(3)

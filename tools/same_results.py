@@ -8,8 +8,11 @@ checkout).  Each line is one result in exact text (``M*2^E`` midpoints and
 radii, predicate answers, decimal strings, or the exception raised); the
 last line is the SHA-256 of all the others.  Running it on two checkouts and
 comparing the outputs (or just the hashes) shows whether a change kept every
-result bit-identical.  It calls only public functions, none of them new, so
-it runs on older checkouts too.
+result bit-identical.  It calls only public functions.  The magnitude
+section calls ``magnitude.div_upper``, which older checkouts lack: there the
+section stops with the exception as its last line, and that section is read
+from the checkout's own copy of the tool, whose quotients sit on the same
+lines.
 
 ``--compare`` reads two such outputs and prints, per section, how many
 results are identical, keep their midpoints with a narrower or a wider
@@ -96,9 +99,9 @@ def _magnitude(rng, m, out):
         x, y, z = (_rand_mag(rng, mag) for _ in range(3))
         out(mag.add(x, y), mag.mul(x, y), mag.addmul(z, x, y), mag.compare(x, y))
         out(mag.mul_int_upper(x, rng.randrange(0, 10 ** 12)),
-            mag.div_int_upper(x, rng.randrange(1, 10 ** 12)))
+            mag.div_upper((rng.randrange(1, 10 ** 12), 0), [(x, mag.ONE)]))
         b = _rand_bigfloat(rng, m.BigFloat, 100)
-        out(mag.from_bigfloat_upper(b), mag.div_lower_denominator(x, abs(b)))
+        out(mag.from_bigfloat_upper(b), mag.div_upper(abs(b), [(x, mag.ONE)]))
     top = (1 << 30) - 1
     for e in range(-3, 4):
         t = mag.from_man_exp_upper(top, e)
@@ -139,6 +142,17 @@ def _ball(rng, m, out):
         xs, ys = ([m.Ball(_rand_bigfloat(rng, m.BigFloat, 100, 40), _rand_mag(rng, m.magnitude, 150))
                    for _ in range(n)] for n in [rng.randrange(2, 10)] * 2)
         out(b.dot(xs, ys, rng.choice((2, 53, 64, 333)), _rand_ball(rng, m) if rng.random() < 0.3 else None))
+    # last as well: division by ints from 2^30 to 3^40, and quotients and
+    # roots of balls whose radii reach half their midpoints
+    for _ in range(300):
+        x = _rand_ball(rng, m, 200)
+        n = rng.randrange(1 << 30, 3 ** 40) * rng.choice((-1, 1))
+        out(b.div_int(x, n, rng.choice((2, 53, 64, 333))))
+        x, y = (m.Ball(v, m.magnitude.from_man_exp_upper(rng.getrandbits(30) | 1,
+                                                         v.exp - 32 - rng.randrange(0, 40)))
+                for v in (_rand_bigfloat(rng, m.BigFloat, 200, 40) for _ in range(2)))
+        p = rng.choice((2, 53, 64, 333))
+        out(b.div(x, y, p), b.div(y, x, p), b.sqrt(m.Ball(abs(x.mid), x.rad), p))
 
 
 def _elementary(rng, m, out):
