@@ -55,6 +55,20 @@ in the precision regardless of the input: beyond the cutoffs, sin/cos return
 [0 +/- 1] and exp collapses to a tiny one-sided enclosure (negative side) or
 the whole line (positive side).
 
+An inexact input carries only so many bits, and no result is computed
+beyond them: exp, sin/cos, log and atan evaluate the point value at
+min(prec, bound + 64) bits (``_accuracy_prec``), where bound is what the
+radius they propagate leaves of the result.  For exp, sin, cos and atan it
+is the input's absolute accuracy, -x.rad.exp: the propagated radius is at
+least the input radius times the result's magnitude (exp) or on the scale
+of a result below 2 in size (sin, cos, atan).  For log it is the input's
+relative accuracy plus the bit length of x.mid.exp, as |log x| <= (|e| +
+1) log 2.  The point's rounding error then lies about 64 bits below the
+propagated radius, so the radius rounded up to 30 bits keeps its value
+(``tools/same_results.py`` finds none wider).  The cutoffs above still test
+the caller's prec, so a capped precision never turns a huge argument into
+[0 +/- 1] or the whole line.
+
 The constants pi and log(2) are evaluated by binary splitting of fast
 series (Machin's formula, atanh(1/3)) at a power-of-two working precision,
 the least one at least 16 bits above the request (``_bucket``), so results
@@ -183,6 +197,15 @@ _ATANH_LIPSCHITZ = mag.div_upper((24, 0), terms=[(25, 0)])
 
 # Fraction bits the kernel carries beyond the caller's working precision.
 _GUARD = 16
+
+# Bits a point value of an inexact input keeps beyond those its radius leaves.
+_ACC_GUARD = 64
+
+
+def _accuracy_prec(prec: int, bound: int) -> int:
+    """The working precision for a result that carries at most bound bits."""
+    return min(prec, max(0, bound) + _ACC_GUARD)
+
 
 # Series of at least _BLOCK_TERMS terms at w >= _BLOCK_BITS bits are summed
 # in blocks, the rest term by term: below about 2000 bits a full multiply
@@ -409,6 +432,8 @@ def exp(x: Ball, prec: int) -> Ball:
             t = 1 << cutoff
             return Ball(BigFloat.from_man_exp(1, -t - 1), mag.pow2(-t - 1))
         return ball.whole_line()
+    if not x.rad.is_zero():  # e^x's radius is about e^x rad
+        prec = _accuracy_prec(prec, -x.rad.exp)
     return _exp_point(m, x.rad, prec)
 
 
@@ -483,7 +508,8 @@ def _sin_cos(x: Ball, prec: int, parts: tuple) -> tuple:
         return (_UNIT,) * len(parts)
     if x.rad.is_zero():
         return _sin_cos_point(m, [], prec, parts)
-    return tuple(map(_tighten_unit, _sin_cos_point(m, [(x.rad, mag.ONE)], prec, parts)))  # Lipschitz 1
+    return tuple(map(_tighten_unit, _sin_cos_point(m, [(x.rad, mag.ONE)],  # Lipschitz 1
+                                                   _accuracy_prec(prec, -x.rad.exp), parts)))
 
 
 def sin_cos(x: Ball, prec: int) -> tuple[Ball, Ball]:
@@ -530,9 +556,10 @@ def log(x: Ball, prec: int) -> Ball:
         return ball.indeterminate()  # NaN, -inf, or the ball touches (-inf, 0]
     if m.is_inf():
         return Ball(bf.POS_INF)
-    # sup 1/t over the ball
+    # sup 1/t over the ball; |log m| <= (|m.exp| + 1) log 2
     xr = [] if x.rad.is_zero() else [(mag.div_upper(lo, [(x.rad, mag.ONE)]), mag.ONE)]
-    return _log_point(m, xr, prec)
+    return _log_point(m, xr, _accuracy_prec(prec, ball.rel_accuracy_bits(x) + m.exp.bit_length())
+                      if xr else prec)
 
 
 # -- atan -------------------------------------------------------------------------
@@ -611,7 +638,7 @@ def atan(x: Ball, prec: int) -> Ball:
         if m.is_regular():
             pairs.append((mag.pow2(1 - m.exp), mag.ONE))
         return ball.rounded(bf.round_to(v, prec, _NE), pairs, prec, v)
-    return _atan_point(m, xr, prec)
+    return _atan_point(m, xr, _accuracy_prec(prec, -x.rad.exp) if xr else prec)
 
 
 # -- pow --------------------------------------------------------------------------

@@ -3,8 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
+import pytest
+
 import midrad
-from midrad import cli
+from conftest import contains_fraction, mpf_fraction
+from midrad import ball, cli, decimal_io, elementary as el
 
 
 def test_import_leaves_numpy_out():
@@ -60,6 +64,32 @@ class TestEval:
         head, _, exponent = out.strip().partition("[+/- 1.00e")
         assert not head and exponent.endswith("]")
         assert 400000000 <= int(exponent[:-1]) <= 400000005  # [+/- 10^K] holds 10^400000000
+
+    @pytest.mark.parametrize("fn", ("exp", "log", "sin", "atan"))
+    def test_inexact_binding_exit_2_with_bounded_work(self, capsys, monkeypatch, fn):
+        # the binding carries about 95 bits against a 1000-bit target, so the
+        # loop climbs to the default cap of 2^24 bits; every series runs near
+        # the bits the binding carries (plus 64, plus the point routines' own
+        # guard bits, about 40 here), so a regression fails here and does not
+        # hang
+        literal = "1.2345678901234567890"
+        x = decimal_io.from_decimal(literal)
+        bound = (ball.rel_accuracy_bits(x) + x.mid.exp.bit_length() if fn == "log"
+                 else -x.rad.exp) + 64 + 64
+        kernel = el._series
+
+        def series(f, w, z):
+            if w > bound:
+                raise AssertionError(f"series at {w} bits, above {bound}")
+            return kernel(f, w, z)
+
+        monkeypatch.setattr(el, "_series", series)
+        code, out, err = run(capsys, "eval", f"{fn}(x)", "--var", f"x={literal}",
+                             "--digits", "300")
+        assert code == 2 and "unconverged at precision cap 16777216" in err
+        with mpmath.workprec(400):
+            ref = mpf_fraction(getattr(mpmath, fn)(mpmath.mpf(literal)))
+        assert contains_fraction(decimal_io.from_decimal(out.strip()), ref), out
 
     def test_parse_error_exit_1(self, capsys):
         code, _, err = run(capsys, "eval", "sin(")

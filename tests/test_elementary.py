@@ -790,24 +790,37 @@ def test_huge_argument_series_at_target_precision(monkeypatch):
         assert_encloses(c, mpf_fraction(mpmath.cos(xm)), "cos")
 
 
+def capped_prec(fn, x, prec):
+    """The working precision fn takes for the point value of an inexact x:
+    prec capped at the bits its propagated radius leaves, plus 64."""
+    if x.rad.is_zero():
+        return prec
+    if fn == "log":
+        return el._accuracy_prec(prec, ball.rel_accuracy_bits(x) + x.mid.exp.bit_length())
+    return el._accuracy_prec(prec, -x.rad.exp)
+
+
 def test_exp_rounds_the_input_radius_once():
     # the input radius joins the point's own sum: never wider than the point
-    # ball times [1 +/- (e^r - 1)], which rounds the point and then the product
+    # ball, at the capped precision, times [1 +/- (e^r - 1)], which rounds the
+    # point and then the product
     rng = random.Random(15)
     for _ in range(3000):
         m = BigFloat.from_man_exp(rng.getrandbits(64) | 1 | 1 << 63, rng.randrange(-72, -56))
         x = Ball(-m if rng.random() < 0.5 else m, mag.pow2(-rng.randrange(60, 121)))
         prec = rng.choice((53, 64, 333))
         r = el.exp(x, prec)
-        fold = ball.mul(el.exp(Ball(x.mid), prec), Ball(bf.ONE, el._expm1_upper(x.rad)), prec)
+        wp = capped_prec("exp", x, prec)
+        fold = ball.mul(el.exp(Ball(x.mid), wp), Ball(bf.ONE, el._expm1_upper(x.rad)), wp)
         assert r.mid == fold.mid, (x, prec)
         assert mag.compare(r.rad, fold.rad) <= 0, (x, prec)
 
 
 @pytest.mark.parametrize("fn", ("sin", "cos", "log", "atan"))
 def test_input_radius_rounds_once(fn):
-    # the midpoint of the point value, and a radius no wider than the point's
-    # radius plus the input radius times sup |f'|, added after the rounding
+    # the midpoint of the point value at the capped precision, and a radius
+    # no wider than the point's radius plus the input radius times sup |f'|,
+    # added after the rounding
     rng = random.Random(16)
     f = getattr(el, fn)
     for _ in range(300):
@@ -815,10 +828,86 @@ def test_input_radius_rounds_once(fn):
         if fn == "log":
             x = Ball(abs(x.mid), x.rad)
         prec = rng.choice((53, 64, 333))
-        r, point = f(x, prec), f(Ball(x.mid), prec)
+        r, point = f(x, prec), f(Ball(x.mid), capped_prec(fn, x, prec))
         if r.is_indeterminate() or r.rad.to_fraction() >= 1:
             continue
         prop = (mag.div_upper(ball.lower_bound(x, 32), [(x.rad, mag.ONE)]) if fn == "log"
                 else x.rad)
         assert r.mid == point.mid, (fn, x, prec)
         assert mag.compare(r.rad, mag.add(point.rad, prop)) <= 0, (fn, x, prec)
+
+
+# -- working precision capped by the input's accuracy ------------------------------
+
+
+def uncapped(monkeypatch):
+    """Make every function evaluate its point value (_*_point) at the
+    caller's prec, as before the cap."""
+    monkeypatch.setattr(el, "_accuracy_prec", lambda prec, bound: prec)
+
+
+def dyadic_mpf(q: Fraction):
+    """q = p / 2^k exactly as an mpmath float."""
+    with mpmath.workprec(max(53, abs(q.numerator).bit_length() + 8)):
+        return mpmath.ldexp(mpmath.mpf(q.numerator), 1 - q.denominator.bit_length())
+
+
+def test_capped_precision_keeps_the_uncapped_radius(monkeypatch):
+    # a cap at the relative accuracy + 64 bits would widen both: exp's
+    # radius about 190 times (2^-100 carries 100 bits relative, 200 absolute)
+    # and log's from 2^-94 to 2^-89 (its value has 71 integer bits)
+    cases = [(el.exp, Ball(BigFloat.from_man_exp(1, -100), mag.pow2(-200))),
+             (el.log, Ball(BigFloat.from_man_exp(1, 1 << 70), mag.pow2((1 << 70) - 95)))]
+    capped = [f(x, 400) for f, x in cases]
+    assert capped[0].rad.to_text() == "268435457*2^-228"  # 2^-200 (1 + 2^-28)
+    uncapped(monkeypatch)
+    for (f, x), r in zip(cases, capped):
+        assert mag.compare(r.rad, f(x, 400).rad) == 0, f
+
+
+def test_cutoffs_test_the_callers_precision():
+    # at 74 bits, the capped precision, sin's cutoff max(65536, 4 prec) would
+    # return [0 +/- 1] and exp's 2 prec the whole line
+    x = Ball(BigFloat.from_man_exp(12345, 70000), mag.pow2(-10))
+    s = el.sin(x, 20000)
+    assert s.rad.to_fraction() < Fraction(1, 2 ** 9)
+    with mpmath.workprec(70200):
+        assert_encloses(s, mpf_fraction(mpmath.sin(mpmath.ldexp(12345, 70000))), "sin")
+    y = Ball(BigFloat.from_man_exp(3, 200), mag.pow2(-10))
+    e = el.exp(y, 1000)
+    assert ball.rel_accuracy_bits(e) >= 8
+    with mpmath.workprec(400):  # |e^(3 2^200) - mid| < rad, compared as mpmath floats
+        mid = mpmath.ldexp(e.mid.sign * e.mid.man, e.mid.lsb)
+        rad = mpmath.ldexp(e.rad.man, e.rad.exp - 30)
+        assert abs(mpmath.exp(mpmath.ldexp(3, 200)) - mid) < rad
+
+
+def test_capped_precision_encloses_without_widening(monkeypatch):
+    # inexact balls at 53 to 4000 bits, with relative radii from 2^-8 to
+    # 80 bits below the precision: each result holds f at both endpoints
+    # and the midpoint, and is no wider than the point value at prec
+    rng = random.Random(19)
+    fns = {"exp": (el.exp, (mpmath.exp,)), "sin_cos": (el.sin_cos, (mpmath.sin, mpmath.cos)),
+           "log": (el.log, (mpmath.log,)), "atan": (el.atan, (mpmath.atan,))}
+    cases = []
+    for _ in range(1000):
+        prec = int(53 * (4000 / 53) ** rng.random())
+        man = rng.getrandbits(64) | 1 << 63
+        mid = BigFloat.from_man_exp(-man if rng.random() < 0.5 else man, rng.randrange(-80, -57))
+        rad = mag.from_man_exp_upper(rng.getrandbits(30) | 1, mid.exp - rng.randrange(8, prec + 80) - 30)
+        cases.append((Ball(mid, rad), prec))
+    results = [[f(Ball(abs(x.mid), x.rad) if name == "log" else x, prec)
+                for name, (f, _) in fns.items()] for x, prec in cases]
+    assert sum(capped_prec("exp", x, prec) < prec for x, prec in cases) > 500
+    uncapped(monkeypatch)
+    for (x0, prec), rs in zip(cases, results):
+        for (name, (f, refs)), r in zip(fns.items(), rs):
+            x = Ball(abs(x0.mid), x0.rad) if name == "log" else x0
+            r, u = (r, f(x, prec)) if name == "sin_cos" else ((r,), (f(x, prec),))
+            for b, ub in zip(r, u):
+                assert mag.compare(b.rad, ub.rad) <= 0, (name, x, prec)
+            m, d = x.mid.to_fraction(), x.rad.to_fraction()
+            with mpmath.workprec(prec + 100):
+                for t in (m - d, m, m + d):
+                    for b, ref in zip(r, refs):
+                        assert_encloses(b, mpf_fraction(ref(dyadic_mpf(t))), (name, x, prec))

@@ -60,6 +60,12 @@ def test_compare_counts_each_class(tmp_path):
            "complex '([1.5 +/- 2.00e-5]; [+/- 3.00e400000247])'",
            "decimal '0.1'",
            "expreval True",
+           "elementary (3*2^0; 1*2^-10)",
+           "elementary (3*2^0; 1*2^-10)",
+           "elementary (3*2^0; 1*2^-10)",
+           "elementary ((1*2^0; 0), (5*2^3; 7*2^-3))",
+           "complex '([1.5 +/- 2.00e-5]; [+/- 3.00e400000247])'",
+           "complex '([1.5 +/- 2.00e-5]; [+/- 3.00e400000247])'",
            "sha256 0123"]
     new = ["ball (3*2^0; 1*2^-10)",               # identical
            "ball (3*2^0; 1*2^-11)",               # narrower
@@ -74,6 +80,12 @@ def test_compare_counts_each_class(tmp_path):
            "complex '([1.5 +/- 2.00e-5]; [+/- 3.01e400000247])'",  # wider
            "decimal '0.2'",                       # changed
            "expreval True",                       # identical
+           "elementary (3073*2^-10; 1*2^-10)",    # moved: 3 + 2^-10 is inside the old ball
+           "elementary (3075*2^-10; 1*2^-11)",    # 3 + 3 2^-10 is outside: changed
+           "elementary (3073*2^-10; 3*2^-11)",    # inside but wider: changed
+           "elementary ((1*2^0; 0), (81*2^-1; 7*2^-3))",  # moved, one ball of two
+           "complex '([1.50001 +/- 1.99e-5]; [+/- 3.00e400000247])'",  # moved
+           "complex '([1.6 +/- 2.00e-5]; [+/- 3.00e400000247])'",  # outside: changed
            "expreval False",                      # only on one side: changed
            "sha256 4567"]
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -83,11 +95,12 @@ def test_compare_counts_each_class(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1, proc.stderr  # some results are wider or changed
     rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()}
-    assert rows["section"] == ["identical", "narrower", "wider", "changed"]
-    assert rows["ball"] == ["1", "3", "2", "3"]
-    assert rows["complex"] == ["0", "1", "1", "0"]
-    assert rows["decimal"] == ["0", "0", "0", "1"]
-    assert rows["expreval"] == ["1", "0", "0", "1"]
+    assert rows["section"] == ["identical", "narrower", "wider", "moved", "changed"]
+    assert rows["ball"] == ["1", "3", "2", "0", "3"]
+    assert rows["complex"] == ["0", "1", "1", "1", "1"]
+    assert rows["decimal"] == ["0", "0", "0", "0", "1"]
+    assert rows["expreval"] == ["1", "0", "0", "0", "1"]
+    assert rows["elementary"] == ["0", "0", "0", "2", "2"]
     assert "sha256" not in rows
 
 
@@ -98,6 +111,7 @@ def test_compare_exits_1_on_a_wider_or_changed_result(tmp_path):
                       (["ball (3*2^0; 1*2^-11)", "decimal '0.1'", "sha256 4567"], 0),
                       (["ball (3*2^0; 3*2^-11)", "decimal '0.1'", "sha256 4567"], 1),
                       (["ball (3*2^0; 1*2^-10)", "decimal '0.2'", "sha256 4567"], 1),
+                      (["ball (3073*2^-10; 1*2^-10)", "decimal '0.1'", "sha256 4567"], 0),
                       (["ball (3*2^0; 1*2^-10)", "sha256 4567"], 1)):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         a.write_text("\n".join(old) + "\n")

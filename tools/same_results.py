@@ -16,16 +16,20 @@ lines.
 
 ``--compare`` reads two such outputs and prints, per section, how many
 results are identical, keep their midpoints with a narrower or a wider
-radius, or changed otherwise (a midpoint, a printed digit, an answer).  A
-result that is a bare magnitude on both sides (``0``, ``inf`` or ``M*2^E``
-with M below 2^30, such as ``ball.upper_mag``'s) counts as narrower or wider
-by its value.  It parses only the text, so it compares outputs of any
-checkout.  It exits 1 when any result is wider or changed, else 0.
+radius, moved, or changed otherwise (a printed digit, an answer).  A result
+has moved when a midpoint changed, no radius is wider, and every new
+midpoint lies inside its old ball (exact ``M*2^E`` and printed decimal
+balls alike).  A result that is a bare magnitude on both sides (``0``,
+``inf`` or ``M*2^E`` with M below 2^30, such as ``ball.upper_mag``'s) counts
+as narrower or wider by its value.  It parses only the text, so it compares
+outputs of any checkout.  It exits 1 when any result is wider or changed,
+else 0.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import re
 import sys
@@ -187,6 +191,13 @@ def _elementary(rng, m, out):
             d = m.BigFloat.from_man_exp(rng.getrandbits(30) - (1 << 29), -rng.randrange(30, 230))
             out(el.cos(m.Ball(d, rad), p), el.sin(m.Ball(half_pi, rad), p),
                 el.sin(m.Ball(-half_pi, rad), p))
+    # last as well: 20-digit literals, which carry about 95 bits, at the
+    # working precisions of 300-, 1000- and 5000-digit evaluation
+    for _ in range(5):
+        digits = str(rng.randrange(10 ** 19, 10 ** 20))
+        x = m.decimal_io.from_decimal(digits[0] + "." + digits[1:])
+        for p in (1032, 4128, 16384):
+            out(el.exp(x, p), el.log(x, p), el.sin_cos(x, p), el.atan(x, p))
 
 
 def _poly(rng, m, out):
@@ -328,7 +339,11 @@ def digest(sections=SECTIONS, seed: int = 1611, echo=None) -> str:
 _BALL = re.compile(r"\(([^()\[\];]+); ([^()\[\];]+)\)|\[([^\[\]]*?) ?\+/- ([^\[\]]+)\]")
 # a bare magnitude: 0, inf or M*2^E with M below 2^30
 _MAG = re.compile(r"0|inf|(\d{1,10})\*2\^-?\d+")
-CLASSES = ("identical", "narrower", "wider", "changed")
+CLASSES = ("identical", "narrower", "wider", "moved", "changed")
+# the widest exponent spread (bits, decimal digits) at which _inside still
+# compares a midpoint with an old ball exactly; beyond it the result counts
+# as changed
+_SPREAD_LIMIT = {2: 1 << 25, 10: 10 ** 5}
 
 
 def _rad_key(text: str) -> tuple:
@@ -343,6 +358,51 @@ def _rad_key(text: str) -> tuple:
     return 1, int(e) + m.bit_length(), m << (64 - m.bit_length())
 
 
+def _scaled(text: str):
+    """(m, base, e) with value m base^e for M*2^E (base 2), 0 or a decimal
+    such as -1.5e-7 (base 10); None for any other text."""
+    if "*2^" in text:
+        m, _, e = text.partition("*2^")
+        return int(m), 2, int(e)
+    try:
+        d = Decimal(text or "0")
+    except ArithmeticError:
+        return None
+    if not d.is_finite():
+        return None
+    sign, digits, e = d.as_tuple()
+    return (-1) ** sign * int("".join(map(str, digits))), 10, e
+
+
+def _inside(mid: str, old_mid: str, old_rad: str) -> bool:
+    """Does the new midpoint lie in the old ball?  Decided exactly on ints
+    scaled to the least exponent, within _SPREAD_LIMIT."""
+    vs = [_scaled(t) for t in (mid, old_mid, old_rad)]
+    if None in vs[:2]:
+        return False
+    if old_rad == "inf":
+        return True
+    if vs[2] is None:
+        return False
+    bases = {b for m, b, _ in vs if m}
+    if not bases:
+        return True
+    if len(bases) > 1:
+        return False
+    base = bases.pop()
+    # |b - a| < 2 base^t <= r when both lie below base^t and r >= base^(t+1)
+    size = (lambda m: m.bit_length()) if base == 2 else (lambda m: len(str(abs(m))))
+    tops = [e + size(m) if m else -math.inf for m, _, e in vs]
+    if vs[2][0] and max(tops[:2]) + 2 <= tops[2]:
+        return True
+    es = [e for m, _, e in vs if m]
+    e0 = min(es)
+    if max(es) - e0 > _SPREAD_LIMIT[base]:
+        return False
+    b, a, r = (m * base ** (e - e0) if m else 0 for m, _, e in vs)
+    return abs(b - a) <= r
+
+
 def _is_mag(text: str) -> bool:
     t = _MAG.fullmatch(text)
     return bool(t) and (t[1] is None or int(t[1]) < 1 << 30)
@@ -351,17 +411,25 @@ def _is_mag(text: str) -> bool:
 def classify(a: str, b: str) -> str:
     """One of CLASSES for the same result in two outputs: narrower or wider
     when only radii differ (wider if any radius grew) or when both are bare
-    magnitudes (wider if it grew), changed otherwise."""
+    magnitudes (wider if it grew); moved when midpoints changed too but no
+    radius grew and each new midpoint lies in its old ball; changed
+    otherwise."""
     if a == b:
         return "identical"
     if _is_mag(a) and _is_mag(b):
         return "wider" if _rad_key(b) > _rad_key(a) else "narrower"
     balls_a, balls_b = _BALL.findall(a), _BALL.findall(b)
-    if (not balls_a or _BALL.sub("", a) != _BALL.sub("", b) or len(balls_a) != len(balls_b)
-            or any(x[0::2] != y[0::2] for x, y in zip(balls_a, balls_b))):
+    if not balls_a or _BALL.sub("", a) != _BALL.sub("", b) or len(balls_a) != len(balls_b):
         return "changed"
-    keys = [(_rad_key(x[1] or x[3]), _rad_key(y[1] or y[3])) for x, y in zip(balls_a, balls_b)]
-    return "wider" if any(kb > ka for ka, kb in keys) else "narrower"
+    # each ball as (mid, rad): groups 0 and 1 in exact text, 2 and 3 printed
+    pairs = [(x[0::2], x[1] or x[3], y[0::2], y[1] or y[3]) for x, y in zip(balls_a, balls_b)]
+    wider = any(_rad_key(rb) > _rad_key(ra) for _, ra, _, rb in pairs)
+    if all(ma == mb for ma, _, mb, _ in pairs):
+        return "wider" if wider else "narrower"
+    if wider or not all(ma == mb or _inside("".join(mb), "".join(ma), ra)
+                        for ma, ra, mb, _ in pairs):
+        return "changed"
+    return "moved"
 
 
 def compare(lines_a, lines_b) -> dict:
@@ -386,6 +454,7 @@ def compare(lines_a, lines_b) -> dict:
 
 
 def main(argv) -> int:
+    sys.set_int_max_str_digits(0)
     if len(argv) == 4 and argv[1] == "--compare":
         with open(argv[2]) as fa, open(argv[3]) as fb:
             counts = compare(fa, fb)
@@ -397,7 +466,6 @@ def main(argv) -> int:
         print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 1
     sys.path.insert(0, argv[1])
-    sys.set_int_max_str_digits(0)
     print(f"sha256 {digest(echo=print)}")
     return 0
 
