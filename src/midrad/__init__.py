@@ -8,8 +8,9 @@ Submodules:
 - ``elementary`` exp, log, sin/cos, atan, pow, and cached constants
 - ``decimal_io`` guaranteed decimal printing/parsing of balls
 - ``complexbox`` rectangular complex intervals, principal branches
-- ``ballpoly``   interval polynomials; every product is one dot of midpoints
-                 and radii over exact integer convolutions, rounded once
+- ``ballpoly``   interval polynomials; every product is one dot whose output
+                 midpoints and radii are exact integer-convolution sums, each
+                 rounded once by bigfloat's and magnitude's sum kernels
 - ``intpoly``    exact integer polynomial products (schoolbook, or Kronecker
                  substitution with a single big multiplication: an int one,
                  or for big products a libmpdec (``decimal``) one)

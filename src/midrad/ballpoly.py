@@ -8,9 +8,13 @@ degree: it splits midpoints from radii, rescales each product x -> 2^c x so
 coefficient magnitudes vary slowly, cuts the scaled coefficients into blocks
 of bounded exponent spread, and multiplies block pairs exactly over the
 integers (``intpoly.mul``); ``mul_block(f, f)`` hands each block of f to it
-as both factors, so that the big block products are squares.  Midpoints
-round to nearest at the working precision; the radius sum |A| b + a (|B| + b)
-plus their half ulps is one more exact sum, rounded up to a 30-bit magnitude.
+as both factors, so that the big block products are squares.  The block
+products of each output are folded into one exact sum as they are produced,
+which bounds memory (keeping every contribution per output raised the
+products benchmark's peak RSS by 10.8 %).  The scalar kernels then round
+each output once: ``bigfloat._round_sum`` its midpoint to nearest at the
+working precision, and ``magnitude.sum_upper`` its radius sum
+|A| b + a (|B| + b), a second block product, plus the midpoint's half ulp.
 
 The scale c is a heuristic: slopes of the coefficient exponents are sampled
 over the whole index range and over the trailing half (series tails with
@@ -20,10 +24,8 @@ and the steeper sample wins.  Any c is sound; it only affects block count.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import zip_longest
+from typing import NamedTuple
 
 from . import ball
 from . import bigfloat as bf
@@ -51,10 +53,8 @@ __all__ = [
 
 _NE = Rounding.NEAREST_EVEN
 _SCHOOLBOOK_DEGREE = 16   # strictly below this degree, dot goes schoolbook
-_UP = Rounding.UP
 _RADIUS_SPAN = 128        # exponent spread of one radius block
 _FOLD_GAP = 64            # widest gap an exact output sum bridges
-_MAG_BITS = 30            # mantissa bits of a Magnitude
 
 
 class BallPoly:
@@ -100,17 +100,6 @@ class BallPoly:
         return f"BallPoly(len={len(self.coeffs)})"
 
 
-@dataclass
-class BlockPlan:
-    """Scaling, block boundaries and (man, lsb) terms of the exact midpoint stage."""
-    scale: int
-    blocks_f: list
-    blocks_g: list
-    height_cap: int
-    terms_f: list
-    terms_g: list
-
-
 def _zip_with(op, f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
     zero = Ball(bf.ZERO)
     return BallPoly([op(a, b, prec) for a, b in zip_longest(f, g, fillvalue=zero)])
@@ -146,47 +135,39 @@ def mul_schoolbook(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
 
 # -- block plan --------------------------------------------------------------------
 
-def _round_ties_to_zero(x: Fraction) -> int:
-    fl = math.floor(x)
-    fr = x - fl
-    half = Fraction(1, 2)
-    if fr > half:
-        return fl + 1
-    if fr < half:
-        return fl
-    return fl if x > 0 else fl + 1
-
-
-def _slope_samples(p: BallPoly):
-    idx = [i for i, c in enumerate(p.coeffs) if c.mid.is_regular()]
-    if len(idx) < 2:
-        return None, None
-    a, b = idx[0], idx[-1]
-    glob = (p.coeffs[b].mid.exp - p.coeffs[a].mid.exp, b - a)
-    m = (a + b + 1) // 2
-    mi = next((i for i in idx if m <= i < b), None)
-    tail = None
-    if mi is not None and b - mi >= 2:
-        tail = (p.coeffs[b].mid.exp - p.coeffs[mi].mid.exp, b - mi)
-    return glob, tail
+class BlockPlan(NamedTuple):
+    """One exact product's (man, lsb) terms, their block runs [s, e) and the
+    scale 2^(c*i) of the blocks: the record ``_conv_sums`` reads."""
+    terms_f: list
+    blocks_f: list
+    terms_g: list
+    blocks_g: list
+    scale: int
 
 
 def _scale_heuristic(f: BallPoly, g: BallPoly) -> int:
-    globs, tails = [], []
+    """The scale c: minus the steeper slope, rise over run pooled over f and
+    g, rounded with ties toward zero."""
+    rise = run = trise = trun = 0
     for p in (f, g):
-        glob, tail = _slope_samples(p)
-        if glob:
-            globs.append(glob)
-        if tail:
-            tails.append(tail)
-    if not globs:
+        idx = [i for i, x in enumerate(p.coeffs) if x.mid.is_regular()]
+        if len(idx) < 2:
+            continue
+        a, b = idx[0], idx[-1]
+        eb = p.coeffs[b].mid.exp
+        rise += eb - p.coeffs[a].mid.exp
+        run += b - a
+        m = (a + b + 1) // 2
+        mi = next((i for i in idx if m <= i < b), None)
+        if mi is not None and b - mi >= 2:
+            trise += eb - p.coeffs[mi].mid.exp
+            trun += b - mi
+    if not run:
         return 0
-    s = Fraction(sum(de for de, _ in globs), sum(di for _, di in globs))
-    if tails:
-        st = Fraction(sum(de for de, _ in tails), sum(di for _, di in tails))
-        if abs(st) > abs(s):
-            s = st
-    return -_round_ties_to_zero(s)
+    if trun and abs(trise) * run > abs(rise) * trun:
+        rise, run = trise, trun
+    c = (2 * abs(rise) + run - 1) // (2 * run)  # |rise| / run, ties down
+    return -c if rise > 0 else c
 
 
 def _mid_terms(mids: list) -> list:
@@ -194,7 +175,7 @@ def _mid_terms(mids: list) -> list:
 
 
 def _mag_terms(xs: list) -> list:
-    return [(x.man, x.exp - _MAG_BITS) if x.is_regular() else (0, 0) for x in xs]
+    return [(x.man, x.exp - x.man.bit_length()) if x.is_regular() else (0, 0) for x in xs]
 
 
 def _partition(terms: list, c: int, cap: int) -> list:
@@ -231,7 +212,7 @@ def plan_blocks(f: BallPoly, g: BallPoly, prec: int) -> BlockPlan:
     tg = tf if g is f else _mid_terms([x.mid for x in g])
     bf = _partition(tf, c, cap)
     bg = bf if tg is tf else _partition(tg, c, cap)
-    return BlockPlan(c, bf, bg, cap, tf, tg)
+    return BlockPlan(tf, bf, tg, bg, c)
 
 
 # -- exact block convolution -------------------------------------------------------------
@@ -243,22 +224,19 @@ def _block_ints(terms: list, c: int, start: int, end: int) -> tuple[list, int]:
             for i, (m, l) in enumerate(terms[start:end], start)], base
 
 
-def _conv_rounded(products: list, n: int, prec: int, rnd: int) -> list:
-    """(sum, inexact) for each k < n: the sum over the products of
-    sum_{i+j=k} f_i g_j, rounded once to prec.
+def _conv_sums(products: list, n: int) -> list:
+    """For each k < n, the exact sum over the BlockPlans in products of
+    sum_{i+j=k} f_i g_j, as a list of (man, lsb) int terms; nothing rounds.
 
-    A product is (fterms, fblocks, gterms, gblocks, c): (man, lsb) terms,
-    index runs over them, and the scale 2^(c*i) of the blocks.  Each block
-    pair is one exact integer product.  Its coefficients are folded, at their
-    true exponents, into an exact (man, lsb) sum per output as they are
-    produced; one lying more than _FOLD_GAP bits away from that sum is kept
-    as a separate term instead, so that far-apart exponents never widen an
-    integer.  The fold exists to bound memory, not to round: no output keeps
-    a list of every coefficient it receives.  Each output's exact total is
-    then rounded once, by bf.vector_sum when terms were kept apart.  A
-    product whose gterms and gblocks are its fterms and fblocks is a square:
-    its blocks are converted once, and a block pair on the diagonal passes
-    the same list twice.
+    Each block pair is one exact integer product.  Its coefficients are
+    folded, at their true exponents, into one (man, lsb) sum per output as
+    they are produced; one lying more than _FOLD_GAP bits away from that sum
+    is kept as a separate term instead, so that far-apart exponents never
+    widen an integer.  The fold bounds memory: no output keeps a list of
+    every coefficient it receives (such lists raised the products
+    benchmark's peak RSS by 10.8 %).  A plan whose terms_g and blocks_g are
+    its terms_f and blocks_f is a square: its blocks are converted once, and
+    a block pair on the diagonal passes the same list twice.
     """
     mans = [0] * n
     lsbs = [0] * n
@@ -288,15 +266,7 @@ def _conv_rounded(products: list, n: int, prec: int, rnd: int) -> list:
                             mans[k], lsbs[k] = (m << (l - e)) + v, e
                     k += 1
                     e -= c
-    out = []
-    for k in range(n):
-        x = BigFloat.from_man_exp(mans[k], lsbs[k])
-        if k in apart:
-            xs = [x] + [BigFloat.from_man_exp(v, e) for v, e in apart[k]]
-            out.append(bf.vector_sum(xs, prec, rnd))
-        else:
-            out.append(bf.round_to(x, prec, rnd))
-    return out
+    return [[(mans[k], lsbs[k]), *apart.get(k, ())] for k in range(n)]
 
 
 # -- the polynomial dot product ------------------------------------------------------------
@@ -314,8 +284,8 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
     mids, rads = [], []
     for f, g in pairs:
         plan = plan_blocks(f, g, prec)
+        mids.append(plan)
         c = plan.scale
-        mids.append((plan.terms_f, plan.blocks_f, plan.terms_g, plan.blocks_g, c))
         # radius polynomial |A| b + a (|B| + b) for f = A +/- a, g = B +/- b;
         # |A| and |B| + b are built only when b or a has a nonzero radius
         a, b = _mag_terms([x.rad for x in f]), _mag_terms([x.rad for x in g])
@@ -328,14 +298,14 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
         for xt, yt in factors:
             xb, yb = _partition(xt, c, _RADIUS_SPAN), _partition(yt, c, _RADIUS_SPAN)
             if xb and yb:  # a zero radius product adds nothing
-                rads.append((xt, xb, yt, yb, c))
-    mids = _conv_rounded(mids, n, prec, _NE)
-    # the half ulps are the radii, or one more radius product, by the polynomial 1
-    radii = [(1, m.exp - prec - 1) if inexact else (0, 0) for m, inexact in mids]
-    if rads:
-        rads.append((radii, _partition(radii, c, _RADIUS_SPAN), [(1, 0)], [(0, 1)], c))
-        radii = [(r.man, r.lsb) for r, _ in _conv_rounded(rads, n, _MAG_BITS, _UP)]
-    return BallPoly([Ball(m, mag.from_man_exp_upper(*r)) for (m, _), r in zip(mids, radii)])
+                rads.append(BlockPlan(xt, xb, yt, yb, c))
+    mids = [bf._round_sum(terms, prec, _NE) for terms in _conv_sums(mids, n)]
+    out = []
+    for (m, inexact), terms in zip(mids, _conv_sums(rads, n)):
+        if inexact:  # the midpoint's half ulp, last
+            terms.append((1, m.exp - prec - 1))
+        out.append(Ball(m, mag.sum_upper(terms)))
+    return BallPoly(out)
 
 
 def mul_block(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:

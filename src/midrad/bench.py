@@ -31,7 +31,10 @@ def ball_factorial(n: int, prec: int) -> Ball:
 
 
 def falling_factorial_poly(n: int, prec: int) -> bp.BallPoly:
-    """x (x-1) ... (x-n+1) expanded with a balanced product tree."""
+    """x (x-1) ... (x-n+1) expanded with a balanced product tree; the
+    constant 1 for n < 1."""
+    if n < 1:
+        return bp.BallPoly([Ball.from_int(1)])
     factors = [(Ball.from_int(-k), Ball.from_int(1)) for k in range(n)]
     return bp.product_tree(factors, prec)
 

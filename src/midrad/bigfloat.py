@@ -448,6 +448,12 @@ def vector_sum(xs, prec: int, rnd: int) -> tuple[BigFloat, bool]:
         return POS_INF, False
     if neg_inf:
         return NEG_INF, False
+    return _round_sum(terms, prec, rnd)
+
+
+def _round_sum(terms: list, prec: int, rnd: int) -> tuple[BigFloat, bool]:
+    """The sum of the signed (m, l) int terms m * 2^l, rounded once to prec."""
+    _check_prec(prec)
     man, lsb = _exact_sum(terms, prec)
     if not man:
         return ZERO, False

@@ -97,7 +97,7 @@ def _ceil_div(a: int, b: int) -> int:
 def _rad_to_decimal_upper(r: Magnitude) -> tuple[int, int]:
     """(R, G) with 100 <= R <= 999 and R * 10^G an upper bound of r; beyond
     the cap, the crude 10^(G+2) bound of 2^r.exp."""
-    man, e2 = r.man, r.exp - 30
+    man, e2 = r.man, r.exp - r.man.bit_length()
     if _beyond_cap(man, e2):
         return 100, _pow10_upper(r.exp) - 2
     e, num, den = _floor_log10(man, e2)
@@ -135,7 +135,7 @@ def _choose_digits(rad: Magnitude, e10: int, d: int) -> int:
     """
     if rad.is_zero():
         return d
-    man, e2 = rad.man, rad.exp - 30 + 1  # 2 * rad
+    man, e2 = rad.man, rad.exp - rad.man.bit_length() + 1  # 2 * rad
     if _beyond_cap(man, e2):
         g = _pow10_upper(rad.exp + 1)
     else:

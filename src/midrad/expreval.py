@@ -354,13 +354,18 @@ def eval_correctly_rounded(e, bindings: dict, prec: int, rnd: Rounding,
     Starts at max(64, prec + 8) bits, or at the precision cap if that is
     lower, also the accuracy that _refine's prediction aims for.  Terminates
     as soon as the enclosure provably rounds to a single value (exact
-    results collapse to zero-radius balls and certify immediately).  Raises UnconvergedError at the precision cap:
-    the value may be exactly on, or arbitrarily close to, a rounding boundary.
+    results collapse to zero-radius balls and certify immediately).  An
+    expression that is still indeterminate at the precision cap (1/0,
+    log(0), a NaN binding) gives NaN, as ``eval`` prints it.  Otherwise
+    raises UnconvergedError at the precision cap: the value may be exactly
+    on, or arbitrarily close to, a rounding boundary.
     """
     cfg = cfg or EvalConfig()
     start = min(max(_START_PREC, prec + 8), cfg.max_prec)
     v, _, rounds = _refine(e, bindings, start, start, cfg.max_prec,
                            lambda v: ball.can_round(v, prec, rnd))
+    if v.is_indeterminate():
+        return bf.NAN
     if not rounds:
         raise UnconvergedError("possible exact/near-exact case")
     return bf.round_to(v.mid, prec, rnd)[0]

@@ -76,12 +76,73 @@ class TestBlockPlan:
         f = BallPoly(cs)
         plan = bp.plan_blocks(f, f, prec)
         cap = 3 * prec + 512
-        assert plan.height_cap == cap
         for s, e in plan.blocks_f:
             es = [f[i].mid.exp + plan.scale * i for i in range(s, e) if f[i].mid.is_regular()]
             assert max(es) - min(es) <= cap
         # the scale flattens the decay (between the mean and the tail slope)
         assert 4 <= plan.scale <= 8
+
+    @staticmethod
+    def fraction_scale(f, g):
+        # the scale rule in Fraction arithmetic: the reference for the int one
+        globs, tails = [], []
+        for p in (f, g):
+            idx = [i for i, c in enumerate(p.coeffs) if c.mid.is_regular()]
+            if len(idx) < 2:
+                continue
+            a, b = idx[0], idx[-1]
+            globs.append((p[b].mid.exp - p[a].mid.exp, b - a))
+            mi = next((i for i in idx if (a + b + 1) // 2 <= i < b), None)
+            if mi is not None and b - mi >= 2:
+                tails.append((p[b].mid.exp - p[mi].mid.exp, b - mi))
+        if not globs:
+            return 0
+        s = Fraction(sum(r for r, _ in globs), sum(d for _, d in globs))
+        if tails:
+            st = Fraction(sum(r for r, _ in tails), sum(d for _, d in tails))
+            if abs(st) > abs(s):
+                s = st
+        fl = s.numerator // s.denominator
+        fr = s - fl
+        if fr == Fraction(1, 2):  # ties toward zero
+            return -(fl if s > 0 else fl + 1)
+        return -(fl + 1 if fr > Fraction(1, 2) else fl)
+
+    def test_scale_matches_the_fraction_rule(self):
+        rng = random.Random(20)
+        specials = [bf.ZERO, bf.NAN, bf.POS_INF, bf.NEG_INF]
+
+        def poly(n, slope):
+            cs = []
+            for k in range(n):
+                if rng.random() < 0.2:
+                    cs.append(Ball(rng.choice(specials)))
+                else:
+                    e = rng.randrange(-3, 4) + (slope * k).__floor__()
+                    cs.append(Ball(BigFloat.from_man_exp(rng.choice([1, -3, 5]), e)))
+            return BallPoly(cs)
+
+        def exp_poly(exps):  # one regular midpoint per exponent, None for zero
+            return BallPoly([Ball(bf.ZERO) if e is None else Ball(BigFloat.from_man_exp(1, e))
+                             for e in exps])
+
+        # exact half slopes of both signs, through the whole range and the tail
+        cases = [(exp_poly([0, None, 1]), exp_poly([])), (exp_poly([1, None, 0]), exp_poly([0])),
+                 (exp_poly([0, None, 5]), exp_poly([None])), (exp_poly([0, None, -5]), exp_poly([])),
+                 (exp_poly([0, 0, 0, 1, 3]), exp_poly([7])), (exp_poly([0, 0, 0, -1, -3]), exp_poly([7])),
+                 (exp_poly([0, None, None, 1, None, 3]), exp_poly([0, None, 1]))]
+        assert [self.fraction_scale(f, g) for f, g in cases] == [0, 0, -2, 2, -1, 1, -1]
+        for _ in range(10_000):
+            f = poly(rng.randrange(0, 9), Fraction(rng.randrange(-12, 13), rng.randrange(1, 5)))
+            g = f if rng.random() < 0.1 else poly(rng.randrange(0, 9),
+                                                   Fraction(rng.randrange(-12, 13), rng.randrange(1, 5)))
+            cases.append((f, g))
+        seen = set()
+        for f, g in cases:
+            want = self.fraction_scale(f, g)
+            assert bp._scale_heuristic(f, g) == want
+            seen.add(want)
+        assert {-1, 0, 1} <= seen and min(seen) < -3 and max(seen) > 3
 
     def test_plan_soundness_blockwise_equals_direct(self):
         # reconstructing and multiplying blockwise must equal the exact
@@ -155,9 +216,16 @@ class TestBlockMul:
         assert plan.blocks_g is plan.blocks_f
         terms, c = plan.terms_f, plan.scale
         other = [(0, len(f) // 2)]
-        shared = bp._conv_rounded([(terms, plan.blocks_f, terms, other, c)], 2 * len(f) - 1, 64, bp._NE)
-        copied = bp._conv_rounded([(terms, plan.blocks_f, list(terms), other, c)], 2 * len(f) - 1, 64, bp._NE)
+        shared = bp._conv_sums([bp.BlockPlan(terms, plan.blocks_f, terms, other, c)], 2 * len(f) - 1)
+        copied = bp._conv_sums([bp.BlockPlan(terms, plan.blocks_f, list(terms), other, c)],
+                               2 * len(f) - 1)
         assert shared == copied
+
+    def test_precision_below_2_rejected(self):
+        for n in (5, 40):  # schoolbook and block route
+            f = BallPoly.from_ints(range(1, n))
+            with pytest.raises(ValueError):
+                bp.mul_block(f, f, 1)
 
     def test_small_degree_dispatches_to_schoolbook(self):
         f = rand_poly(random.Random(7), 5)
@@ -271,8 +339,8 @@ class TestBlockRadius:
 
     def test_figure_product_makes_no_addmul_calls(self, monkeypatch):
         # the radii of the n = 1000 figure-regime product need no O(n^2)
-        # magnitude arithmetic: neither addmul nor the product-sum and the
-        # exact upward sum under it
+        # magnitude arithmetic: neither addmul nor the product-sum, and the
+        # exact upward sum only once per output coefficient
         n, prec = 1000, 333
         fact = 1
         cs = [Ball.from_int(1)]
@@ -283,11 +351,12 @@ class TestBlockRadius:
         calls = []
         for name in ("addmul", "dot_upper", "sum_upper"):
             fn = getattr(mag, name)
-            monkeypatch.setattr(mag, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
-        bp.mul_block(f, f, prec)
-        assert not calls
+            monkeypatch.setattr(mag, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        h = bp.mul_block(f, f, prec)
+        assert len(h) == 2 * n - 1 == calls.count("sum_upper") == len(calls)
+        calls.clear()
         bp.mul_schoolbook(BallPoly(cs[2:5]), BallPoly(cs[2:5]), prec)
-        assert calls  # the spies do see the schoolbook's radii
+        assert "dot_upper" in calls  # the spies do see the schoolbook's radii
 
 class TestAddSub:
     def test_exact(self):

@@ -170,6 +170,12 @@ class TestRound:
                            "--bits", "53", "--max-prec", "1024")
         assert code == 2 and "exact" in err
 
+    @pytest.mark.parametrize("argv", [["1/0"], ["log(0)"], ["x", "--var", "x=nan"]])
+    def test_indeterminate_prints_nan_like_eval(self, capsys, argv):
+        code, out, err = run(capsys, "round", *argv, "--max-prec", "1024")
+        assert (code, out.strip(), err) == (0, "nan", "")
+        assert run(capsys, "eval", *argv, "--max-prec", "1024")[:2] == (0, "nan\n")
+
 
 class TestBench:
     def test_factorial_csv(self, capsys):
@@ -182,6 +188,13 @@ class TestBench:
     def test_falling_factorial_csv(self, capsys):
         code, out, _ = run(capsys, "bench", "falling-factorial", "--n", "30", "--prec", "64")
         assert code == 0 and "falling-factorial,30,64," in out
+
+    def test_falling_factorial_of_order_0_is_1(self, capsys):
+        # x^(0 falling) is the empty product: exact, so its metric is inf
+        code, out, err = run(capsys, "bench", "falling-factorial", "--n", "0", "--prec", "64")
+        assert code == 0 and not err
+        row = out.strip().splitlines()[1].split(",")
+        assert row[:3] == ["falling-factorial", "0", "64"] and row[4] == "inf"
 
     def test_polymul_csv(self, capsys):
         code, out, _ = run(capsys, "bench", "polymul", "--n", "32", "--prec", "64")

@@ -200,6 +200,13 @@ class TestCorrectRounding:
             ev.eval_correctly_rounded(e, {}, 53, Rounding.NEAREST_EVEN,
                                       ev.EvalConfig(max_prec=2048))
 
+    @pytest.mark.parametrize("text", ["1/0", "log(0)", "x"])
+    def test_indeterminate_gives_nan(self, text):
+        # still indeterminate at the cap: NaN, not an UnconvergedError
+        v = ev.eval_correctly_rounded(ev.parse_expr(text), {"x": ball.indeterminate()}, 53,
+                                      Rounding.NEAREST_EVEN, ev.EvalConfig(max_prec=1024))
+        assert v.is_nan()
+
     def test_exact_sqrt_collapse(self):
         v = ev.eval_correctly_rounded(ev.parse_expr("sqrt(4)"), {}, 10, Rounding.DOWN)
         assert v.to_fraction() == 2
