@@ -302,7 +302,8 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
     mids = [bf._round_sum(terms, prec, _NE) for terms in _conv_sums(mids, n)]
     out = []
     for (m, inexact), terms in zip(mids, _conv_sums(rads, n)):
-        if inexact:  # the midpoint's half ulp, last
+        if inexact:  # the midpoint's half ulp, last: after the wide radius
+            # sum, _exact_sum's in-order pass bridges it without sorting
             terms.append((1, m.exp - prec - 1))
         out.append(Ball(m, mag.sum_upper(terms)))
     return BallPoly(out)
