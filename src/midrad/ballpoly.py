@@ -13,8 +13,9 @@ products of each output are folded into one exact sum as they are produced,
 which bounds memory (keeping every contribution per output raised the
 products benchmark's peak RSS by 10.8 %).  The scalar kernels then round
 each output once: ``bigfloat._round_sum`` its midpoint to nearest at the
-working precision, and ``magnitude.sum_upper`` its radius sum
-|A| b + a (|B| + b), a second block product, plus the midpoint's half ulp.
+working precision, and ``ball.rounded`` its radius sum |A| b + a (|B| + b),
+a second block product, plus the midpoint's half ulp, up through
+``magnitude.sum_upper``.
 
 The scale c is a heuristic: slopes of the coefficient exponents are sampled
 over the whole index range and over the trailing half (series tails with
@@ -299,14 +300,10 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
             xb, yb = _partition(xt, c, _RADIUS_SPAN), _partition(yt, c, _RADIUS_SPAN)
             if xb and yb:  # a zero radius product adds nothing
                 rads.append(BlockPlan(xt, xb, yt, yb, c))
-    mids = [bf._round_sum(terms, prec, _NE) for terms in _conv_sums(mids, n)]
-    out = []
-    for (m, inexact), terms in zip(mids, _conv_sums(rads, n)):
-        if inexact:  # the midpoint's half ulp, last: after the wide radius
-            # sum, _exact_sum's in-order pass bridges it without sorting
-            terms.append((1, m.exp - prec - 1))
-        out.append(Ball(m, mag.sum_upper(terms)))
-    return BallPoly(out)
+    # ball.rounded appends an inexact midpoint's half ulp last: after the
+    # wide radius sum, _exact_sum's in-order pass bridges it without sorting
+    return BallPoly([ball.rounded(bf._round_sum(m, prec, _NE), (), prec, terms=r)
+                     for m, r in zip(_conv_sums(mids, n), _conv_sums(rads, n))])
 
 
 def mul_block(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:

@@ -31,8 +31,7 @@ def ball_factorial(n: int, prec: int) -> Ball:
 
 
 def falling_factorial_poly(n: int, prec: int) -> bp.BallPoly:
-    """x (x-1) ... (x-n+1) expanded with a balanced product tree; the
-    constant 1 for n < 1."""
+    """x (x-1) ... (x-n+1) expanded with a balanced product tree; 1 for n < 1."""
     if n < 1:
         return bp.BallPoly([Ball.from_int(1)])
     factors = [(Ball.from_int(-k), Ball.from_int(1)) for k in range(n)]

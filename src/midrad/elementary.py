@@ -674,6 +674,9 @@ def power(x: Ball, y: Ball, prec: int) -> Ball:
             if x.mid.is_zero() and x.rad.is_zero():
                 return Ball(bf.ZERO) if e > 0 else ball.indeterminate()
             return _pow_int(x, e, prec)
+        if x.mid.signum() < 0:  # x^e = (-1)^e (-x)^e, by exp(e log(-x)) below
+            r = power(ball.neg(x), y, prec)
+            return ball.neg(r) if e & 1 else r
     if x.mid.is_zero() and x.rad.is_zero():
         # 0^y = 0 for y bounded away from zero on the positive side
         if ball.lower_bound(y, 32).signum() > 0:

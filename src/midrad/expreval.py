@@ -16,7 +16,7 @@ differs.  ``eval_adaptive`` stops at the target relative accuracy and at
 the cap returns the last enclosure flagged unconverged, never raising.
 ``eval_correctly_rounded`` stops when the whole ball provably rounds to one
 value; near-exact values that never certify (the rounding dilemma) raise
-after the cap.
+after the cap.  A provably undefined expression (1/0) ends either at once.
 """
 
 from __future__ import annotations
@@ -263,17 +263,26 @@ def parse_expr(src: str):
 
 def eval_ball(e, bindings: dict, prec: int) -> Ball:
     """Evaluate the tree to an enclosure at the given working precision."""
+    return _eval(e, bindings, prec)[0]
+
+
+def _eval(e, bindings: dict, prec: int) -> tuple[Ball, bool]:
+    """eval_ball's enclosure, and whether it proves e undefined (NaN at every
+    precision): a NaN binding, NaN from exact finite operands (1/0, log(0),
+    sqrt(-1), 0^-1), or an undefined operand.  NaN from a ball that merely
+    touches a pole or a cut, as in 1/(exp(x) - 1) for a tiny x, proves
+    nothing: more precision can lift the ball off it."""
     if isinstance(e, Num):
-        return _number_to_ball(e.digits, e.exp10, prec + 8)
+        return _number_to_ball(e.digits, e.exp10, prec + 8), False
     if isinstance(e, Const):
-        return el.const_pi(prec)
+        return el.const_pi(prec), False
     if isinstance(e, Var):
-        try:
-            return bindings[e.name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {e.name!r}") from None
+        if e.name not in bindings:
+            raise UnboundVariableError(f"unbound variable {e.name!r}")
+        return bindings[e.name], bindings[e.name].is_indeterminate()
     if isinstance(e, Neg):
-        return ball.neg(eval_ball(e.arg, bindings, prec))
+        v, undefined = _eval(e.arg, bindings, prec)
+        return ball.neg(v), undefined
     if isinstance(e, Bin):
         fn, args = e.op, (e.left, e.right)
     elif isinstance(e, Call):
@@ -281,7 +290,10 @@ def eval_ball(e, bindings: dict, prec: int) -> Ball:
     else:
         raise TypeError(f"not an expression node: {e!r}")
     _, module, name = _OPS[fn]
-    return getattr(module, name)(*[eval_ball(a, bindings, prec) for a in args], prec)
+    parts = [_eval(a, bindings, prec) for a in args]
+    v = getattr(module, name)(*[x for x, _ in parts], prec)
+    return v, v.is_indeterminate() and (any(u for _, u in parts) or
+                                        all(x.is_exact() and x.is_finite() for x, _ in parts))
 
 
 def digits_to_bits(digits: int) -> int:
@@ -320,13 +332,14 @@ def _refine(e, bindings: dict, prec: int, target: int, cap: int, done):
     acc) bits; the next precision is the target plus that loss plus
     _GUARD_BITS (at least prec + _GUARD_BITS).  Any other acc (a larger loss,
     typical of inputs that limit it, none certified, or past the target)
-    doubles prec.  Precisions strictly increase up to the cap.
+    doubles prec.  Precisions strictly increase up to the cap, unless a
+    value proves the expression undefined (_eval): that ends it, not done.
     """
     while True:
         value = eval_ball(e, bindings, prec)
         if done(value):
             return value, prec, True
-        if prec >= cap:
+        if prec >= cap or value.is_indeterminate() and _eval(e, bindings, prec)[1]:
             return value, prec, False
         acc = ball.rel_accuracy_bits(value)
         if prec // 2 <= acc < target:
@@ -340,7 +353,8 @@ def eval_adaptive(e, bindings: dict, cfg: EvalConfig) -> AdaptiveResult:
     """Raise the precision until the target relative accuracy is certified.
 
     Reaching the cap is a graceful failure: the widest-known enclosure comes
-    back flagged unconverged rather than raising.
+    back flagged unconverged rather than raising.  A provably undefined
+    expression (1/0) comes back the same way, from the first evaluation.
     """
     target = cfg.target_bits
     return AdaptiveResult(*_refine(e, bindings, _START_PREC, target, cfg.max_prec,
@@ -354,18 +368,17 @@ def eval_correctly_rounded(e, bindings: dict, prec: int, rnd: Rounding,
     Starts at max(64, prec + 8) bits, or at the precision cap if that is
     lower, also the accuracy that _refine's prediction aims for.  Terminates
     as soon as the enclosure provably rounds to a single value (exact
-    results collapse to zero-radius balls and certify immediately).  An
-    expression that is still indeterminate at the precision cap (1/0,
-    log(0), a NaN binding) gives NaN, as ``eval`` prints it.  Otherwise
-    raises UnconvergedError at the precision cap: the value may be exactly
-    on, or arbitrarily close to, a rounding boundary.
+    results collapse to zero-radius balls and certify immediately), and
+    gives NaN as soon as the expression is provably undefined (_eval).
+    Raises UnconvergedError at the precision cap: the value may be exactly
+    on, or arbitrarily close to, a rounding boundary, or its ball may still
+    touch a pole.
     """
     cfg = cfg or EvalConfig()
     start = min(max(_START_PREC, prec + 8), cfg.max_prec)
-    v, _, rounds = _refine(e, bindings, start, start, cfg.max_prec,
+    v, p, rounds = _refine(e, bindings, start, start, cfg.max_prec,
                            lambda v: ball.can_round(v, prec, rnd))
-    if v.is_indeterminate():
-        return bf.NAN
-    if not rounds:
-        raise UnconvergedError("possible exact/near-exact case")
-    return bf.round_to(v.mid, prec, rnd)[0]
+    if rounds or v.is_indeterminate() and _eval(e, bindings, p)[1]:
+        return bf.round_to(v.mid, prec, rnd)[0]  # a NaN midpoint stays NaN
+    raise UnconvergedError("indeterminate at the precision cap" if v.is_indeterminate()
+                           else "possible exact/near-exact case")

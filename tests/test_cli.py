@@ -170,11 +170,19 @@ class TestRound:
                            "--bits", "53", "--max-prec", "1024")
         assert code == 2 and "exact" in err
 
-    @pytest.mark.parametrize("argv", [["1/0"], ["log(0)"], ["x", "--var", "x=nan"]])
+    @pytest.mark.parametrize("argv", [["1/0"], ["log(0)"], ["x", "--var", "x=nan"],
+                                      ["1/0 + exp(1)"]])
     def test_indeterminate_prints_nan_like_eval(self, capsys, argv):
         code, out, err = run(capsys, "round", *argv, "--max-prec", "1024")
         assert (code, out.strip(), err) == (0, "nan", "")
         assert run(capsys, "eval", *argv, "--max-prec", "1024")[:2] == (0, "nan\n")
+
+    def test_pole_touching_value_is_not_nan(self, capsys):
+        # 1/(exp(x) - 1) is about 1e700 for x = 1e-700, though at 1024 bits
+        # the denominator's ball still touches 0
+        code, out, err = run(capsys, "round", "1/(exp(x)-1)", "--var", "x=1e-700",
+                             "--max-prec", "1024")
+        assert (code, out) == (2, "") and "indeterminate" in err
 
 
 class TestBench:

@@ -223,6 +223,13 @@ class TestPow:
         assert_encloses(r, mpf_fraction(mpmath.sqrt(2)))
         assert el.power(exact(-2), half, 53).is_indeterminate()
 
+    def test_negative_base_beyond_binary_powering(self):
+        # exponents above _POW_INT_LIMIT go through exp(e log(-x)), the sign
+        # restored for odd e
+        for e in (el._POW_INT_LIMIT + 1, el._POW_INT_LIMIT + 2):
+            r = el.power(exact(-3), exact(e), 64)
+            assert contains_fraction(r, Fraction((-3) ** e))
+
     def test_large_integer_power(self):
         r = el.power(exact(3), exact(1000), 64)
         assert contains_fraction(r, Fraction(3 ** 1000))

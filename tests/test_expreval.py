@@ -174,6 +174,13 @@ class TestAdaptive:
         res = ev.eval_adaptive(ev.parse_expr("sqrt(-1)"), {},
                                ev.EvalConfig(max_prec=256))
         assert not res.converged and res.value.is_indeterminate()
+        assert res.prec == 64  # provably undefined: no climb to the cap
+
+    def test_pole_touching_result_climbs(self):
+        # indeterminate at every precision below the cap, but not provably
+        res = ev.eval_adaptive(ev.parse_expr("1/(exp(1e-700) - 1)"), {},
+                               ev.EvalConfig(max_prec=1024))
+        assert not res.converged and res.value.is_indeterminate() and res.prec == 1024
 
 
 class TestCorrectRounding:
@@ -200,12 +207,28 @@ class TestCorrectRounding:
             ev.eval_correctly_rounded(e, {}, 53, Rounding.NEAREST_EVEN,
                                       ev.EvalConfig(max_prec=2048))
 
-    @pytest.mark.parametrize("text", ["1/0", "log(0)", "x"])
-    def test_indeterminate_gives_nan(self, text):
-        # still indeterminate at the cap: NaN, not an UnconvergedError
+    @pytest.mark.parametrize("text", ["1/0", "log(0)", "x", "sqrt(-1)", "pow(0, -1)",
+                                      "(-2)^0.5", "1/0 + exp(1)"])
+    def test_indeterminate_gives_nan(self, text, monkeypatch):
+        # provably undefined: NaN from the first precision, not an
+        # UnconvergedError after climbing to the cap
+        precs, evb = set(), ev.eval_ball
+        monkeypatch.setattr(ev, "eval_ball", lambda e, b, p: precs.add(p) or evb(e, b, p))
         v = ev.eval_correctly_rounded(ev.parse_expr(text), {"x": ball.indeterminate()}, 53,
-                                      Rounding.NEAREST_EVEN, ev.EvalConfig(max_prec=1024))
-        assert v.is_nan()
+                                      Rounding.NEAREST_EVEN, ev.EvalConfig(max_prec=4096))
+        assert v.is_nan() and precs == {64}
+
+    def test_pole_touching_ball_is_not_nan(self):
+        # at 1024 bits exp(1e-700) - 1 is a ball around 0, so the quotient is
+        # indeterminate, yet the value is about 1e700: refuse at that cap, and
+        # round once the precision lifts the ball off the pole
+        e = ev.parse_expr("1/(exp(1e-700) - 1)")
+        with pytest.raises(ev.UnconvergedError, match="indeterminate"):
+            ev.eval_correctly_rounded(e, {}, 53, Rounding.NEAREST_EVEN,
+                                      ev.EvalConfig(max_prec=1024))
+        v = ev.eval_correctly_rounded(e, {}, 53, Rounding.NEAREST_EVEN,
+                                      ev.EvalConfig(max_prec=8192))
+        assert abs(v.to_fraction() / 10 ** 700 - 1) < Fraction(1, 2 ** 52)
 
     def test_exact_sqrt_collapse(self):
         v = ev.eval_correctly_rounded(ev.parse_expr("sqrt(4)"), {}, 10, Rounding.DOWN)
