@@ -150,7 +150,7 @@ def rounded(result: tuple[BigFloat, bool], pairs: list, prec: int,
     the sum of |a b| over the (a, b) pairs of magnitudes and BigFloats, of
     m 2^l over the (m, l) int terms and of an inexact midpoint's rounding
     error (|exact - mid|, or else half an ulp, 2^(mid.exp - prec - 1)),
-    rounded up once (magnitude.dot_upper).  A NaN midpoint gives indeterminate()."""
+    rounded up once (magnitude.sum_upper).  A NaN midpoint gives indeterminate()."""
     mid, inexact = result
     if mid.is_nan():
         return indeterminate()
@@ -159,7 +159,7 @@ def rounded(result: tuple[BigFloat, bool], pairs: list, prec: int,
                  (abs(exact.man - (mid.man << (mid.lsb - exact.lsb))), exact.lsb)]
     elif not (pairs or terms):
         return Ball(mid)
-    return Ball(mid, mag.dot_upper(pairs, terms))
+    return Ball(mid, mag.dot_upper(pairs, terms) if pairs else mag.sum_upper(terms))
 
 
 # -- arithmetic ---------------------------------------------------------------

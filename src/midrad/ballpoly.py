@@ -300,10 +300,8 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
             xb, yb = _partition(xt, c, _RADIUS_SPAN), _partition(yt, c, _RADIUS_SPAN)
             if xb and yb:  # a zero radius product adds nothing
                 rads.append(BlockPlan(xt, xb, yt, yb, c))
-    # the midpoints are rounded before the radius sums are built, which keeps
-    # one set of exact sums alive at a time; ball.rounded appends an inexact
-    # midpoint's half ulp last: after the wide radius sum, _exact_sum's
-    # in-order pass bridges it without sorting
+    # midpoints first, so one set of exact sums is alive at a time; ball.rounded
+    # appends a half ulp last, which _exact_sum's in-order pass bridges unsorted
     mids = [bf._round_sum(terms, prec, _NE) for terms in _conv_sums(mids, n)]
     return BallPoly([ball.rounded(m, (), prec, terms=r)
                      for m, r in zip(mids, _conv_sums(rads, n))])
