@@ -23,10 +23,11 @@ radius with a finite midpoint means "the whole real line".  Predicates
 mixed-exponent sums, so rounding can never flip an answer.
 
 Every bound taken from an endpoint -- the sign tests of div, sqrt and
-elementary.log, the denominator bound of a quotient, whether a ball rounds
-to one value -- is one rounding of the exact endpoint mid -/+ rad, made
-once by ``bf.add``: rounding is monotone, and a directed rounding keeps the
-exact sign.
+elementary.log, the denominator bound of a quotient -- is one rounding of
+the exact endpoint mid -/+ rad, made once by ``bf.add``: rounding is
+monotone, and a directed rounding keeps the exact sign.  Whether a ball
+rounds to one value (``can_round``) rounds both exact endpoints the same
+way, on ints.
 """
 
 from __future__ import annotations
@@ -362,13 +363,31 @@ def can_round(x: Ball, prec: int, rnd: Rounding) -> bool:
     """Does every point of the ball round to one prec-bit value under rnd?
 
     The answer is exact: rounding is monotone, so every point rounds alike
-    exactly when the two endpoints do, and ``bf.add`` rounds each exact
-    endpoint mid -/+ rad once.  True certifies that rounding the midpoint
-    gives the correctly rounded result for the whole ball.
+    exactly when the two endpoints do.  The endpoints mid -/+ rad are
+    aligned to one lsb as ints; a radius far below the midpoint's rounding
+    point counts as one unit below it, as in ``bf.add``, and takes neither
+    endpoint across a rounding boundary.  An endpoint at 0, or two of
+    opposite signs, never round alike; otherwise each is rounded to prec
+    bits on ints (``bf._round_int``) and the two compared.  True certifies
+    that rounding the midpoint gives the correctly rounded result for the
+    whole ball.  prec must be at least 2, as for every rounding.
     """
-    if x.rad.is_zero():
-        return not x.mid.is_nan()
-    if x.rad.is_inf() or not x.mid.is_regular():
+    bf._check_prec(prec)
+    m, r = x.mid, x.rad
+    if r.is_zero():
+        return not m.is_nan()
+    if r.is_inf() or not m.is_regular() or r.exp > m.exp:
+        return False  # the last: rad >= 2^(r.exp - 1) >= 2^m.exp > |mid|
+    # |mid| -/+ rad as the ints a, b times 2^l
+    ml = m.exp - m.man.bit_length()
+    l = min(ml, m.exp - prec - 4) - 4
+    if r.exp <= l:  # rad < 2^l, 4 bits below every rounding point
+        rm = 1
+    else:
+        rl = r.exp - r.man.bit_length()
+        l, rm = (rl, r.man) if rl < ml else (ml, r.man << (rl - ml))
+    v = m.man << (ml - l)
+    a = v - rm
+    if a <= 0:
         return False
-    r = mag.to_bigfloat(x.rad)
-    return bf.add(x.mid, -r, prec, rnd)[0] == bf.add(x.mid, r, prec, rnd)[0]
+    return bf._round_int(m.sign, a, prec, rnd) == bf._round_int(m.sign, v + rm, prec, rnd)

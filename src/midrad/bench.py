@@ -1,20 +1,23 @@
 """Benchmark kernels for the CLI: measurement scaffolding, not claims.
 
 Emits CSV rows ``name,param,prec,seconds,metric`` where the metric is the
-worst relative accuracy in bits (factorials, elementary functions) or the
-largest relative radius (polynomial multiplication).
+worst relative accuracy in bits (factorials, elementary functions), the
+largest relative radius (polynomial multiplication) or the roundings per
+second (correct rounding).
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 
 from . import ball
 from . import ballpoly as bp
 from . import elementary as el
+from . import expreval
 from .ball import Ball
-from .bigfloat import BigFloat
+from .bigfloat import BigFloat, Rounding
 
 
 def ball_factorial(n: int, prec: int) -> Ball:
@@ -111,3 +114,45 @@ def bench_elementary(precs, out):
                 r = fn(x, prec)
                 best = min(best, time.perf_counter() - t0)
             out.write(f"{name},0.7,{prec},{best:.6f},{ball.rel_accuracy_bits(r)}\n")
+
+
+# fn -> the range of e for arguments man 2^(e - 53), and whether they take both signs
+_ROUND_DRAWS = {"exp": (-60, 8, True), "log": (-60, 60, False), "sin": (-12, 32, True),
+                "atan": (-60, 60, True), "sqrt": (-60, 60, False)}
+
+
+def round_args(n: int) -> dict:
+    """fn -> n exact arguments man * 2^(e - 53) with 53-bit man, by the seeded
+    draw of acceptance criterion 9 with n draws per function."""
+    rng = random.Random(90210)
+    args = {}
+    for fn, (lo, hi, signed) in _ROUND_DRAWS.items():
+        xs = args[fn] = []
+        for _ in range(n):
+            man = rng.getrandbits(53) | (1 << 52)
+            e = rng.randrange(lo, hi)
+            if signed and rng.random() < 0.5:
+                man = -man
+            xs.append(Ball(BigFloat.from_man_exp(man, e - 53)))
+    return args
+
+
+def bench_round(n: int, precs, out):
+    """Correct rounding of f(x) to prec bits under all five modes for the n
+    arguments of each function from ``round_args``, after one rounding that
+    fills the constant caches: one row per function and precision, its
+    metric the roundings per second."""
+    if n < 1:
+        raise ValueError("bench round needs --n of at least 1")
+    args = round_args(n)
+    for prec in precs:
+        for fn in _ROUND_DRAWS:
+            expr = expreval.parse_expr(fn + "(x)")
+            expreval.eval_correctly_rounded(expr, {"x": args[fn][0]}, prec, Rounding.NEAREST_EVEN)
+            t0 = time.perf_counter()
+            for x in args[fn]:
+                env = {"x": x}
+                for rnd in Rounding:
+                    expreval.eval_correctly_rounded(expr, env, prec, rnd)
+            dt = time.perf_counter() - t0
+            out.write(f"{fn},{5 * n},{prec},{dt:.6f},{5 * n / dt:.0f}\n")

@@ -13,6 +13,10 @@ non-finite results come from domain errors (NaN) and infinite operands.
 Every exact sum of many terms is one kernel, ``_exact_sum``, which
 ``vector_sum`` rounds and ``magnitude.sum_upper`` rounds up; ``add`` keeps
 its own two-operand sum, ``_add2_regular``, which is cheaper for two terms.
+Every rounding mode is decided in one place, ``_round_up``, on ints: it
+serves ``_round_from`` (every rounded BigFloat), ``_round_int`` (a rounded
+magnitude as an int, for ``ball.can_round`` and the elementary kernel)
+and ``to_int_nearest``.
 
 All operations are pure functions of their arguments and values are
 immutable, so everything here is safe for unrestricted concurrent use.
@@ -230,6 +234,7 @@ NEG_INF = BigFloat(_NEG_INF, -1)
 NAN = BigFloat(_NAN)
 ONE = BigFloat(_REGULAR, 1, 1, 1)
 _EXACT_NAN = (NAN, False)
+_NEAREST_EVEN = Rounding.NEAREST_EVEN
 
 
 def _normalize(sign: int, man: int, lsb: int) -> BigFloat:
@@ -244,6 +249,24 @@ def _normalize(sign: int, man: int, lsb: int) -> BigFloat:
 def _check_prec(prec: int) -> None:
     if prec < 2:
         raise ValueError(f"precision must be >= 2, got {prec}")
+
+
+# For each directed mode, in its order in Rounding: whether it rounds the
+# magnitude of a negative value (index 0) and of a positive one (index 1) up.
+_DIRECTED_UP = ((True, False),   # DOWN, toward -inf
+                (False, True),   # UP, toward +inf
+                (False, False),  # TOWARD_ZERO
+                (True, True))    # AWAY_FROM_ZERO
+
+
+def _round_up(sign: int, kept: int, low: int, drop: int, rnd: int) -> bool:
+    """Does rnd round a value of the given sign and magnitude kept 2^drop +
+    low, 0 < low < 2^drop, up to (kept + 1) 2^drop rather than down to
+    kept 2^drop?  The one decision of every rounding mode, on ints."""
+    if rnd == _NEAREST_EVEN:
+        half = 1 << (drop - 1)
+        return low > half or (low == half and kept & 1 == 1)
+    return _DIRECTED_UP[rnd][sign > 0]
 
 
 def _round_from(sign: int, man: int, lsb: int, prec: int, rnd: int,
@@ -265,20 +288,24 @@ def _round_from(sign: int, man: int, lsb: int, prec: int, rnd: int,
     kept = man >> drop
     if low == 0:
         return _normalize(sign, kept, lsb + drop), False
-    if rnd == Rounding.NEAREST_EVEN:
-        half = 1 << (drop - 1)
-        inc = low > half or (low == half and (kept & 1))
-    elif rnd == Rounding.TOWARD_ZERO:
-        inc = False
-    elif rnd == Rounding.AWAY_FROM_ZERO:
-        inc = True
-    elif rnd == Rounding.DOWN:
-        inc = sign < 0
-    else:  # Rounding.UP
-        inc = sign > 0
-    if inc:
+    if _round_up(sign, kept, low, drop, rnd):
         kept += 1  # may carry to prec+1 bits; _normalize restrips
     return _normalize(sign, kept, lsb + drop), True
+
+
+def _round_int(sign: int, man: int, prec: int, rnd: int) -> int:
+    """The magnitude man > 0 of a value of the given sign, rounded under rnd
+    to prec bits, as an int on man's own scale."""
+    drop = man.bit_length() - prec
+    if drop <= 0:
+        return man
+    low = man & ((1 << drop) - 1)
+    if not low:
+        return man
+    kept = man >> drop
+    if _round_up(sign, kept, low, drop, rnd):
+        kept += 1
+    return kept << drop
 
 
 def round_to(x: BigFloat, prec: int, rnd: int) -> tuple[BigFloat, bool]:
@@ -560,8 +587,6 @@ def to_int_nearest(x: BigFloat) -> int:
         return x.sign * (x.man << l)
     drop = -l
     kept = x.man >> drop
-    low = x.man & ((1 << drop) - 1)
-    half = 1 << (drop - 1)
-    if low > half or (low == half and (kept & 1)):
+    if _round_up(x.sign, kept, x.man & ((1 << drop) - 1), drop, _NEAREST_EVEN):  # man is odd
         kept += 1
     return x.sign * kept

@@ -4,8 +4,9 @@
 adaptive-precision loop and prints a guaranteed decimal enclosure.
 ``midrad round EXPR --bits N --mode M`` prints the correctly rounded
 dyadic value in exact ``M*2^E`` form.  ``midrad bench`` emits CSV timing
-grids.  Exit status: 0 on success, 2 when the precision cap was reached
-without convergence, 1 on usage or parse errors.
+grids, ``midrad bench round`` the roundings per second.  Exit status: 0 on
+success, 2 when the precision cap was reached without convergence, 1 on
+usage or parse errors.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--mode", choices=sorted(_MODES), default="nearest")
 
     pb = sub.add_parser("bench", help="emit CSV benchmark grids")
-    pb.add_argument("which", choices=["factorial", "falling-factorial", "polymul", "elementary"])
+    pb.add_argument("which", choices=["factorial", "falling-factorial", "polymul", "elementary",
+                                      "round"])
     pb.add_argument("--n", type=int, action="append", default=[],
-                    help="problem size; repeatable")
+                    help="problem size (round: arguments per function); repeatable")
     pb.add_argument("--prec", type=int, action="append", default=[],
                     help="precision in bits; repeatable")
     return p
@@ -112,6 +114,8 @@ def _cmd_bench(args) -> int:
     out.write("name,param,prec,seconds,metric\n")
     if args.which == "elementary":
         benchmod.bench_elementary(args.prec or [53, 333, 1000, 10 ** 4], out)
+    elif args.which == "round":
+        benchmod.bench_round(ns[0] if ns else 200, args.prec or [53], out)
     elif args.which == "factorial":
         benchmod.bench_factorial(ns or [10000], precs, out)
     elif args.which == "falling-factorial":

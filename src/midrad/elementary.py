@@ -337,12 +337,27 @@ def _fixed_ball(s: int, err: int, w: int, pairs: list, prec: int,
     """(s +/- err) 2^(h-w) - k c, widened by sum |a b| over the (a, b) pairs,
     rounded to nearest at prec bits, its radius, that error included, rounded
     up once; the pairs are where callers put the reduced argument's and the
-    input's radii times the function's bounds on |f'|."""
-    v = BigFloat.from_man_exp(s, h - w)
+    input's radii times the function's bounds on |f'|.  The exact value is
+    one int times 2^l, rounded on ints, and its rounding error joins the
+    radius sum as one more exact term."""
+    terms = [(err, h - w)]
+    l = h - w
     if k:
-        v = _sub_multiple(v, c.mid, k)
+        cm = c.mid
+        cl = cm.exp - cm.man.bit_length()
+        if cl < l:
+            s, l = s << (l - cl), cl
+        s -= k * cm.sign * cm.man << (cl - l)
         pairs = [*pairs, (c.rad, BigFloat.from_int(k))]
-    return ball.rounded(bf.round_to(v, prec, _NE), pairs, prec, v, [(err, h - w)])
+    if s:
+        sign = 1 if s > 0 else -1
+        a = abs(s)
+        q = bf._round_int(sign, a, prec, _NE)
+        terms.append((abs(a - q), l))
+        mid = bf._normalize(sign, q, l)
+    else:
+        mid = bf.ZERO
+    return Ball(mid, mag.dot_upper(pairs, terms) if pairs else mag.sum_upper(terms))
 
 
 def _sub_multiple(m: BigFloat, c: BigFloat, k: int) -> BigFloat:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import decimal
 
-__all__ = ["mul", "mul_schoolbook", "mul_kronecker", "mul_decimal"]
+__all__ = ["mul", "mul_schoolbook"]
 
 _SCHOOLBOOK_LIMIT = 16
 # packed bits above which the decimal multiply wins: on random signed input,
@@ -72,21 +72,16 @@ def _pack_slots(f: list, nbytes: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def mul_kronecker(f: list, g: list) -> list:
-    """Exact product by one big multiplication of the packed factors.
-
-    Coefficients sit in byte-aligned slots wide enough that every product
-    coefficient h satisfies |h| < 2^(slot-1).  Adding 2^(slot-1) to each slot
-    of the product makes every slot nonnegative, so the slots are read off
-    the bytes and the offset is subtracted back.  ``f is g`` packs once and
-    squares.
-    """
-    if not f or not g:
-        return []
-    return _kronecker(f, g, _slot_bits(f, g))
-
-
 def _kronecker(f: list, g: list, bits: int) -> list:
+    """Exact product of nonempty f and g by one big multiplication of the
+    packed factors, for slot bits with |h| < 2^(bits-1) for every product
+    coefficient h (``_slot_bits``).
+
+    Coefficients sit in byte-aligned slots of at least that many bits.
+    Adding 2^(slot-1) to each slot of the product makes every slot
+    nonnegative, so the slots are read off the bytes and the offset is
+    subtracted back.  ``f is g`` packs once and squares.
+    """
     nbytes = (bits + 7) // 8
     count = len(f) + len(g) - 1
     a = _pack_slots(f, nbytes)
@@ -121,21 +116,16 @@ def _pack_decimal(f: list, d: int) -> decimal.Decimal:
     return x
 
 
-def mul_decimal(f: list, g: list) -> list:
-    """Exact product by one decimal multiplication of factors packed into
-    base-10^d slots with 10^(d-1) >= 2^(slot bits); ``f is g`` squares.
+def _decimal(f: list, g: list, bits: int) -> list:
+    """Exact product of nonempty f and g by one decimal multiplication of
+    factors packed into base-10^d slots with 10^(d-1) >= 2^bits, for the
+    slot bits of ``_kronecker``; ``f is g`` squares.
 
     The digits of |H| are read from str(H) past its sign (abs(H) would
     round to the thread's context), low slot first, each slot taking back
     the borrow of the slot below; every slot is negated when H < 0.  Slots
     of more than int_max_str_digits digits raise ValueError.
     """
-    if not f or not g:
-        return []
-    return _decimal(f, g, _slot_bits(f, g))
-
-
-def _decimal(f: list, g: list, bits: int) -> list:
     d = _slot_digits(bits)
     count = len(f) + len(g) - 1
     a = _pack_decimal(f, d)

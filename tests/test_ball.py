@@ -536,6 +536,105 @@ class TestCanRound:
         assert ball.can_round(x, 53, Rounding.DOWN)
         assert bf.round_to(x.mid, 53, Rounding.DOWN)[0].to_fraction() == expected
 
+    # -- against the Fraction oracle on the int path's branches ----------------
+
+    @staticmethod
+    def alike(x: Ball, prec: int, rnd) -> bool:
+        lo, hi = ball_bounds(x)
+        return round_fraction_oracle(lo, prec, rnd) == round_fraction_oracle(hi, prec, rnd)
+
+    @staticmethod
+    def dyadic(q: Fraction) -> BigFloat:
+        return BigFloat.from_man_exp(q.numerator, 1 - q.denominator.bit_length())
+
+    def check(self, x: Ball, precs=(2, 3, 10, 53, 64), modes=ALL_MODES) -> set:
+        seen = set()
+        for prec in precs:
+            for rnd in modes:
+                want = self.alike(x, prec, rnd)
+                assert ball.can_round(x, prec, rnd) == want, (x, prec, rnd)
+                seen.add(want)
+        return seen
+
+    def test_precision_below_2_raises_for_every_ball(self):
+        for x in (B(3), B(3, mag.pow2(-20)), ball.indeterminate(), Ball(bf.POS_INF)):
+            for rnd in ALL_MODES:
+                with pytest.raises(ValueError):
+                    ball.can_round(x, 1, rnd)
+        assert ball.can_round(B(3), 2, Rounding.DOWN)  # 3 = 0b11 fits in 2 bits
+
+    def test_precision_2(self):
+        rng = random.Random(21)
+        seen = set()
+        for _ in range(300):
+            x = rand_ball(rng, rad_chance=1.0)
+            for y in (x, self.near_grid(x, rng)):
+                seen |= self.check(y, precs=(2,))
+        assert seen == {True, False}
+
+    def test_endpoint_at_zero_and_balls_across_zero(self):
+        for e in (-60, -3, 0, 40):
+            r = mag.pow2(e)
+            for mid in (BigFloat.from_man_exp(1, e), BigFloat.from_man_exp(-1, e)):
+                assert self.check(Ball(mid, r)) == {False}  # one endpoint is 0
+            for mid in (BigFloat.from_man_exp(1, e - 1), BigFloat.from_man_exp(-3, e - 2)):
+                assert self.check(Ball(mid, r)) == {False}  # 0 lies inside
+            # the radius a hair below, at and above |mid|
+            for rm in ((1 << 30) - 1, 1 << 29):
+                rad = mag.from_man_exp_upper(rm, e - 30)
+                self.check(Ball(BigFloat.from_man_exp(1, e), rad))
+            assert self.check(Ball(BigFloat.from_man_exp(-1, e), mag.pow2(e + 50))) == {False}
+
+    def test_radius_far_above_and_far_below_the_midpoint_lsb(self):
+        rng = random.Random(22)
+        seen = set()
+        for _ in range(60):
+            mid = BigFloat.from_man_exp(rng.choice((1, -1)) * (rng.getrandbits(60) | 1),
+                                        rng.randrange(-80, 20))
+            for d in (-400, -120, -70, rng.randrange(-70, -1), rng.randrange(1, 40), 50):
+                e = mid.lsb + d  # d above the lsb, or -d below it
+                if e >= mid.exp - 1:
+                    continue
+                x = Ball(mid, mag.from_man_exp_upper(rng.getrandbits(30) | 1 << 29, e - 30))
+                for y in (x, self.near_grid(x, rng)):
+                    seen |= self.check(y)
+        assert seen == {True, False}
+
+    def test_nearest_even_tie_at_either_endpoint(self):
+        # an endpoint exactly halfway between the prec-bit neighbours m and
+        # m + 1 (times 2^(e - prec)) rounds to the even one; the other
+        # endpoint lies 2^-39 of an ulp away, so it rounds to the neighbour
+        # on its side; both signs, and m + 1 = 2^prec, where rounding carries
+        seen = set()
+        for prec in (2, 5, 53):
+            ulp = Fraction(2) ** (3 - prec)  # numbers in [4, 8)
+            for m in ((1 << (prec - 1)) + 1, (1 << prec) - 2, (1 << prec) - 1):
+                tie = (m + Fraction(1, 2)) * ulp
+                r = Fraction(ulp) / 2 ** 40
+                for sign in (1, -1):
+                    for inner in (True, False):  # the tie is the endpoint nearer 0
+                        mid = self.dyadic(sign * (tie + r if inner else tie - r))
+                        x = Ball(mid, mag.from_man_exp_upper(r.numerator, 1 - r.denominator.bit_length()))
+                        # the other endpoint rounds to m + 1 (inner) or m
+                        want = (m % 2 == 1) == inner
+                        assert ball.can_round(x, prec, Rounding.NEAREST_EVEN) == want
+                        assert self.alike(x, prec, Rounding.NEAREST_EVEN) == want
+                        seen.add(want)
+        assert seen == {True, False}
+
+    def test_negative_midpoints_down_and_up(self):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(300):
+            x = rand_ball(rng, rad_chance=1.0)
+            x = Ball(-abs(x.mid), x.rad)
+            for y in (x, self.near_grid(x, rng)):
+                seen |= self.check(y, modes=(Rounding.DOWN, Rounding.UP))
+                for prec in (2, 12, 53):  # DOWN of -x is -(UP of x)
+                    assert (ball.can_round(y, prec, Rounding.DOWN)
+                            == ball.can_round(ball.neg(y), prec, Rounding.UP))
+        assert seen == {True, False}
+
 
 class TestPi:
     def test_paper_scale_enclosure(self):

@@ -380,3 +380,24 @@ def test_round_matches_oracle_hypothesis(man, e, prec, rnd):
     want = round_fraction_oracle(x.to_fraction(), prec, rnd)
     assert got.to_fraction() == want
     assert inexact == (want != x.to_fraction())
+
+
+def test_round_int_against_the_fraction_oracle():
+    # the int rounding behind ball.can_round and the elementary kernel:
+    # ties both ways, a carry to 2^prec, exact values and both signs
+    rng = random.Random(77)
+    for _ in range(400):
+        prec = rng.randrange(2, 70)
+        kind = rng.randrange(4)
+        if kind == 0:  # halfway between two prec-bit neighbours
+            man = (2 * (rng.getrandbits(prec) | 1 << (prec - 1)) + 1) << rng.randrange(0, 20)
+        elif kind == 1:  # all ones: every mode but the ones toward 0 carries
+            man = (1 << rng.randrange(prec + 1, prec + 30)) - 1
+        elif kind == 2:  # fits: exact
+            man = rng.getrandbits(prec) | 1
+        else:
+            man = rng.getrandbits(rng.randrange(prec + 1, 200)) | 1
+        for sign in (1, -1):
+            for rnd in ALL_MODES:
+                got = bf._round_int(sign, man, prec, rnd)
+                assert sign * got == round_fraction_oracle(Fraction(sign * man), prec, rnd)

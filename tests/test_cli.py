@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,9 @@ import pytest
 
 import midrad
 from conftest import contains_fraction, mpf_fraction
-from midrad import ball, cli, decimal_io, elementary as el
+from midrad import ball, bench, cli, decimal_io, elementary as el
+from midrad.ball import Ball
+from midrad.bigfloat import BigFloat
 
 
 def test_import_leaves_numpy_out():
@@ -224,6 +227,31 @@ class TestBench:
         lines = out.strip().splitlines()
         assert code == 0 and len(lines) == 1 + 4 * 4
         assert {line.split(",")[2] for line in lines[1:]} == {"53", "333", "1000", "10000"}
+
+    def test_round_csv(self, capsys):
+        code, out, err = run(capsys, "bench", "round", "--n", "4")
+        assert code == 0 and not err
+        lines = out.strip().splitlines()
+        assert lines[0] == "name,param,prec,seconds,metric"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[:3] for r in rows] == [[f, "20", "53"] for f in ("exp", "log", "sin", "atan", "sqrt")]
+        # roundings per second: 20 roundings over the seconds column
+        assert all(abs(int(r[4]) * float(r[3]) / 20 - 1) < 0.01 for r in rows)
+        code, out, _ = run(capsys, "bench", "round", "--n", "1", "--prec", "24", "--prec", "100")
+        assert code == 0 and [line.split(",")[2] for line in out.strip().splitlines()[1:]] == \
+            ["24"] * 5 + ["100"] * 5
+        assert run(capsys, "bench", "round", "--n", "0")[0] == 1
+
+    def test_round_draws_criterion_9_arguments(self):
+        # the first draw of acceptance criterion 9's seeded loop, an exp argument
+        rng = random.Random(90210)
+        man = rng.getrandbits(53) | (1 << 52)
+        e = rng.randrange(-60, 8)
+        if rng.random() < 0.5:
+            man = -man
+        args = bench.round_args(3)
+        assert [len(args[f]) for f in ("exp", "log", "sin", "atan", "sqrt")] == [3] * 5
+        assert args["exp"][0] == Ball(BigFloat.from_man_exp(man, e - 53))
 
     def test_usage_error(self, capsys):
         assert run(capsys, "bench", "nosuch")[0] == 1

@@ -771,6 +771,38 @@ def test_fixed_ball_rounds_once():
         assert b.rad.to_fraction() == round_fraction_oracle(bound, 30, Rounding.UP)
 
 
+@pytest.mark.parametrize("case", ["k", "k_neg_c", "s0", "s0_k", "carry", "tie_even", "tie_odd",
+                                  "tie_k"])
+def test_fixed_ball_edges(case):
+    # the midpoint is the correctly rounded exact value, and the radius the
+    # least 30-bit bound of |exact - mid| + err 2^(h-w) + |k| c.rad; ties
+    # go to the even neighbour, and 2^w - 1 rounds up to 2^w, one bit more
+    c = el._pi_ball(200)
+    if case == "k_neg_c":
+        c = ball.neg(c)
+    w, h, err, prec = 400, 3, 5, 53
+    s, k = {"k": (3 << 398, -2), "k_neg_c": (3 << 398, -2), "s0": (0, 0), "s0_k": (0, 7),
+            "carry": ((1 << w) - 1, 0), "tie_k": (0, -3)}.get(case, (0, 0))
+    if case.startswith("tie"):
+        m = (1 << (prec - 1)) + (case == "tie_odd")
+        tie = Fraction(2 * m + 1, 2 ** (prec + 1))  # halfway between m and m + 1 ulps
+        scaled = (tie + k * c.mid.to_fraction()) * 2 ** (w - h)
+        assert scaled.denominator == 1
+        s = scaled.numerator
+    b = el._fixed_ball(s, err, w, [], prec, h, k, c)
+    exact = Fraction(s, 2 ** w) * 2 ** h - k * c.mid.to_fraction()
+    mid = b.mid.to_fraction()
+    assert mid == round_fraction_oracle(exact, prec, Rounding.NEAREST_EVEN)
+    bound = abs(exact - mid) + Fraction(err, 2 ** w) * 2 ** h + abs(k) * c.rad.to_fraction()
+    assert b.rad.to_fraction() == round_fraction_oracle(bound, 30, Rounding.UP)
+    if case == "carry":
+        assert mid == 2 ** h and b.mid.man == 1
+    if case in ("tie_even", "tie_odd"):
+        assert mid == Fraction(m + (m & 1), 2 ** prec)
+    if case == "s0":
+        assert b.mid.is_zero()
+
+
 def test_tiny_arguments_stay_cheap():
     # 2^w for these w would need 2^70 bits; the kernel never builds it
     x = BigFloat.from_man_exp(3, -(1 << 70))

@@ -7,6 +7,14 @@ import pytest
 from midrad import intpoly
 
 
+def kronecker(f, g):
+    return intpoly._kronecker(f, g, intpoly._slot_bits(f, g))
+
+
+def decimal_product(f, g):
+    return intpoly._decimal(f, g, intpoly._slot_bits(f, g))
+
+
 def test_small_example():
     assert intpoly.mul([1, 2], [3, 4]) == [3, 10, 8]
 
@@ -25,7 +33,7 @@ def test_all_algorithms_agree(bits):
         f = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(nf)]
         g = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(ng)]
         ref = intpoly.mul_schoolbook(f, g)
-        assert intpoly.mul_kronecker(f, g) == ref
+        assert kronecker(f, g) == ref
         assert intpoly.mul(f, g) == ref
 
 
@@ -33,7 +41,7 @@ def test_sparse_and_signed():
     f = [0, -1, 0, 0, 7, 0]
     g = [5, 0, 0, -3]
     ref = intpoly.mul_schoolbook(f, g)
-    assert intpoly.mul_kronecker(f, g) == ref
+    assert kronecker(f, g) == ref
 
 
 def test_large_single_coefficients():
@@ -45,7 +53,7 @@ def test_large_single_coefficients():
 
 def _check(f, g):
     ref = intpoly.mul_schoolbook(f, g)
-    for mul in (intpoly.mul_kronecker, intpoly.mul_decimal):
+    for mul in (kronecker, decimal_product):
         assert mul(f, g) == ref
         assert mul(g, f) == ref
     assert intpoly.mul(f, g) == ref
@@ -138,7 +146,7 @@ def test_square_of_one_list(bits):
     for n in (1, 2, 17, 100):
         f = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]
         ref = intpoly.mul_schoolbook(f, list(f))
-        for mul in (intpoly.mul_kronecker, intpoly.mul_decimal, intpoly.mul):
+        for mul in (kronecker, decimal_product, intpoly.mul):
             assert mul(f, f) == ref
 
 
@@ -181,7 +189,7 @@ def test_decimal_path_under_the_default_str_digit_limit():
         f = [rng.randrange(-(1 << 7000), 1 << 7000) for _ in range(40)]
         g = [rng.randrange(-(1 << 7000), 1 << 7000) for _ in range(40)]
         assert intpoly._decimal_pays(intpoly._slot_bits(f, g), 40, 40)
-        assert intpoly.mul_decimal(f, g) == intpoly.mul_schoolbook(f, g)
+        assert decimal_product(f, g) == intpoly.mul_schoolbook(f, g)
         assert intpoly.mul(f, g) == intpoly.mul_schoolbook(f, g)
     finally:
         sys.set_int_max_str_digits(old)
@@ -197,13 +205,13 @@ def test_decimal_path_ignores_the_thread_context():
     ref = intpoly.mul_schoolbook(f, g)
     ctx = decimal.getcontext()
     before = (ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags))
-    assert intpoly.mul_decimal(f, g) == ref
+    assert decimal_product(f, g) == ref
     assert decimal.getcontext() is ctx
     assert (ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, dict(ctx.traps), dict(ctx.flags)) == before
     with decimal.localcontext() as low:
         low.prec = 5
         low.traps[decimal.Inexact] = low.traps[decimal.Rounded] = False
-        assert intpoly.mul_decimal(f, g) == ref
+        assert decimal_product(f, g) == ref
         assert not low.flags[decimal.Inexact]
     with pytest.raises((decimal.Inexact, decimal.Rounded)):  # rounding raises
         intpoly._EXACT.quantize(decimal.Decimal("1.5"), decimal.Decimal(1))

@@ -19,7 +19,8 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_results.py"
 SRC = Path(midrad.__file__).resolve().parents[1]
 # the sections that run in about two seconds; the printing and polynomial
 # sections take longer and go through the same digest
-SECTIONS = ("_bigfloat", "_magnitude", "_ball", "_elementary", "_complex", "_expreval")
+SECTIONS = ("_bigfloat", "_magnitude", "_ball", "_elementary", "_complex", "_expreval",
+            "_can_round")
 
 
 def _load_tool():

@@ -295,7 +295,31 @@ def _expreval(rng, m, out):
                 out(f"UnconvergedError: {ex}")
 
 
-SECTIONS = (_bigfloat, _magnitude, _ball, _elementary, _poly, _complex, _decimal, _expreval)
+def _can_round(rng, m, out):
+    """ball.can_round where it decides on a single unit: balls with an
+    endpoint on, one unit below or one unit above a prec-bit grid point or
+    a point halfway between two, for every prec from 2 to 64, both signs
+    and radii from 1 to 2^-120 times the point, each line the answers in
+    the five modes."""
+    mag, modes = m.magnitude, list(m.Rounding)
+    for p in range(2, 65):
+        for _ in range(6):
+            g = rng.choice((1 << (p - 1), (1 << p) - 1, rng.getrandbits(p) | 1 << (p - 1)))
+            e = rng.randrange(-80, 80)  # the point (2 g + half) 2^(e - 1)
+            half = rng.randrange(2)
+            rm, rl = rng.getrandbits(30) | 1 << 29, e - 30 - rng.randrange(1, 121)
+            t = min(e - 1, rl) - rng.randrange(0, 8)  # the unit 2^t
+            point, rad = (2 * g + half) << (e - 1 - t), rm << (rl - t)
+            for sign in (1, -1):
+                for d in (-1, 0, 1):
+                    for mid in (point + rad + d, point - rad + d):  # lo or hi at the point
+                        x = m.Ball(m.BigFloat.from_man_exp(sign * mid, t),
+                                   mag.from_man_exp_upper(rm, rl))
+                        out(tuple(m.ball.can_round(x, p, r) for r in modes))
+
+
+SECTIONS = (_bigfloat, _magnitude, _ball, _elementary, _poly, _complex, _decimal, _expreval,
+            _can_round)
 
 
 def _text(v) -> str:
