@@ -234,7 +234,7 @@ NEG_INF = BigFloat(_NEG_INF, -1)
 NAN = BigFloat(_NAN)
 ONE = BigFloat(_REGULAR, 1, 1, 1)
 _EXACT_NAN = (NAN, False)
-_NEAREST_EVEN = Rounding.NEAREST_EVEN
+_NE = Rounding.NEAREST_EVEN
 
 
 def _normalize(sign: int, man: int, lsb: int) -> BigFloat:
@@ -263,7 +263,7 @@ def _round_up(sign: int, kept: int, low: int, drop: int, rnd: int) -> bool:
     """Does rnd round a value of the given sign and magnitude kept 2^drop +
     low, 0 < low < 2^drop, up to (kept + 1) 2^drop rather than down to
     kept 2^drop?  The one decision of every rounding mode, on ints."""
-    if rnd == _NEAREST_EVEN:
+    if rnd == _NE:
         half = 1 << (drop - 1)
         return low > half or (low == half and kept & 1 == 1)
     return _DIRECTED_UP[rnd][sign > 0]
@@ -587,6 +587,6 @@ def to_int_nearest(x: BigFloat) -> int:
         return x.sign * (x.man << l)
     drop = -l
     kept = x.man >> drop
-    if _round_up(x.sign, kept, x.man & ((1 << drop) - 1), drop, _NEAREST_EVEN):  # man is odd
+    if _round_up(x.sign, kept, x.man & ((1 << drop) - 1), drop, _NE):  # man is odd
         kept += 1
     return x.sign * kept

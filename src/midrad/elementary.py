@@ -340,14 +340,10 @@ def _fixed_ball(s: int, err: int, w: int, pairs: list, prec: int,
     input's radii times the function's bounds on |f'|.  The exact value is
     one int times 2^l, rounded on ints, and its rounding error joins the
     radius sum as one more exact term."""
-    terms = [(err, h - w)]
     l = h - w
+    terms = [(err, l)]
     if k:
-        cm = c.mid
-        cl = cm.exp - cm.man.bit_length()
-        if cl < l:
-            s, l = s << (l - cl), cl
-        s -= k * cm.sign * cm.man << (cl - l)
+        s, l = _sub_multiple(s, l, c.mid, k)
         pairs = [*pairs, (c.rad, BigFloat.from_int(k))]
     if s:
         sign = 1 if s > 0 else -1
@@ -360,12 +356,12 @@ def _fixed_ball(s: int, err: int, w: int, pairs: list, prec: int,
     return Ball(mid, mag.dot_upper(pairs, terms) if pairs else mag.sum_upper(terms))
 
 
-def _sub_multiple(m: BigFloat, c: BigFloat, k: int) -> BigFloat:
-    """m - k c, exactly."""
-    kc = bf.mul_exact(c, BigFloat.from_int(k))
-    e = min(m.lsb, kc.lsb)
-    d = (m.sign * m.man << (m.lsb - e)) - (kc.sign * kc.man << (kc.lsb - e))
-    return BigFloat.from_man_exp(d, e)
+def _sub_multiple(v: int, l: int, c: BigFloat, k: int) -> tuple[int, int]:
+    """(d, e) with d 2^e = v 2^l - k c exactly, for a regular c."""
+    cl = c.exp - c.man.bit_length()
+    if cl < l:
+        v, l = v << (l - cl), cl
+    return v - (k * c.sign * c.man << (cl - l)), l
 
 
 def _reduce(m: BigFloat, const: Callable[[], Ball], n0: int) -> tuple[int, Ball]:
@@ -377,7 +373,8 @@ def _reduce(m: BigFloat, const: Callable[[], Ball], n0: int) -> tuple[int, Ball]
     c = const()
     q, _ = bf.div(m, c.mid, max(32, n + 4), _NE)
     k = bf.to_int_nearest(q)
-    return k, Ball(_sub_multiple(m, c.mid, k), mag.mul_int_upper(c.rad, abs(k)))
+    t = BigFloat.from_man_exp(*_sub_multiple(m.sign * m.man, m.lsb, c.mid, k))
+    return k, Ball(t, mag.mul_int_upper(c.rad, abs(k)))
 
 
 def _fixed(x: Ball, w: int) -> tuple[int, mag.Magnitude]:
