@@ -115,7 +115,7 @@ def _cmd_bench(args) -> int:
     if args.which == "elementary":
         benchmod.bench_elementary(args.prec or [53, 333, 1000, 10 ** 4], out)
     elif args.which == "round":
-        benchmod.bench_round(ns[0] if ns else 200, args.prec or [53], out)
+        benchmod.bench_round(ns[0] if ns else 1000, args.prec or [53], out)
     elif args.which == "factorial":
         benchmod.bench_factorial(ns or [10000], precs, out)
     elif args.which == "falling-factorial":

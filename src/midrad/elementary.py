@@ -340,6 +340,7 @@ def _fixed_ball(s: int, err: int, w: int, pairs: list, prec: int,
     input's radii times the function's bounds on |f'|.  The exact value is
     one int times 2^l, rounded on ints, and its rounding error joins the
     radius sum as one more exact term."""
+    bf._check_prec(prec)
     l = h - w
     terms = [(err, l)]
     if k:

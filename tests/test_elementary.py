@@ -803,6 +803,14 @@ def test_fixed_ball_edges(case):
         assert b.mid.is_zero()
 
 
+def test_precision_below_2_raises():
+    # as every rounding does; the kernels round their midpoints on ints
+    for x in (Ball.from_int(3), Ball.from_int(1), Ball(BigFloat.from_man_exp(3, -4), mag.pow2(-20))):
+        for fn in (el.exp, el.log, el.sin, el.cos, el.atan):
+            with pytest.raises(ValueError):
+                fn(x, 1)
+
+
 def test_tiny_arguments_stay_cheap():
     # 2^w for these w would need 2^70 bits; the kernel never builds it
     x = BigFloat.from_man_exp(3, -(1 << 70))

@@ -299,8 +299,8 @@ def _can_round(rng, m, out):
     """ball.can_round where it decides on a single unit: balls with an
     endpoint on, one unit below or one unit above a prec-bit grid point or
     a point halfway between two, for every prec from 2 to 64, both signs
-    and radii from 1 to 2^-120 times the point, each line the answers in
-    the five modes."""
+    and radii from half a grid step down to 2^-120 of one, each line the
+    answers in the five modes."""
     mag, modes = m.magnitude, list(m.Rounding)
     for p in range(2, 65):
         for _ in range(6):
