@@ -17,6 +17,13 @@ sum once (``bigfloat.vector_sum``, over the kernel under ``sum_upper``),
 and its radius sums every product's |x| ry + |y| rx + rx ry, taken from the
 exact mantissas, with the half ulp; ``mul`` is a one-product dot.
 
+Exact operands skip the radius machinery.  When every radius is zero,
+``mul`` (of regular midpoints) and ``dot`` (of finite ones) form their
+products on ints and round them once, and ``rounded``, given nothing to
+add, makes the radius the half ulp 2^(mid.exp - prec - 1) of an inexact
+midpoint, or zero; ``add`` and ``sub`` of two exact balls get the same
+rule.  Every result is bit for bit the general path's.
+
 A NaN midpoint means "indeterminate / whole extended line"; an infinite
 radius with a finite midpoint means "the whole real line".  Predicates
 (contains / overlaps / contains_point) are decided exactly via exact
@@ -71,6 +78,8 @@ __all__ = [
 ]
 
 _NE = Rounding.NEAREST_EVEN
+_REGULAR = bf._REGULAR  # the BigFloat kind of a regular midpoint
+_RAD_ZERO = mag._ZERO   # the Magnitude kind of a zero radius
 
 ACC_EXACT = math.inf
 ACC_NONE = -math.inf
@@ -87,7 +96,7 @@ class Ball:
 
     @classmethod
     def from_int(cls, n: int) -> "Ball":
-        return cls(BigFloat.from_int(n))
+        return cls(BigFloat.from_int(n), mag.ZERO)
 
     @classmethod
     def from_man_exp(cls, man: int, exp2: int) -> "Ball":
@@ -151,11 +160,16 @@ def rounded(result: tuple[BigFloat, bool], pairs: list, prec: int,
     the sum of |a b| over the (a, b) pairs of magnitudes and BigFloats, of
     m 2^l over the (m, l) int terms and of an inexact midpoint's rounding
     error (|exact - mid|, or else half an ulp, 2^(mid.exp - prec - 1)),
-    rounded up once (magnitude.sum_upper).  A NaN midpoint gives indeterminate()."""
+    rounded up once (magnitude.sum_upper).  With no pairs, no terms and no
+    exact value, the radius of an inexact midpoint is that half ulp itself,
+    a power of two, and of an exact one zero.  A NaN midpoint gives
+    indeterminate()."""
     mid, inexact = result
     if mid.is_nan():
         return indeterminate()
     if inexact:  # mid has the sign of exact, and its lsb is not below exact's
+        if not (pairs or terms) and exact is None:
+            return Ball(mid, mag.pow2(mid.exp - prec - 1))
         terms = [*terms, (1, mid.exp - prec - 1) if exact is None else
                  (abs(exact.man - (mid.man << (mid.lsb - exact.lsb))), exact.lsb)]
     elif not (pairs or terms):
@@ -169,29 +183,67 @@ def neg(x: Ball) -> Ball:
     return Ball(-x.mid, x.rad)
 
 
+def _sum_pairs(x: Ball, y: Ball) -> list:
+    """(a, b) pairs with sum |a b| = x.rad + y.rad; none for two exact balls."""
+    if x.rad.kind == _RAD_ZERO == y.rad.kind:
+        return []
+    return [(x.rad, mag.ONE), (y.rad, mag.ONE)]
+
+
 def add(x: Ball, y: Ball, prec: int) -> Ball:
-    return rounded(bf.add(x.mid, y.mid, prec, _NE), [(x.rad, mag.ONE), (y.rad, mag.ONE)], prec)
+    return rounded(bf.add(x.mid, y.mid, prec, _NE), _sum_pairs(x, y), prec)
 
 
 def sub(x: Ball, y: Ball, prec: int) -> Ball:
-    return rounded(bf.sub(x.mid, y.mid, prec, _NE), [(x.rad, mag.ONE), (y.rad, mag.ONE)], prec)
+    return rounded(bf.sub(x.mid, y.mid, prec, _NE), _sum_pairs(x, y), prec)
 
 
 def _rad_pairs(x: Ball, y: Ball) -> list:
     """(a, b) pairs with sum |a b| = |x.mid| y.rad + |y.mid| x.rad + x.rad y.rad."""
-    if x.rad.is_zero() and y.rad.is_zero():
+    if x.rad.kind == _RAD_ZERO == y.rad.kind:
         return []
     return [(x.mid, y.rad), (y.mid, x.rad), (x.rad, y.rad)]
 
 
 def mul(x: Ball, y: Ball, prec: int) -> Ball:
-    return rounded(bf.mul(x.mid, y.mid, prec, _NE), _rad_pairs(x, y), prec)
+    a, b = x.mid, y.mid
+    if x.rad.kind == _RAD_ZERO == y.rad.kind and a.kind == _REGULAR == b.kind and prec > 1:
+        # odd mantissas have an odd product, so m needs no strip, and
+        # rounding it to fewer bits is always inexact
+        m, sign = a.man * b.man, a.sign * b.sign
+        lsb = a.exp + b.exp - a.man.bit_length() - b.man.bit_length()
+        bits = m.bit_length()
+        if bits <= prec:
+            return Ball(bf._mk(sign, m, lsb + bits), mag.ZERO)
+        return rounded(bf._round_from(sign, m, lsb, prec, _NE), [], prec)
+    return rounded(bf.mul(a, b, prec, _NE), _rad_pairs(x, y), prec)
+
+
+def _exact_terms(xs, ys) -> list | None:
+    """The signed (m, l) int terms of sum x*y when every ball of xs and ys
+    is exact with a finite midpoint (a zero product adds no term), else
+    None; lists of unequal length raise ValueError."""
+    terms = []
+    for x, y in zip(xs, ys, strict=True):
+        a, b = x.mid, y.mid
+        if x.rad.kind != _RAD_ZERO or y.rad.kind != _RAD_ZERO:
+            return None
+        if a.kind == _REGULAR == b.kind:
+            terms.append((a.sign * b.sign * a.man * b.man,
+                          a.exp + b.exp - a.man.bit_length() - b.man.bit_length()))
+        elif not (a.is_finite() and b.is_finite()):
+            return None
+    return terms
 
 
 def dot(xs, ys, prec: int, initial: Ball | None = None) -> Ball:
-    """initial + sum x*y, the midpoint rounded once and the radius bounded once."""
+    """initial + sum x*y over two equally long sequences of balls, the
+    midpoint rounded once and the radius bounded once."""
     if initial is not None:
         xs, ys = [*xs, initial], [*ys, ONE]
+    terms = _exact_terms(xs, ys)
+    if terms is not None:
+        return rounded(bf._round_sum(terms, prec, _NE), [], prec)
     mids, pairs = [], []
     for x, y in zip(xs, ys, strict=True):
         mids.append(bf.mul_exact(x.mid, y.mid))

@@ -15,7 +15,9 @@ products benchmark's peak RSS by 10.8 %).  The scalar kernels then round
 each output once: ``bigfloat._round_sum`` its midpoint to nearest at the
 working precision, and ``ball.rounded`` its radius sum |A| b + a (|B| + b),
 a second block product, plus the midpoint's half ulp, up through
-``magnitude.sum_upper``.
+``magnitude.sum_upper``.  That second product runs only when some
+coefficient has a nonzero radius; for exact inputs each radius is just the
+half ulp of an inexact midpoint, or zero.
 
 The scale c is a heuristic: slopes of the coefficient exponents are sampled
 over the whole index range and over the trailing half (series tails with
@@ -303,6 +305,8 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
     # midpoints first, so one set of exact sums is alive at a time; ball.rounded
     # appends a half ulp last, which _exact_sum's in-order pass bridges unsorted
     mids = [bf._round_sum(terms, prec, _NE) for terms in _conv_sums(mids, n)]
+    if not rads:  # exact inputs: each radius is at most the half ulp
+        return BallPoly([ball.rounded(m, (), prec) for m in mids])
     return BallPoly([ball.rounded(m, (), prec, terms=r)
                      for m, r in zip(mids, _conv_sums(rads, n))])
 

@@ -333,6 +333,142 @@ class TestDot:
                 assert ball.dot([x], [y], 53, initial) == two[i][j], (i, j)
 
 
+class TestExactOperands:
+    """Exact operands take a path on ints in mul, dot, add and sub.  Its
+    results must be bit for bit the general path's: the midpoint the
+    nearest-even rounding of the exact value, the radius exactly the half
+    ulp 2^(mid.exp - prec - 1) when that rounding is inexact, else zero."""
+
+    NE = Rounding.NEAREST_EVEN
+    PRECS = range(2, 131)
+
+    @classmethod
+    def check(cls, r: Ball, exact: Fraction, prec: int) -> bool:
+        """r against the Fraction oracle; returns whether r is inexact."""
+        assert r.mid.to_fraction() == round_fraction_oracle(exact, prec, cls.NE)
+        inexact = r.mid.to_fraction() != exact
+        half = Fraction(2) ** (r.mid.exp - prec - 1) if inexact else 0
+        assert r.rad.to_fraction() == half, (r, exact, prec)
+        return inexact
+
+    @staticmethod
+    def summed(result, prec: int) -> Ball:
+        # the rounding error through magnitude.sum_upper, as every ball
+        # operation folded it before exact operands had a path of their own
+        return ball.rounded(result, [(mag.ZERO, mag.ONE)], prec)
+
+    @staticmethod
+    def odd(rng, bits: int) -> int:
+        return rng.getrandbits(bits) | 1 | (1 << (bits - 1))
+
+    @classmethod
+    def operand_pairs(cls, rng, prec: int):
+        """(a, b) mantissa pairs: products of exactly prec and prec + 1 bits,
+        carries to a power of two, powers of two, and random sizes."""
+        for want in (prec, prec + 1):
+            while True:
+                ka = rng.randrange(1, want + 1)
+                a, b = cls.odd(rng, ka), cls.odd(rng, max(1, want - ka + rng.randrange(2)))
+                if (a * b).bit_length() == want:
+                    yield a, b
+                    break
+        k = (prec + 1) // 2 + rng.randrange(3)
+        yield (1 << k) - 1, (1 << k) + 1  # 2^2k - 1: a carry below 2k bits
+        yield (1 << k) - 1, (1 << k) - 1
+        yield 1, 1
+        yield 1, cls.odd(rng, prec + 3)
+        yield cls.odd(rng, rng.randrange(1, 2 * prec)), cls.odd(rng, rng.randrange(1, 2 * prec))
+
+    def balls(self, rng, a: int, b: int) -> tuple[Ball, Ball]:
+        far = rng.choice((0, 5000, -5000))
+        return (Ball(BigFloat.from_man_exp(rng.choice((1, -1)) * a, rng.randrange(-40, 40) + far)),
+                Ball(BigFloat.from_man_exp(rng.choice((1, -1)) * b, rng.randrange(-40, 40) - far)))
+
+    def test_mul_against_the_oracle_and_the_general_path(self):
+        rng = random.Random(2201)
+        seen = set()
+        for prec in self.PRECS:
+            for a, b in self.operand_pairs(rng, prec):
+                x, y = self.balls(rng, a, b)
+                r = ball.mul(x, y, prec)
+                exact = x.mid.to_fraction() * y.mid.to_fraction()
+                inexact = self.check(r, exact, prec)
+                general = bf.mul(x.mid, y.mid, prec, self.NE)
+                assert r == ball.rounded(general, [], prec) == self.summed(general, prec)
+                assert r == ball.dot([x], [y], prec) == ball.fma(Ball(bf.ZERO), x, y, prec)
+                seen.add(("inexact", inexact))
+                seen.add(("carry", inexact and r.mid.man == 1))
+                seen.add(("bits", (a * b).bit_length() - prec))
+        assert {("inexact", True), ("inexact", False), ("carry", True), ("bits", 0),
+                ("bits", 1)} <= seen
+
+    def test_dot_add_sub_against_the_oracle_and_the_general_path(self):
+        rng = random.Random(2202)
+        cancelled = 0
+        for prec in self.PRECS:
+            for _ in range(4):
+                pairs = [self.balls(rng, *next(self.operand_pairs(rng, prec)))
+                         for _ in range(rng.randrange(1, 6))]
+                if rng.random() < 0.3:  # cancels to exactly 0
+                    pairs += [(x, -y) for x, y in pairs]
+                if rng.random() < 0.2:
+                    pairs.append((Ball(bf.ZERO), pairs[0][1]))
+                rng.shuffle(pairs)
+                xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+                exact = sum((x.mid.to_fraction() * y.mid.to_fraction() for x, y in pairs), Fraction(0))
+                r = ball.dot(xs, ys, prec)
+                self.check(r, exact, prec)
+                cancelled += exact == 0 and r == Ball(bf.ZERO)
+                general = bf.vector_sum([bf.mul_exact(x.mid, y.mid) for x, y in pairs], prec, self.NE)
+                assert r == ball.rounded(general, [], prec) == self.summed(general, prec)
+                x, y = xs[0], ys[0]
+                assert ball.fma(x, x, y, prec) == ball.dot([x, x], [y, ball.ONE], prec)
+                for op, fn, sign in ((ball.add, bf.add, 1), (ball.sub, bf.sub, -1)):
+                    r = op(x, y, prec)
+                    self.check(r, x.mid.to_fraction() + sign * y.mid.to_fraction(), prec)
+                    assert r == self.summed(fn(x.mid, y.mid, prec, self.NE), prec)
+        assert cancelled > 20
+
+    def test_zero_inf_and_nan_midpoints_take_the_general_path(self, monkeypatch):
+        calls = []
+        for name in ("mul", "vector_sum"):
+            fn = getattr(bf, name)
+            monkeypatch.setattr(bf, name, lambda *a, _fn=fn, _n=name: calls.append(_n) or _fn(*a))
+        three = B(3)
+        for m in (bf.ZERO, bf.POS_INF, bf.NEG_INF, bf.NAN):
+            calls.clear()
+            ball.mul(Ball(m), three, 53), ball.mul(three, Ball(m), 53)
+            assert calls == ["mul", "mul"], m
+        for m in (bf.POS_INF, bf.NEG_INF, bf.NAN):
+            calls.clear()
+            ball.dot([three, Ball(m)], [three, three], 53)
+            assert calls == ["vector_sum"], m
+        calls.clear()
+        assert ball.mul(three, three, 53) == B(9) == ball.dot([three], [three], 53)
+        assert ball.dot([Ball(bf.ZERO), three], [three, three], 53) == B(9)
+        wide = B(3, mag.ONE)
+        assert ball.mul(three, wide, 53) == ball.mul(wide, three, 53) == B(9, mag.from_int_upper(3))
+        assert calls == ["mul", "mul"]  # only the inexact operand left the int path
+        assert ball.dot([three], [wide], 53) == ball.dot([wide], [three], 53) == \
+            B(9, mag.from_int_upper(3))
+        assert ball.fma(three, three, wide, 53) == B(12, mag.from_int_upper(3))
+        assert ball.fma(wide, three, three, 53) == B(12, mag.ONE)
+        for x, y in ((three, wide), (wide, three)):
+            assert ball.add(x, y, 53) == B(6, mag.ONE) and ball.sub(x, y, 53) == B(0, mag.ONE)
+        assert ball.mul(Ball(bf.ZERO), three, 53) == Ball(bf.ZERO)
+        assert ball.mul(Ball(bf.POS_INF), Ball(bf.ZERO), 53).is_indeterminate()
+
+    def test_precision_1_and_unequal_lengths_raise(self):
+        one = B(1)
+        for call in (lambda: ball.mul(one, one, 1), lambda: ball.dot([one], [one], 1),
+                     lambda: ball.dot([], [], 1), lambda: ball.fma(one, one, one, 1),
+                     lambda: ball.add(one, one, 1), lambda: ball.sub(one, one, 1),
+                     lambda: ball.dot([one, one], [one], 53),
+                     lambda: ball.dot([one], [one, B(1, mag.ONE)], 53)):
+            with pytest.raises(ValueError):
+                call()
+
+
 class TestDivSqrt:
     def test_sqrt_of_an_infinite_radius_holds_every_root(self):
         for mid in (bf.POS_INF, bf.NEG_INF, bf.ZERO):

@@ -184,6 +184,36 @@ class TestBlockMul:
         assert [c.mid.to_fraction() for c in h] == ref
         assert all(c.is_exact() for c in h)
 
+    def test_exact_inputs_skip_the_radius_pass(self, monkeypatch):
+        # exact coefficients (ints, 53-bit mantissas, some zero) of degree 16
+        # and up: no radius product runs, and each output is the two-pass
+        # result, the nearest-even rounding of its exact sum with the half
+        # ulp as radius only when inexact, and the schoolbook ball
+        rng = random.Random(10)
+        runs = []
+        conv = bp._conv_sums
+        monkeypatch.setattr(bp, "_conv_sums", lambda products, n: runs.append(len(products))
+                            or conv(products, n))
+        for n, bits, prec, rounds in ((17, 10, 64, False), (30, 53, 64, True), (40, 53, 2, True),
+                                      (64, 53, 200, False), (100, 40, 53, True)):
+            vals = [[(rng.getrandbits(bits) | 1) * rng.choice((1, -1)) if rng.random() < 0.9
+                     else 0 for _ in range(n)] for _ in range(2)]
+            f, g = BallPoly.from_ints(vals[0]), BallPoly.from_ints(vals[1])
+            runs.clear()
+            h = bp.mul_block(f, g, prec)
+            assert runs == [1]  # the midpoint pass only
+            plan = bp.plan_blocks(f, g, prec)
+            mids = [bf._round_sum(t, prec, Rounding.NEAREST_EVEN)
+                    for t in conv([plan], 2 * n - 1)]
+            two_pass = [ball.rounded(m, (), prec, terms=r) for m, r in zip(mids, conv([], 2 * n - 1))]
+            assert h.coeffs == two_pass == bp.mul_schoolbook(f, g, prec).coeffs
+            for c, exact in zip(h, exact_conv(vals[0], vals[1])):
+                assert c.mid.to_fraction() == round_fraction_oracle(exact, prec,
+                                                                    Rounding.NEAREST_EVEN)
+                half = Fraction(2) ** (c.mid.exp - prec - 1) if c.mid.to_fraction() != exact else 0
+                assert c.rad.to_fraction() == half
+            assert any(not c.is_exact() for c in h) == rounds
+
     def test_preserves_sparsity(self):
         vals = [k + 1 if k % 2 == 0 else 0 for k in range(25)]
         f = BallPoly.from_ints(vals)
