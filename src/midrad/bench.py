@@ -14,10 +14,20 @@ import time
 
 from . import ball
 from . import ballpoly as bp
+from . import bigfloat as bf
 from . import elementary as el
 from . import expreval
 from .ball import Ball
 from .bigfloat import BigFloat, Rounding
+
+
+def check_args(which: str, ns, precs) -> None:
+    """Raise ValueError for a precision below 2, or for bench round a count
+    below 1: what a kernel would reject, checked before it writes a row."""
+    for prec in precs:
+        bf._check_prec(prec)
+    if which == "round" and min(ns) < 1:
+        raise ValueError("bench round needs --n of at least 1")
 
 
 def ball_factorial(n: int, prec: int) -> Ball:
@@ -142,8 +152,7 @@ def bench_round(n: int, precs, out):
     arguments of each function from ``round_args``, after one rounding that
     fills the constant caches: one row per function and precision, its
     metric the roundings per second."""
-    if n < 1:
-        raise ValueError("bench round needs --n of at least 1")
+    check_args("round", [n], precs)
     args = round_args(n)
     for prec in precs:
         for fn in _ROUND_DRAWS:

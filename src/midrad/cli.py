@@ -108,17 +108,19 @@ def _cmd_round(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    ns = args.n
-    precs = args.prec or [64]
-    out = sys.stdout
+    which, ns, out = args.which, args.n, sys.stdout
+    precs = args.prec or {"elementary": [53, 333, 1000, 10 ** 4], "round": [53]}.get(which, [64])
+    if which == "round":
+        ns = ns[:1] or [1000]
+    benchmod.check_args(which, ns, precs)  # before the header: an error leaves stdout empty
     out.write("name,param,prec,seconds,metric\n")
-    if args.which == "elementary":
-        benchmod.bench_elementary(args.prec or [53, 333, 1000, 10 ** 4], out)
-    elif args.which == "round":
-        benchmod.bench_round(ns[0] if ns else 1000, args.prec or [53], out)
-    elif args.which == "factorial":
+    if which == "elementary":
+        benchmod.bench_elementary(precs, out)
+    elif which == "round":
+        benchmod.bench_round(ns[0], precs, out)
+    elif which == "factorial":
         benchmod.bench_factorial(ns or [10000], precs, out)
-    elif args.which == "falling-factorial":
+    elif which == "falling-factorial":
         benchmod.bench_falling_factorial(ns or [100], precs, out)
     else:
         benchmod.bench_polymul(ns or [64, 256], precs, out)

@@ -242,6 +242,14 @@ class TestBench:
             ["24"] * 5 + ["100"] * 5
         assert run(capsys, "bench", "round", "--n", "0")[0] == 1
 
+    @pytest.mark.parametrize("argv", [("factorial", "--n", "1", "--prec", "64", "--prec", "1"),
+                                      ("round", "--n", "0"), ("round", "--prec", "1"),
+                                      ("elementary", "--prec", "1")])
+    def test_bad_arguments_leave_stdout_empty(self, capsys, argv):
+        # every argument is checked before the CSV header is written
+        code, out, err = run(capsys, "bench", *argv)
+        assert (code, out) == (1, "") and err.startswith("error: "), (code, out, err)
+
     def test_round_draws_criterion_9_arguments(self):
         # the first draw of acceptance criterion 9's seeded loop, an exp argument
         rng = random.Random(90210)
