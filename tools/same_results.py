@@ -318,8 +318,40 @@ def _can_round(rng, m, out):
                         out(tuple(m.ball.can_round(x, p, r) for r in modes))
 
 
+def _exact_ops(rng, m, out):
+    """Exact operands: mul, dot, fma, add and sub of balls with zero radii
+    at every prec from 2 to 200, their products just below, at and above
+    prec bits, some of them powers of two or zero and some summing to 0;
+    block products of exact 53-bit polynomials (n = 20 and 200) at three
+    precisions; and the falling factorial x (x-1) ... (x-19)."""
+    b, bp, zero = m.ball, m.ballpoly, m.Ball(m.bigfloat.ZERO)
+
+    def exact(bits):
+        if rng.random() < 0.05:
+            return zero
+        man = 1 if rng.random() < 0.1 else rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+        return m.Ball(m.BigFloat.from_man_exp(rng.choice((1, -1)) * man, rng.randrange(-80, 80)))
+
+    for p in range(2, 201):
+        for _ in range(4):
+            ka = rng.randrange(1, p + 1)
+            x, y, z = exact(ka), exact(max(1, p - ka + rng.randrange(-1, 3))), exact(p)
+            xs = [exact(rng.randrange(1, p + 1)) for _ in range(rng.randrange(1, 6))]
+            ys = [exact(rng.randrange(1, p + 1)) for _ in xs]
+            if rng.random() < 0.3:  # a sum that cancels to exactly 0
+                xs, ys = xs + xs, ys + [-v for v in ys]
+            out(b.mul(x, y, p), b.fma(z, x, y, p), b.add(x, y, p), b.sub(x, z, p),
+                b.dot(xs, ys, p), b.dot(xs, ys, p, z))
+    for n in (20, 200):
+        f, g = ([m.Ball(m.BigFloat.from_man_exp(rng.choice((1, -1)) * (rng.getrandbits(53) | 1), -53))
+                 for _ in range(n)] for _ in range(2))
+        for p in (53, 64, 200):
+            out(*bp.mul_block(bp.BallPoly(f), bp.BallPoly(g), p))
+    out(*m.bench.falling_factorial_poly(20, 64))
+
+
 SECTIONS = (_bigfloat, _magnitude, _ball, _elementary, _poly, _complex, _decimal, _expreval,
-            _can_round)
+            _can_round, _exact_ops)
 
 
 def _text(v) -> str:
