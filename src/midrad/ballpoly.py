@@ -305,10 +305,9 @@ def dot(fs: list, gs: list, prec: int) -> BallPoly:
     # midpoints first, so one set of exact sums is alive at a time; ball.rounded
     # appends a half ulp last, which _exact_sum's in-order pass bridges unsorted
     mids = [bf._round_sum(terms, prec, _NE) for terms in _conv_sums(mids, n)]
-    if not rads:  # exact inputs: each radius is at most the half ulp
-        return BallPoly([ball.rounded(m, (), prec) for m in mids])
-    return BallPoly([ball.rounded(m, (), prec, terms=r)
-                     for m, r in zip(mids, _conv_sums(rads, n))])
+    # with no radius product (exact inputs) each radius is the half ulp or 0
+    rad_sums = _conv_sums(rads, n) if rads else [()] * n
+    return BallPoly([ball.rounded(m, (), prec, terms=r) for m, r in zip(mids, rad_sums)])
 
 
 def mul_block(f: BallPoly, g: BallPoly, prec: int) -> BallPoly:
