@@ -9,20 +9,19 @@ radius whenever rounding was inexact; ``round_to`` adds the actual error.
 That fold is one function, ``rounded``: it takes the (mid, inexact) pair a
 bigfloat operation returns and the rest of the radius as terms of an exact
 sum, rounded up once with the rounding error by ``magnitude.sum_upper``;
-every ball operation here, the schoolbook polynomial products, the
-constants and the decimal parser use it.
+every ball operation here, the elementary functions, the polynomial
+products, the constants and the decimal parser use it.
 
-A sum of products is one operation too: ``dot`` rounds the exact midpoint
-sum once (``bigfloat.vector_sum``, over the kernel under ``sum_upper``),
-and its radius sums every product's |x| ry + |y| rx + rx ry, taken from the
-exact mantissas, with the half ulp; ``mul`` is a one-product dot.
-
-Exact operands skip the radius machinery.  When every radius is zero,
-``mul`` (of regular midpoints) and ``dot`` (of finite ones) form their
-products on ints and round them once, and ``rounded``, given nothing to
-add, makes the radius the half ulp 2^(mid.exp - prec - 1) of an inexact
-midpoint, or zero; ``add`` and ``sub`` of two exact balls get the same
-rule.  Every result is bit for bit the general path's.
+A sum of products is one operation too: ``dot`` forms each product of
+regular midpoints as one signed int term and rounds their exact sum once
+(``bigfloat._round_sum``, the kernel under ``sum_upper``), and its radius
+sums |x| ry + |y| rx + rx ry, taken from the exact mantissas, over the
+products with a radius, with the half ulp; ``mul`` is a one-product dot.
+The radius is zero where no term is left to add, and the bare half ulp
+2^(mid.exp - prec - 1) of an inexact midpoint where that is all.  Only
+``mul`` keeps a path of its own for two exact regular midpoints, which it
+multiplies and rounds on ints; its results are bit for bit those of the
+general path.
 
 A NaN midpoint means "indeterminate / whole extended line"; an infinite
 radius with a finite midpoint means "the whole real line".  Predicates
@@ -160,21 +159,22 @@ def rounded(result: tuple[BigFloat, bool], pairs: list, prec: int,
     the sum of |a b| over the (a, b) pairs of magnitudes and BigFloats, of
     m 2^l over the (m, l) int terms and of an inexact midpoint's rounding
     error (|exact - mid|, or else half an ulp, 2^(mid.exp - prec - 1)),
-    rounded up once (magnitude.sum_upper).  With no pairs, no terms and no
-    exact value, the radius of an inexact midpoint is that half ulp itself,
-    a power of two, and of an exact one zero.  A NaN midpoint gives
+    rounded up once (magnitude.sum_upper).  A pair with a zero factor adds
+    nothing; when no other term is left, the radius of an inexact midpoint
+    is that half ulp itself, a power of two.  A NaN midpoint gives
     indeterminate()."""
     mid, inexact = result
     if mid.is_nan():
         return indeterminate()
+    terms = mag._pair_terms(pairs, terms)
+    if terms is None:
+        return Ball(mid, mag.INF)
     if inexact:  # mid has the sign of exact, and its lsb is not below exact's
-        if not (pairs or terms) and exact is None:
+        if not terms and exact is None:
             return Ball(mid, mag.pow2(mid.exp - prec - 1))
-        terms = [*terms, (1, mid.exp - prec - 1) if exact is None else
-                 (abs(exact.man - (mid.man << (mid.lsb - exact.lsb))), exact.lsb)]
-    elif not (pairs or terms):
-        return Ball(mid)
-    return Ball(mid, mag.dot_upper(pairs, terms) if pairs else mag.sum_upper(terms))
+        terms.append((1, mid.exp - prec - 1) if exact is None else
+                     (abs(exact.man - (mid.man << (mid.lsb - exact.lsb))), exact.lsb))
+    return Ball(mid, mag.sum_upper(terms))
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -183,25 +183,16 @@ def neg(x: Ball) -> Ball:
     return Ball(-x.mid, x.rad)
 
 
-def _sum_pairs(x: Ball, y: Ball) -> list:
-    """(a, b) pairs with sum |a b| = x.rad + y.rad; none for two exact balls."""
-    if x.rad.kind == _RAD_ZERO == y.rad.kind:
-        return []
-    return [(x.rad, mag.ONE), (y.rad, mag.ONE)]
-
-
 def add(x: Ball, y: Ball, prec: int) -> Ball:
-    return rounded(bf.add(x.mid, y.mid, prec, _NE), _sum_pairs(x, y), prec)
+    return rounded(bf.add(x.mid, y.mid, prec, _NE), [(x.rad, mag.ONE), (y.rad, mag.ONE)], prec)
 
 
 def sub(x: Ball, y: Ball, prec: int) -> Ball:
-    return rounded(bf.sub(x.mid, y.mid, prec, _NE), _sum_pairs(x, y), prec)
+    return rounded(bf.sub(x.mid, y.mid, prec, _NE), [(x.rad, mag.ONE), (y.rad, mag.ONE)], prec)
 
 
 def _rad_pairs(x: Ball, y: Ball) -> list:
     """(a, b) pairs with sum |a b| = |x.mid| y.rad + |y.mid| x.rad + x.rad y.rad."""
-    if x.rad.kind == _RAD_ZERO == y.rad.kind:
-        return []
     return [(x.mid, y.rad), (y.mid, x.rad), (x.rad, y.rad)]
 
 
@@ -219,36 +210,25 @@ def mul(x: Ball, y: Ball, prec: int) -> Ball:
     return rounded(bf.mul(a, b, prec, _NE), _rad_pairs(x, y), prec)
 
 
-def _exact_terms(xs, ys) -> list | None:
-    """The signed (m, l) int terms of sum x*y when every ball of xs and ys
-    is exact with a finite midpoint (a zero product adds no term), else
-    None; lists of unequal length raise ValueError."""
-    terms = []
+def dot(xs, ys, prec: int, initial: Ball | None = None) -> Ball:
+    """initial + sum x*y over two equally long sequences of balls, the
+    midpoint rounded once and the radius bounded once.  Each product of
+    regular midpoints is one signed int term of the exact sum; an infinite
+    or NaN product decides the sum alone, as no finite term can change it."""
+    if initial is not None:
+        xs, ys = [*xs, initial], [*ys, ONE]
+    terms, pairs, special = [], [], []
     for x, y in zip(xs, ys, strict=True):
         a, b = x.mid, y.mid
-        if x.rad.kind != _RAD_ZERO or y.rad.kind != _RAD_ZERO:
-            return None
         if a.kind == _REGULAR == b.kind:
             terms.append((a.sign * b.sign * a.man * b.man,
                           a.exp + b.exp - a.man.bit_length() - b.man.bit_length()))
         elif not (a.is_finite() and b.is_finite()):
-            return None
-    return terms
-
-
-def dot(xs, ys, prec: int, initial: Ball | None = None) -> Ball:
-    """initial + sum x*y over two equally long sequences of balls, the
-    midpoint rounded once and the radius bounded once."""
-    if initial is not None:
-        xs, ys = [*xs, initial], [*ys, ONE]
-    terms = _exact_terms(xs, ys)
-    if terms is not None:
-        return rounded(bf._round_sum(terms, prec, _NE), [], prec)
-    mids, pairs = [], []
-    for x, y in zip(xs, ys, strict=True):
-        mids.append(bf.mul_exact(x.mid, y.mid))
-        pairs += _rad_pairs(x, y)
-    return rounded(bf.vector_sum(mids, prec, _NE), pairs, prec)
+            special.append(bf.mul_exact(a, b))
+        if x.rad.kind != _RAD_ZERO or y.rad.kind != _RAD_ZERO:
+            pairs += _rad_pairs(x, y)
+    result = bf.vector_sum(special, prec, _NE) if special else bf._round_sum(terms, prec, _NE)
+    return rounded(result, pairs, prec)
 
 
 def sqr(x: Ball, prec: int) -> Ball:

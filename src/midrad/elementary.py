@@ -354,7 +354,7 @@ def _fixed_ball(s: int, err: int, w: int, pairs: list, prec: int,
         mid = bf._normalize(sign, q, l)
     else:
         mid = bf.ZERO
-    return Ball(mid, mag.dot_upper(pairs, terms) if pairs else mag.sum_upper(terms))
+    return ball.rounded((mid, False), pairs, prec, terms=terms)
 
 
 def _sub_multiple(v: int, l: int, c: BigFloat, k: int) -> tuple[int, int]:

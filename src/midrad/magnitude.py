@@ -8,11 +8,12 @@ mantissa).  There is no NaN; bounds are nonnegative by construction and
 ``+inf`` absorbs.
 
 There are two upward roundings.  ``sum_upper`` is the one exact upward sum
-(bigfloat's ``_exact_sum``, rounded up once); ``dot_upper`` (and so ``mul``,
-``addmul`` and ``ball.rounded``) feeds it; ``add`` returns the same by its
-own two-term rule.  ``div_upper`` is the one upward quotient: the same exact
-sum over an exact dyadic denominator, rounded up once.  Both return the
-least 30-bit magnitude at or above the exact value.
+(bigfloat's ``_exact_sum``, rounded up once); ``dot_upper`` (and so ``mul``
+and ``addmul``) and ``ball.rounded`` feed it the terms ``_pair_terms`` makes
+of their products; ``add`` returns the same by its own two-term rule.
+``div_upper`` is the one upward quotient: the same exact sum over an exact
+dyadic denominator, rounded up once.  Both return the least 30-bit
+magnitude at or above the exact value.
 """
 
 from __future__ import annotations

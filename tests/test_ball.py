@@ -332,6 +332,40 @@ class TestDot:
                 assert ball.dot([x, three], [y, wide], 53) == two[i][j], (i, j)
                 assert ball.dot([x], [y], 53, initial) == two[i][j], (i, j)
 
+    @staticmethod
+    def two_path(xs, ys, prec: int) -> Ball:
+        """sum x*y as dot formed it with a separate path for exact operands:
+        the exact BigFloat products summed by vector_sum, the radius from
+        all three radius products of every pair."""
+        pairs = [p for x, y in zip(xs, ys) for p in ((x.mid, y.rad), (y.mid, x.rad), (x.rad, y.rad))]
+        mids = [bf.mul_exact(x.mid, y.mid) for x, y in zip(xs, ys)]
+        return ball.rounded(bf.vector_sum(mids, prec, Rounding.NEAREST_EVEN), pairs, prec)
+
+    def test_one_loop_matches_the_two_path_formula(self):
+        rng = random.Random(2301)
+        special = [bf.POS_INF, bf.NEG_INF, bf.NAN, bf.ZERO]
+        kinds = {"inf": 0, "nan": 0, "wide": 0, "exact": 0}
+        for _ in range(1500):
+            n = rng.randrange(1, 7)
+            balls = [rand_ball(rng, 80, 30, rng.choice((0.0, 0.3, 0.9))) for _ in range(2 * n + 1)]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                i = rng.randrange(len(balls))
+                balls[i] = Ball(rng.choice(special), balls[i].rad)
+            if rng.random() < 0.1:
+                i = rng.randrange(len(balls))
+                balls[i] = Ball(balls[i].mid, mag.INF)
+            xs, ys, z = balls[:n], balls[n:2 * n], balls[-1]
+            prec = rng.choice((2, 10, 53, 200))
+            d = ball.dot(xs, ys, prec)
+            assert d == self.two_path(xs, ys, prec), (xs, ys, prec)
+            assert ball.dot(xs, ys, prec, z) == self.two_path([*xs, z], [*ys, ball.ONE], prec)
+            assert ball.fma(z, xs[0], ys[0], prec) == self.two_path([xs[0], z], [ys[0], ball.ONE], prec)
+            kinds["inf"] += d.mid.is_inf()
+            kinds["nan"] += d.is_indeterminate()
+            kinds["wide"] += d.mid.is_finite() and d.rad.is_inf()
+            kinds["exact"] += d.is_exact()
+        assert min(kinds.values()) > 20, kinds
+
 
 class TestExactOperands:
     """Exact operands take a path on ints in mul, dot, add and sub.  Its

@@ -386,7 +386,7 @@ class TestBlockRadius:
         assert len(h) == 2 * n - 1 == calls.count("sum_upper") == len(calls)
         calls.clear()
         bp.mul_schoolbook(BallPoly(cs[2:5]), BallPoly(cs[2:5]), prec)
-        assert "dot_upper" in calls  # the spies do see the schoolbook's radii
+        assert "sum_upper" in calls  # the spies do see the schoolbook's radii
 
 class TestAddSub:
     def test_exact(self):
