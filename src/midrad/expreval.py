@@ -327,20 +327,22 @@ class AdaptiveResult:
 def _refine(e, bindings: dict, prec: int, target: int, cap: int, done):
     """Evaluate at rising precisions from prec until done(value) or the cap.
 
-    Returns (value, prec, done(value)).  After a failed test, an evaluation
-    that reached acc bits with prec // 2 <= acc < target lost max(0, prec -
-    acc) bits; the next precision is the target plus that loss plus
-    _GUARD_BITS (at least prec + _GUARD_BITS).  Any other acc (a larger loss,
-    typical of inputs that limit it, none certified, or past the target)
-    doubles prec.  Precisions strictly increase up to the cap, unless a
-    value proves the expression undefined (_eval): that ends it, not done.
+    Returns (value, prec, done(value), undefined).  After a failed test, an
+    evaluation that reached acc bits with prec // 2 <= acc < target lost
+    max(0, prec - acc) bits; the next precision is the target plus that loss
+    plus _GUARD_BITS (at least prec + _GUARD_BITS).  Any other acc (a larger
+    loss, typical of inputs that limit it, none certified, or past the
+    target) doubles prec.  Precisions strictly increase up to the cap, unless
+    a value proves the expression undefined (_eval): that ends it, not done,
+    with undefined True.
     """
     while True:
         value = eval_ball(e, bindings, prec)
         if done(value):
-            return value, prec, True
-        if prec >= cap or value.is_indeterminate() and _eval(e, bindings, prec)[1]:
-            return value, prec, False
+            return value, prec, True, False
+        undefined = value.is_indeterminate() and _eval(e, bindings, prec)[1]
+        if prec >= cap or undefined:
+            return value, prec, False, undefined
         acc = ball.rel_accuracy_bits(value)
         if prec // 2 <= acc < target:
             nxt = max(prec, target + max(0, prec - acc)) + _GUARD_BITS
@@ -357,8 +359,9 @@ def eval_adaptive(e, bindings: dict, cfg: EvalConfig) -> AdaptiveResult:
     expression (1/0) comes back the same way, from the first evaluation.
     """
     target = cfg.target_bits
-    return AdaptiveResult(*_refine(e, bindings, _START_PREC, target, cfg.max_prec,
-                                   lambda v: ball.rel_accuracy_bits(v) >= target))
+    v, p, converged, _ = _refine(e, bindings, _START_PREC, target, cfg.max_prec,
+                                 lambda v: ball.rel_accuracy_bits(v) >= target)
+    return AdaptiveResult(v, p, converged)
 
 
 def eval_correctly_rounded(e, bindings: dict, prec: int, rnd: Rounding,
@@ -376,9 +379,9 @@ def eval_correctly_rounded(e, bindings: dict, prec: int, rnd: Rounding,
     """
     cfg = cfg or EvalConfig()
     start = min(max(_START_PREC, prec + 8), cfg.max_prec)
-    v, p, rounds = _refine(e, bindings, start, start, cfg.max_prec,
-                           lambda v: ball.can_round(v, prec, rnd))
-    if rounds or v.is_indeterminate() and _eval(e, bindings, p)[1]:
+    v, _, rounds, undefined = _refine(e, bindings, start, start, cfg.max_prec,
+                                      lambda v: ball.can_round(v, prec, rnd))
+    if rounds or undefined:
         return bf.round_to(v.mid, prec, rnd)[0]  # a NaN midpoint stays NaN
     raise UnconvergedError("indeterminate at the precision cap" if v.is_indeterminate()
                            else "possible exact/near-exact case")

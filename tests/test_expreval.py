@@ -218,6 +218,19 @@ class TestCorrectRounding:
                                       Rounding.NEAREST_EVEN, ev.EvalConfig(max_prec=4096))
         assert v.is_nan() and precs == {64}
 
+    @pytest.mark.parametrize("text", ["1/0 + exp(1)", "log(0)"])
+    def test_undefined_is_proved_by_one_more_evaluation(self, text, monkeypatch):
+        # round and eval alike: one evaluation at 64 bits, which is NaN, and
+        # one that proves it undefined, whose proof the loop hands back
+        e, whole, calls = ev.parse_expr(text), ev._eval, []
+        monkeypatch.setattr(ev, "_eval", lambda t, b, p: (t is e and calls.append(p)) or whole(t, b, p))
+        assert ev.eval_correctly_rounded(e, {}, 53, Rounding.NEAREST_EVEN).is_nan()
+        assert calls == [64, 64]
+        calls.clear()
+        r = ev.eval_adaptive(e, {}, ev.EvalConfig())
+        assert r.value.is_indeterminate() and not r.converged and r.prec == 64
+        assert calls == [64, 64]
+
     def test_pole_touching_ball_is_not_nan(self):
         # at 1024 bits exp(1e-700) - 1 is a ball around 0, so the quotient is
         # indeterminate, yet the value is about 1e700: refuse at that cap, and
