@@ -3,7 +3,8 @@
 Emits CSV rows ``name,param,prec,seconds,metric`` where the metric is the
 worst relative accuracy in bits (factorials, elementary functions), the
 largest relative radius (polynomial multiplication) or the roundings per
-second (correct rounding).
+second (correct rounding).  The seconds are the least of three calls of the
+kernel, except for correct rounding, which times its whole run once.
 """
 
 from __future__ import annotations
@@ -62,21 +63,28 @@ def _acc_to_relrad(acc) -> float:
         return math.inf
 
 
+def _best_of_3(fn, *args):
+    """(fn(*args), the least wall time of three calls), so that one slow call
+    on a busy machine does not make the row."""
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        r = fn(*args)
+        best = min(best, time.perf_counter() - t0)
+    return r, best
+
+
 def bench_factorial(ns, precs, out):
     for n in ns:
         for prec in precs:
-            t0 = time.perf_counter()
-            r = ball_factorial(n, prec)
-            dt = time.perf_counter() - t0
+            r, dt = _best_of_3(ball_factorial, n, prec)
             out.write(f"factorial,{n},{prec},{dt:.6f},{ball.rel_accuracy_bits(r)}\n")
 
 
 def bench_falling_factorial(ns, precs, out):
     for n in ns:
         for prec in precs:
-            t0 = time.perf_counter()
-            p = falling_factorial_poly(n, prec)
-            dt = time.perf_counter() - t0
+            p, dt = _best_of_3(falling_factorial_poly, n, prec)
             worst = math.inf
             for c in p.coeffs:
                 if not c.mid.is_zero():
@@ -100,9 +108,7 @@ def bench_polymul(ns, precs, out):
                              ("polymul-schoolbook", bp.mul_schoolbook)):
                 if name == "polymul-schoolbook" and n > 2000:
                     continue
-                t0 = time.perf_counter()
-                h = fn(f, g, prec)
-                dt = time.perf_counter() - t0
+                h, dt = _best_of_3(fn, f, g, prec)
                 worst = 0.0
                 for c in h.coeffs:
                     if not c.mid.is_zero():
@@ -117,12 +123,7 @@ def bench_elementary(precs, out):
     for prec in precs:
         x = Ball(BigFloat.from_man_exp(7 * (1 << prec) // 10, -prec))
         for name in ("exp", "log", "sin", "atan"):
-            fn = getattr(el, name)
-            best = math.inf
-            for _ in range(3):
-                t0 = time.perf_counter()
-                r = fn(x, prec)
-                best = min(best, time.perf_counter() - t0)
+            r, best = _best_of_3(getattr(el, name), x, prec)
             out.write(f"{name},0.7,{prec},{best:.6f},{ball.rel_accuracy_bits(r)}\n")
 
 

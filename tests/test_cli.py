@@ -242,6 +242,22 @@ class TestBench:
             ["24"] * 5 + ["100"] * 5
         assert run(capsys, "bench", "round", "--n", "0")[0] == 1
 
+    @pytest.mark.parametrize("argv, kernels", [
+        (("factorial", "--n", "30"), [(bench, "ball_factorial")]),
+        (("falling-factorial", "--n", "12"), [(bench, "falling_factorial_poly")]),
+        (("polymul", "--n", "8"), [(bench.bp, "mul_block"), (bench.bp, "mul_schoolbook")]),
+        (("elementary", "--prec", "53"), [(el, f) for f in ("exp", "log", "sin", "atan")])])
+    def test_each_row_is_the_best_of_three_calls(self, capsys, monkeypatch, argv, kernels):
+        calls = []
+        for module, name in kernels:
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        code, out, _ = run(capsys, "bench", *argv)
+        rows = out.strip().splitlines()[1:]
+        assert code == 0 and len(rows) == len(kernels)
+        assert calls == [name for _, name in kernels for _ in range(3)]
+
     @pytest.mark.parametrize("argv", [("factorial", "--n", "1", "--prec", "64", "--prec", "1"),
                                       ("round", "--n", "0"), ("round", "--prec", "1"),
                                       ("elementary", "--prec", "1")])
