@@ -350,8 +350,35 @@ def _exact_ops(rng, m, out):
     out(*m.bench.falling_factorial_poly(20, 64))
 
 
+def _mixed_dot(rng, m, out):
+    """dot, fma, add and sub over operands that mix exact balls, balls with
+    radii, zero and infinite radii and zero, infinite and NaN midpoints, at
+    precisions from 2 to 333."""
+    b, bf, mag = m.ball, m.bigfloat, m.magnitude
+    mids = (bf.ZERO, bf.POS_INF, bf.NEG_INF, bf.NAN)
+
+    def operand():
+        x = _rand_ball(rng, m, rng.choice((8, 64, 200)), 40)
+        u = rng.random()
+        if u < 0.3:
+            x = m.Ball(x.mid)
+        elif u < 0.35:
+            x = m.Ball(x.mid, mag.INF)
+        if rng.random() < 0.1:
+            x = m.Ball(rng.choice(mids), x.rad)
+        return x
+
+    for _ in range(1500):
+        n = rng.randrange(1, 9)
+        xs, ys = [operand() for _ in range(n)], [operand() for _ in range(n)]
+        z = operand()
+        p = rng.choice((2, 3, 10, 53, 64, 333))
+        out(b.dot(xs, ys, p), b.dot(xs, ys, p, z), b.fma(z, xs[0], ys[0], p),
+            b.add(xs[0], ys[0], p), b.sub(xs[0], z, p))
+
+
 SECTIONS = (_bigfloat, _magnitude, _ball, _elementary, _poly, _complex, _decimal, _expreval,
-            _can_round, _exact_ops)
+            _can_round, _exact_ops, _mixed_dot)
 
 
 def _text(v) -> str:
