@@ -359,9 +359,8 @@ def eval_adaptive(e, bindings: dict, cfg: EvalConfig) -> AdaptiveResult:
     expression (1/0) comes back the same way, from the first evaluation.
     """
     target = cfg.target_bits
-    v, p, converged, _ = _refine(e, bindings, _START_PREC, target, cfg.max_prec,
-                                 lambda v: ball.rel_accuracy_bits(v) >= target)
-    return AdaptiveResult(v, p, converged)
+    return AdaptiveResult(*_refine(e, bindings, _START_PREC, target, cfg.max_prec,
+                                   lambda v: ball.rel_accuracy_bits(v) >= target)[:3])
 
 
 def eval_correctly_rounded(e, bindings: dict, prec: int, rnd: Rounding,
