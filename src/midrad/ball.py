@@ -161,8 +161,8 @@ def rounded(result: tuple[BigFloat, bool], pairs: list, prec: int,
     error (|exact - mid|, or else half an ulp, 2^(mid.exp - prec - 1)),
     rounded up once (magnitude.sum_upper).  A pair with a zero factor adds
     nothing; when no other term is left, the radius of an inexact midpoint
-    is that half ulp itself, a power of two.  A NaN midpoint gives
-    indeterminate()."""
+    is that half ulp itself, a power of two, and of an exact one zero.  A
+    NaN midpoint gives indeterminate()."""
     mid, inexact = result
     if mid.is_nan():
         return indeterminate()
@@ -174,7 +174,7 @@ def rounded(result: tuple[BigFloat, bool], pairs: list, prec: int,
             return Ball(mid, mag.pow2(mid.exp - prec - 1))
         terms.append((1, mid.exp - prec - 1) if exact is None else
                      (abs(exact.man - (mid.man << (mid.lsb - exact.lsb))), exact.lsb))
-    return Ball(mid, mag.sum_upper(terms))
+    return Ball(mid, mag.sum_upper(terms) if terms else mag.ZERO)
 
 
 # -- arithmetic ---------------------------------------------------------------

@@ -386,7 +386,10 @@ class TestBlockRadius:
         assert len(h) == 2 * n - 1 == calls.count("sum_upper") == len(calls)
         calls.clear()
         bp.mul_schoolbook(BallPoly(cs[2:5]), BallPoly(cs[2:5]), prec)
-        assert "sum_upper" in calls  # the spies do see the schoolbook's radii
+        # the spies do see the schoolbook's radii: each output coefficient
+        # but the exact (1/2)^2 has one, and without them none would reach
+        # sum_upper (an exact or plain half-ulp radius needs no sum)
+        assert calls == ["sum_upper"] * 4
 
 class TestAddSub:
     def test_exact(self):
