@@ -333,14 +333,14 @@ def _refine(e, bindings: dict, prec: int, target: int, cap: int, done):
     plus _GUARD_BITS (at least prec + _GUARD_BITS).  Any other acc (a larger
     loss, typical of inputs that limit it, none certified, or past the
     target) doubles prec.  Precisions strictly increase up to the cap, unless
-    a value proves the expression undefined (_eval): that ends it, not done,
-    with undefined True.
+    a value below the cap proves the expression undefined (_eval): that ends
+    it, not done, with undefined True.  At the cap no proof is sought.
     """
     while True:
         value = eval_ball(e, bindings, prec)
         if done(value):
             return value, prec, True, False
-        undefined = value.is_indeterminate() and _eval(e, bindings, prec)[1]
+        undefined = prec < cap and value.is_indeterminate() and _eval(e, bindings, prec)[1]
         if prec >= cap or undefined:
             return value, prec, False, undefined
         acc = ball.rel_accuracy_bits(value)
@@ -378,9 +378,9 @@ def eval_correctly_rounded(e, bindings: dict, prec: int, rnd: Rounding,
     """
     cfg = cfg or EvalConfig()
     start = min(max(_START_PREC, prec + 8), cfg.max_prec)
-    v, _, rounds, undefined = _refine(e, bindings, start, start, cfg.max_prec,
+    v, p, rounds, undefined = _refine(e, bindings, start, start, cfg.max_prec,
                                       lambda v: ball.can_round(v, prec, rnd))
-    if rounds or undefined:
+    if rounds or undefined or v.is_indeterminate() and _eval(e, bindings, p)[1]:
         return bf.round_to(v.mid, prec, rnd)[0]  # a NaN midpoint stays NaN
     raise UnconvergedError("indeterminate at the precision cap" if v.is_indeterminate()
                            else "possible exact/near-exact case")

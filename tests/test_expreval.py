@@ -230,6 +230,24 @@ class TestCorrectRounding:
         r = ev.eval_adaptive(e, {}, ev.EvalConfig())
         assert r.value.is_indeterminate() and not r.converged and r.prec == 64
         assert calls == [64, 64]
+        calls.clear()
+        cfg = ev.EvalConfig(max_prec=64)  # round starts at the cap: the proof is its own
+        assert ev.eval_correctly_rounded(e, {}, 53, Rounding.NEAREST_EVEN, cfg).is_nan()
+        assert calls == [64, 64]
+
+    def test_no_proof_is_sought_at_the_cap(self, monkeypatch):
+        # an indeterminate value that is not undefined: eval stops at the cap
+        # without a proof, and round seeks one there only to tell NaN from a raise
+        e = ev.parse_expr("1/(exp(1e-700) - 1)")
+        whole, calls = ev._eval, []
+        monkeypatch.setattr(ev, "_eval", lambda t, b, p: (t is e and calls.append(p)) or whole(t, b, p))
+        r = ev.eval_adaptive(e, {}, ev.EvalConfig(max_prec=128))
+        assert r.value.is_indeterminate() and not r.converged and r.prec == 128
+        assert calls == [64, 64, 128]
+        calls.clear()
+        with pytest.raises(ev.UnconvergedError, match="indeterminate"):
+            ev.eval_correctly_rounded(e, {}, 53, Rounding.NEAREST_EVEN, ev.EvalConfig(max_prec=128))
+        assert calls == [64, 64, 128, 128]
 
     def test_pole_touching_ball_is_not_nan(self):
         # at 1024 bits exp(1e-700) - 1 is a ball around 0, so the quotient is
