@@ -5,12 +5,14 @@ The midpoint is a :class:`~midrad.bigfloat.BigFloat`, the radius a
 for any points chosen from the input balls, the exact result lies in the
 output ball.  Midpoints are rounded to the requested precision (nearest,
 ties to even) and a half-ulp bound on that rounding error is folded into the
-radius whenever rounding was inexact; ``round_to`` adds the actual error.
-That fold is one function, ``rounded``: it takes the (mid, inexact) pair a
-bigfloat operation returns and the rest of the radius as terms of an exact
-sum, rounded up once with the rounding error by ``magnitude.sum_upper``;
-every ball operation here, the elementary functions, the polynomial
-products, the constants and the decimal parser use it.
+radius whenever rounding was inexact.  That fold is one function,
+``rounded``: it takes the (mid, inexact) pair a bigfloat operation returns
+and the rest of the radius as terms of an exact sum, rounded up once with
+the rounding error by ``magnitude.sum_upper``; every ball operation here,
+the elementary functions, the polynomial products, the constants and the
+decimal parser use it.  An exact value s 2^l is rounded on ints by
+``_round_exact``, which passes its actual error |s - q| 2^l to ``rounded``
+as one more term: ``round_to`` and the elementary kernel use it.
 
 A sum of products is one operation too: ``dot`` forms each product of
 regular midpoints as one signed int term and rounds their exact sum once
@@ -152,29 +154,39 @@ def whole_line() -> Ball:
     return Ball(bf.ZERO, mag.INF)
 
 
-def rounded(result: tuple[BigFloat, bool], pairs: list, prec: int,
-            exact: BigFloat | None = None, terms=()) -> Ball:
+def rounded(result: tuple[BigFloat, bool], pairs: list, prec: int, terms=()) -> Ball:
     """The ball of a midpoint rounded to nearest at prec bits, given as the
     (mid, inexact) pair of a bigfloat operation, and a radius for the rest:
     the sum of |a b| over the (a, b) pairs of magnitudes and BigFloats, of
-    m 2^l over the (m, l) int terms and of an inexact midpoint's rounding
-    error (|exact - mid|, or else half an ulp, 2^(mid.exp - prec - 1)),
-    rounded up once (magnitude.sum_upper).  A pair with a zero factor adds
-    nothing; when no other term is left, the radius of an inexact midpoint
-    is that half ulp itself, a power of two, and of an exact one zero.  A
-    NaN midpoint gives indeterminate()."""
+    m 2^l over the (m, l) int terms and of an inexact midpoint's half ulp
+    2^(mid.exp - prec - 1), rounded up once (magnitude.sum_upper).  A pair
+    with a zero factor adds nothing; when no other term is left, the radius
+    of an inexact midpoint is that half ulp itself, a power of two, and of
+    an exact one zero.  A NaN midpoint gives indeterminate()."""
     mid, inexact = result
     if mid.is_nan():
         return indeterminate()
     terms = mag._pair_terms(pairs, terms)
     if terms is None:
         return Ball(mid, mag.INF)
-    if inexact:  # mid has the sign of exact, and its lsb is not below exact's
-        if not terms and exact is None:
+    if inexact:
+        if not terms:
             return Ball(mid, mag.pow2(mid.exp - prec - 1))
-        terms.append((1, mid.exp - prec - 1) if exact is None else
-                     (abs(exact.man - (mid.man << (mid.lsb - exact.lsb))), exact.lsb))
+        terms.append((1, mid.exp - prec - 1))
     return Ball(mid, mag.sum_upper(terms) if terms else mag.ZERO)
+
+
+def _round_exact(s: int, l: int, pairs: list, prec: int, terms=()) -> Ball:
+    """The ball of the exact value s 2^l rounded to nearest at prec bits on
+    ints, its radius that of ``rounded`` with the actual rounding error
+    |s - q| 2^l as one more term in place of the half ulp."""
+    bf._check_prec(prec)
+    if not s:
+        return rounded((bf.ZERO, False), pairs, prec, terms)
+    sign = 1 if s > 0 else -1
+    a = abs(s)
+    q = bf._round_int(sign, a, prec, _NE)
+    return rounded((bf._normalize(sign, q, l), False), pairs, prec, [*terms, (abs(a - q), l)])
 
 
 # -- arithmetic ---------------------------------------------------------------
@@ -302,7 +314,10 @@ def div_int(x: Ball, n: int, prec: int) -> Ball:
 def round_to(x: Ball, prec: int) -> Ball:
     """x with its midpoint rounded to prec bits; the radius is the exact sum
     of the old radius and the rounding error, rounded up once."""
-    return rounded(bf.round_to(x.mid, prec, _NE), [(x.rad, mag.ONE)], prec, x.mid)
+    m = x.mid
+    if m.kind == _REGULAR:
+        return _round_exact(m.sign * m.man, m.lsb, [(x.rad, mag.ONE)], prec)
+    return rounded(bf.round_to(m, prec, _NE), [(x.rad, mag.ONE)], prec)
 
 
 def upper_mag(x: Ball) -> Magnitude:

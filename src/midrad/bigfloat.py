@@ -13,10 +13,10 @@ non-finite results come from domain errors (NaN) and infinite operands.
 Every exact sum of many terms is one kernel, ``_exact_sum``, which
 ``vector_sum`` rounds and ``magnitude.sum_upper`` rounds up; ``add`` keeps
 its own two-operand sum, ``_add2_regular``, which is cheaper for two terms.
-Every rounding mode is decided in one place, ``_round_up``, on ints: it
-serves ``_round_from`` (every rounded BigFloat), ``_round_int`` (a rounded
-magnitude as an int, for ``ball.can_round`` and the elementary kernel)
-and ``to_int_nearest``.
+Every rounding is one function on ints, ``_round_int``, which decides all
+five modes: ``_round_from`` (every rounded BigFloat) and ``to_int_nearest``
+call it, and so do ``ball.can_round`` and ``ball``'s rounding of an exact
+value to nearest.
 
 All operations are pure functions of their arguments and values are
 immutable, so everything here is safe for unrestricted concurrent use.
@@ -259,14 +259,25 @@ _DIRECTED_UP = ((True, False),   # DOWN, toward -inf
                 (True, True))    # AWAY_FROM_ZERO
 
 
-def _round_up(sign: int, kept: int, low: int, drop: int, rnd: int) -> bool:
-    """Does rnd round a value of the given sign and magnitude kept 2^drop +
-    low, 0 < low < 2^drop, up to (kept + 1) 2^drop rather than down to
-    kept 2^drop?  The one decision of every rounding mode, on ints."""
+def _round_int(sign: int, man: int, prec: int, rnd: int) -> int:
+    """The magnitude man > 0 of a value of the given sign, rounded under rnd
+    to prec bits, as an int on man's own scale: the one decision of every
+    rounding mode, on ints."""
+    drop = man.bit_length() - prec
+    if drop <= 0:
+        return man
+    unit = 1 << drop
+    low = man & (unit - 1)
+    if not low:
+        return man
+    man -= low
     if rnd == _NE:
-        half = 1 << (drop - 1)
-        return low > half or (low == half and kept & 1 == 1)
-    return _DIRECTED_UP[rnd][sign > 0]
+        half = unit >> 1
+        if low > half or (low == half and man & unit):
+            man += unit
+    elif _DIRECTED_UP[rnd][sign > 0]:
+        man += unit
+    return man
 
 
 def _round_from(sign: int, man: int, lsb: int, prec: int, rnd: int,
@@ -281,31 +292,8 @@ def _round_from(sign: int, man: int, lsb: int, prec: int, rnd: int,
             pad = 0
         man = (man << (pad + 2)) | 1
         lsb -= pad + 2
-    drop = man.bit_length() - prec
-    if drop <= 0:
-        return _normalize(sign, man, lsb), False
-    low = man & ((1 << drop) - 1)
-    kept = man >> drop
-    if low == 0:
-        return _normalize(sign, kept, lsb + drop), False
-    if _round_up(sign, kept, low, drop, rnd):
-        kept += 1  # may carry to prec+1 bits; _normalize restrips
-    return _normalize(sign, kept, lsb + drop), True
-
-
-def _round_int(sign: int, man: int, prec: int, rnd: int) -> int:
-    """The magnitude man > 0 of a value of the given sign, rounded under rnd
-    to prec bits, as an int on man's own scale."""
-    drop = man.bit_length() - prec
-    if drop <= 0:
-        return man
-    low = man & ((1 << drop) - 1)
-    if not low:
-        return man
-    kept = man >> drop
-    if _round_up(sign, kept, low, drop, rnd):
-        kept += 1
-    return kept << drop
+    q = _round_int(sign, man, prec, rnd)  # a carry to prec+1 bits is restripped
+    return _normalize(sign, q, lsb), q != man
 
 
 def round_to(x: BigFloat, prec: int, rnd: int) -> tuple[BigFloat, bool]:
@@ -585,8 +573,6 @@ def to_int_nearest(x: BigFloat) -> int:
     l = x.lsb
     if l >= 0:
         return x.sign * (x.man << l)
-    drop = -l
-    kept = x.man >> drop
-    if _round_up(x.sign, kept, x.man & ((1 << drop) - 1), drop, _NE):  # man is odd
-        kept += 1
-    return x.sign * kept
+    if x.exp < 0:  # |x| < 1/2
+        return 0
+    return x.sign * (_round_int(x.sign, x.man, x.exp, _NE) >> -l)

@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     # the options eval and round share
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-prec", type=int, default=1 << 24)
+    common.add_argument("--max-prec", type=int, default=expreval.EvalConfig.max_prec)
     common.add_argument("--var", action="append", default=[], metavar="NAME=VALUE",
                         help="bind a variable (decimal or ball literal); repeatable")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from . import ball
 from . import bigfloat as bf
+from . import decimal_io
 from . import elementary as el
 from . import magnitude as mag
 from .ball import Ball
@@ -233,12 +234,10 @@ def tan(x: ComplexBox, prec: int) -> ComplexBox:
 
 
 def to_decimal(x: ComplexBox, digits: int) -> str:
-    from . import decimal_io
     return f"({decimal_io.to_decimal(x.re, digits)}; {decimal_io.to_decimal(x.im, digits)})"
 
 
 def from_decimal(s: str) -> ComplexBox:
-    from . import decimal_io
     t = s.strip()
     if not (t.startswith("(") and t.endswith(")")):
         raise decimal_io.ParseError("expected '(re; im)'", 0)

@@ -48,7 +48,9 @@ One routine, ``_halve``, takes both atan and atanh steps, z <- z / (1 + sqrt(1
 2000 bits.  A result and its radius are rounded once (``_fixed_ball``): the
 series error, the reduced argument's radius and the input ball's radius,
 each times its bound on |f'|, go into one exact sum that is rounded up
-once.
+once, with the midpoint's actual rounding error (``ball._round_exact``).
+atan(+-1) and atan beyond 2^(prec+8) are exact multiples of pi/4 and pi/2
+given to the same function.
 
 Internal evaluation parameters are capped so that the work stays polynomial
 in the precision regardless of the input: beyond the cutoffs, sin/cos return
@@ -163,14 +165,12 @@ def _log2_ball(wp: int) -> Ball:
 
 def const_pi(prec: int) -> Ball:
     """Enclosure of pi with radius well below 2**(4-prec)."""
-    if prec < 2:
-        raise ValueError("precision must be >= 2")
+    bf._check_prec(prec)
     return ball.round_to(_pi_ball(prec), prec)
 
 
 def const_log2(prec: int) -> Ball:
-    if prec < 2:
-        raise ValueError("precision must be >= 2")
+    bf._check_prec(prec)
     return ball.round_to(_log2_ball(prec), prec)
 
 
@@ -338,23 +338,14 @@ def _fixed_ball(s: int, err: int, w: int, pairs: list, prec: int,
     rounded to nearest at prec bits, its radius, that error included, rounded
     up once; the pairs are where callers put the reduced argument's and the
     input's radii times the function's bounds on |f'|.  The exact value is
-    one int times 2^l, rounded on ints, and its rounding error joins the
-    radius sum as one more exact term."""
-    bf._check_prec(prec)
+    one int times 2^l, rounded on ints by ``ball._round_exact``, and its
+    rounding error joins the radius sum as one more exact term."""
     l = h - w
     terms = [(err, l)]
     if k:
         s, l = _sub_multiple(s, l, c.mid, k)
         pairs = [*pairs, (c.rad, BigFloat.from_int(k))]
-    if s:
-        sign = 1 if s > 0 else -1
-        a = abs(s)
-        q = bf._round_int(sign, a, prec, _NE)
-        terms.append((abs(a - q), l))
-        mid = bf._normalize(sign, q, l)
-    else:
-        mid = bf.ZERO
-    return ball.rounded((mid, False), pairs, prec, terms=terms)
+    return ball._round_exact(s, l, pairs, prec, terms)
 
 
 def _sub_multiple(v: int, l: int, c: BigFloat, k: int) -> tuple[int, int]:
@@ -645,12 +636,10 @@ def atan(x: Ball, prec: int) -> Ball:
     xr = [] if x.rad.is_zero() else [(mag.min_(x.rad, _FOUR), mag.ONE)]
     if m.is_inf() or m.exp > prec + 8:
         # |atan(m) - sign * pi/2| = atan(1/|m|) <= 2^(1 - exp), and 0 for m = +-inf
-        ph = ball.scale_2exp(_pi_ball(prec + 8), -1)
-        v = ph.mid if m.signum() > 0 else -ph.mid
-        pairs = [(ph.rad, mag.ONE), *xr]
         if m.is_regular():
-            pairs.append((mag.pow2(1 - m.exp), mag.ONE))
-        return ball.rounded(bf.round_to(v, prec, _NE), pairs, prec, v)
+            xr.append((mag.pow2(1 - m.exp), mag.ONE))
+        return _fixed_ball(0, 0, 0, xr, prec, 0, -m.signum(),
+                           ball.scale_2exp(_pi_ball(prec + 8), -1))
     return _atan_point(m, xr, _accuracy_prec(prec, -x.rad.exp) if xr else prec)
 
 

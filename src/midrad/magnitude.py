@@ -19,7 +19,8 @@ magnitude at or above the exact value.
 from __future__ import annotations
 
 from . import bigfloat
-from .bigfloat import BigFloat
+# one set of kind codes: dot_upper and _pair_terms read a factor of either kind
+from .bigfloat import _POS_INF, _REGULAR, _ZERO, BigFloat
 
 __all__ = [
     "Magnitude",
@@ -45,10 +46,6 @@ __all__ = [
 _MBITS = 30
 _MANT_MIN = 1 << 29
 _MANT_TOP = 1 << 30
-
-_REGULAR = 0  # the codes bigfloat gives regular and zero values, so that
-_ZERO = 1     # dot_upper reads a factor of either kind
-_POS_INF = 2
 
 
 class Magnitude:

@@ -112,9 +112,9 @@ class TestRounded:
         assert ball.rounded((m, False), pairs, 53, terms=terms[:1]).rad == want
         # with the half ulp 2^-54 as one more term, still a single rounding
         assert ball.rounded((m, True), [(mag.ONE, mag.ONE)], 53).rad == mag.from_man_exp_upper(1 << 29 | 1, -29)
-        # given the exact value, the actual error 2^-100 instead
-        exact = BigFloat.from_man_exp((3 << 99) + 1, -100)
-        assert ball.rounded((m, True), [(mag.ONE, mag.ONE)], 53, exact).rad == mag.from_man_exp_upper(1 << 29 | 1, -29)
+        # an exact value rounded on ints adds its actual error 2^-100 instead
+        b = ball._round_exact((3 << 99) + 1, -100, [(mag.ONE, mag.ONE)], 53)
+        assert b == Ball(m, mag.from_man_exp_upper(1 << 29 | 1, -29))
 
     def test_inexact_midpoint_adds_half_an_ulp(self):
         for prec in (2, 53, 300):

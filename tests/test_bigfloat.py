@@ -1,5 +1,6 @@
 import random
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -401,3 +402,52 @@ def test_round_int_against_the_fraction_oracle():
             for rnd in ALL_MODES:
                 got = bf._round_int(sign, man, prec, rnd)
                 assert sign * got == round_fraction_oracle(Fraction(sign * man), prec, rnd)
+
+
+def test_round_from_is_round_int():
+    # _round_from is _round_int on the mantissa (after folding in a sticky
+    # tail as a low guard bit), inexact exactly when the int changed
+    rng = random.Random(24)
+    for _ in range(300):
+        prec = rng.randrange(2, 70)
+        man = rng.getrandbits(rng.randrange(1, prec + 40)) | 1
+        lsb = rng.randrange(-100, 100)
+        for sign in (1, -1):
+            for rnd in ALL_MODES:
+                got, inexact = bf._round_from(sign, man, lsb, prec, rnd)
+                q = bf._round_int(sign, man, prec, rnd)
+                assert F(got) == sign * Fraction(q) * Fraction(2) ** lsb
+                assert inexact == (q != man)
+                # a tail below 2^lsb rounds as one unit far below it
+                got, inexact = bf._round_from(sign, man, lsb, prec, rnd, sticky=1)
+                g = prec + 2
+                q = bf._round_int(sign, (man << g) + 1, prec, rnd)
+                assert F(got) == sign * Fraction(q) * Fraction(2) ** (lsb - g)
+                assert inexact
+
+
+def test_to_int_nearest_below_one_half_builds_nothing():
+    x = BigFloat.from_man_exp(3, -10 ** 7)
+    tracemalloc.start()
+    try:
+        got = bf.to_int_nearest(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 0 and peak < 64 * 1024
+
+
+def test_to_int_nearest_against_the_fraction_oracle():
+    # round() of a Fraction rounds half to even
+    rng = random.Random(1611)
+    for _ in range(600):
+        bits = rng.randrange(1, 100)
+        man = rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+        e = rng.randrange(-3, 71)  # the binade: 2^(e-1) <= |x| < 2^e
+        for sign in (1, -1):
+            x = BigFloat.from_man_exp(sign * man, e - bits)
+            assert bf.to_int_nearest(x) == round(F(x)), x
+    for q, want in ((Fraction(1, 2), 0), (Fraction(-1, 2), 0), (Fraction(3, 2), 2),
+                    (Fraction(-5, 2), -2)):
+        x = BigFloat.from_man_exp(q.numerator, -1)
+        assert bf.to_int_nearest(x) == want == round(q)

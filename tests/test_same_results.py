@@ -20,7 +20,7 @@ SRC = Path(midrad.__file__).resolve().parents[1]
 # the sections that run in about two seconds; the printing and polynomial
 # sections take longer and go through the same digest
 SECTIONS = ("_bigfloat", "_magnitude", "_ball", "_elementary", "_complex", "_expreval",
-            "_can_round", "_exact_ops", "_mixed_dot")
+            "_can_round", "_exact_ops", "_mixed_dot", "_rounding")
 
 
 def _load_tool():

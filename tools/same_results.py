@@ -377,8 +377,47 @@ def _mixed_dot(rng, m, out):
             b.add(xs[0], ys[0], p), b.sub(xs[0], z, p))
 
 
+def _rounding(rng, m, out):
+    """Every rounding on ints: to_int_nearest at, and one unit beside, the
+    ties k + 1/2 of both signs; ball.round_to at every prec from 2 to 200,
+    with and without a radius, of midpoints at a tie, one bit longer and far
+    longer; atan at |x| >= 2^(prec+8) and at +-inf, with zero, small, large
+    and infinite radii; and bf.round_to, div and sqrt in all five modes,
+    rounded and exact."""
+    b, bf, mag, el = m.ball, m.bigfloat, m.magnitude, m.elementary
+    BigFloat, modes = m.BigFloat, list(m.Rounding)
+    for _ in range(300):
+        k, t = rng.getrandbits(rng.randrange(0, 80)), rng.randrange(1, 60)
+        for d in (-1, 0, 1):
+            out(*(bf.to_int_nearest(BigFloat.from_man_exp(s * (((2 * k + 1) << (t - 1)) + d), -t))
+                  for s in (1, -1)))
+    for p in range(2, 201):
+        for bits in (p + 1, p + 1, 2 * p + 10, 400):
+            man = rng.getrandbits(bits) | 1 << (bits - 1) | 1  # bits = p + 1: a tie
+            x = _rand_ball(rng, m, 8, 60)
+            x = m.Ball(BigFloat.from_man_exp(rng.choice((1, -1)) * man, x.mid.lsb), x.rad)
+            out(b.round_to(x, p), b.round_to(m.Ball(x.mid), p))
+        out(*(b.round_to(m.Ball(v, _rand_mag(rng, mag)), p)
+              for v in (bf.ZERO, bf.POS_INF, bf.NEG_INF, bf.NAN)))
+    rads = (mag.ZERO, mag.pow2(-200), mag.pow2(-10), mag.pow2(3), mag.pow2(40), mag.INF)
+    for p in (2, 3, 10, 53, 64, 200, 333):
+        for e in (p + 9, p + 10, p + rng.randrange(11, 200), 10 ** 6):
+            man = rng.getrandbits(rng.randrange(1, 100)) | 1
+            for s in (1, -1):
+                mid = BigFloat.from_man_exp(s * man, e - man.bit_length())
+                out(*(el.atan(m.Ball(mid, r), p) for r in rads))
+        out(*(el.atan(m.Ball(v, r), p) for v in (bf.POS_INF, bf.NEG_INF) for r in rads))
+    for _ in range(300):
+        x, y = _rand_bigfloat(rng, BigFloat, 200), _rand_bigfloat(rng, BigFloat, 100)
+        p = rng.randrange(2, 300)
+        xy = bf.mul_exact(x, y)
+        for r in modes:
+            out(bf.round_to(x, p, r), bf.div(x, y, p, r), bf.div(xy, y, p, r),
+                bf.sqrt(abs(x), p, r), bf.sqrt(bf.mul_exact(x, x), p, r))
+
+
 SECTIONS = (_bigfloat, _magnitude, _ball, _elementary, _poly, _complex, _decimal, _expreval,
-            _can_round, _exact_ops, _mixed_dot)
+            _can_round, _exact_ops, _mixed_dot, _rounding)
 
 
 def _text(v) -> str:
